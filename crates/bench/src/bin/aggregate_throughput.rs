@@ -8,10 +8,8 @@
 //!   sealing global windows (chunk reassembly + Space-Saving merge +
 //!   feature-vector merge), the hot loop of `dnsobs aggregate`.
 //!
-//! Writes `BENCH_aggregate.json` at the repository root (the committed
-//! baseline `scripts/bench-smoke.sh` regresses against) and prints the
-//! table. `--smoke` runs only the merge configuration and prints
-//! `aggregate_smoke_records_per_sec=<n>` for the regression check.
+//! Prints the table. An ungated measuring tool: the repository's
+//! benchmark is `obsbench/run.sh`.
 
 use dns_observatory::{Dataset, ObservatoryConfig, StateExporter};
 use simnet::{SimConfig, Simulation};
@@ -121,15 +119,6 @@ fn measure_merge(streams: &[Vec<WindowState>], reps: usize) -> (f64, usize) {
 }
 
 fn main() {
-    let smoke_only = std::env::args().any(|a| a == "--smoke");
-
-    if smoke_only {
-        let streams = generate(6.0);
-        let (rps, _) = measure_merge(&streams, 2);
-        println!("aggregate_smoke_records_per_sec={rps:.1}");
-        return;
-    }
-
     eprintln!("generating workload...");
     let streams = generate(12.0);
     let flat: Vec<WindowState> = streams.iter().flatten().cloned().collect();
@@ -148,29 +137,4 @@ fn main() {
     println!("codec decode:   {dec_rps:>10.0} records/s  {dec_mbps:>7.1} MB/s");
     let (merge_rps, windows) = measure_merge(&streams, reps);
     println!("global merge:   {merge_rps:>10.0} records/s  ({windows} windows sealed)");
-
-    // Hand-rolled JSON baseline for scripts/bench-smoke.sh.
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"upstreams\": {UPSTREAMS},\n"));
-    out.push_str(&format!("  \"state_records\": {},\n", flat.len()));
-    out.push_str(&format!(
-        "  \"wire_bytes_per_record\": {wire_bytes_per_record:.1},\n"
-    ));
-    out.push_str(&format!("  \"encode_records_per_sec\": {enc_rps:.1},\n"));
-    out.push_str(&format!("  \"encode_mb_per_sec\": {enc_mbps:.1},\n"));
-    out.push_str(&format!("  \"decode_records_per_sec\": {dec_rps:.1},\n"));
-    out.push_str(&format!("  \"decode_mb_per_sec\": {dec_mbps:.1},\n"));
-    out.push_str(&format!("  \"global_windows\": {windows},\n"));
-    out.push_str(&format!(
-        "  \"aggregate_smoke_records_per_sec\": {merge_rps:.1}\n"
-    ));
-    out.push_str("}\n");
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let path = root.join("BENCH_aggregate.json");
-    std::fs::write(&path, out).expect("write BENCH_aggregate.json");
-    println!("wrote {}", path.display());
 }

@@ -8,10 +8,8 @@
 //!   localhost TCP, end to end through the bounded queue, writer thread,
 //!   reader thread, and time merger.
 //!
-//! Writes `BENCH_feed.json` at the repository root (the committed
-//! baseline `scripts/bench-smoke.sh` regresses against) and prints the
-//! table. `--smoke` runs only the loopback configuration and prints
-//! `feed_smoke_tx_per_sec=<n>` for the regression check.
+//! Prints the table. An ungated measuring tool: the repository's
+//! benchmark is `obsbench/run.sh`.
 
 use dns_observatory::TxSummary;
 use feed::frame::{encode_frame, FrameReader};
@@ -110,15 +108,6 @@ fn measure_loopback(summaries: &[TxSummary], reps: usize) -> f64 {
 }
 
 fn main() {
-    let smoke_only = std::env::args().any(|a| a == "--smoke");
-
-    if smoke_only {
-        let summaries = generate(4.0);
-        let tps = measure_loopback(&summaries, 2);
-        println!("feed_smoke_tx_per_sec={tps:.1}");
-        return;
-    }
-
     eprintln!("generating workload...");
     let summaries = generate(12.0);
     eprintln!("generated {} summaries", summaries.len());
@@ -133,25 +122,4 @@ fn main() {
     println!("codec decode:   {dec_items:>10.0} items/s  {dec_mbps:>7.1} MB/s");
     let loopback = measure_loopback(&summaries, reps);
     println!("loopback TCP:   {loopback:>10.0} items/s");
-
-    // Hand-rolled JSON baseline for scripts/bench-smoke.sh.
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"summaries\": {},\n", summaries.len()));
-    out.push_str(&format!(
-        "  \"wire_bytes_per_item\": {wire_bytes_per_item:.1},\n"
-    ));
-    out.push_str(&format!("  \"encode_items_per_sec\": {enc_items:.1},\n"));
-    out.push_str(&format!("  \"encode_mb_per_sec\": {enc_mbps:.1},\n"));
-    out.push_str(&format!("  \"decode_items_per_sec\": {dec_items:.1},\n"));
-    out.push_str(&format!("  \"decode_mb_per_sec\": {dec_mbps:.1},\n"));
-    out.push_str(&format!("  \"feed_smoke_tx_per_sec\": {loopback:.1}\n"));
-    out.push_str("}\n");
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let path = root.join("BENCH_feed.json");
-    std::fs::write(&path, out).expect("write BENCH_feed.json");
-    println!("wrote {}", path.display());
 }

@@ -2,21 +2,16 @@
 //! ThreadedPipeline across a workers × shards grid, on one fixed
 //! pre-generated transaction stream.
 //!
-//! Writes `BENCH_pipeline.json` at the repository root (the committed
-//! baseline `scripts/bench-smoke.sh` regresses against) and prints the
-//! table. `--smoke` runs only the smoke configuration and prints
-//! `smoke_tx_per_sec=<n>` for the regression check. `--scaling` runs the
-//! full grid, prints machine-parseable `scaling_*` facts (single-thread
-//! fold, best parallel config, speedup, monotonicity verdict) for the
-//! scaling-shape gate in `scripts/bench-smoke.sh`, appends the curve to
-//! `BENCH_history.jsonl`, and refreshes `BENCH_pipeline.json`.
-//! `--trace-overhead` measures the smoke config with and without a
-//! flight recorder attached and prints `trace_*` facts for the ≤5 %
-//! tracing-tax gate.
+//! Prints the table. `--scaling` adds machine-parseable `scaling_*`
+//! facts (single-thread fold, best parallel config, speedup,
+//! monotonicity verdict). `--trace-overhead` measures one config with
+//! and without a flight recorder attached and prints `trace_*` facts
+//! (the tracing tax). An ungated measuring tool: the repository's
+//! benchmark is `obsbench/run.sh`.
 //!
 //! Steady-state tracker allocations are measured when built with
 //! `--features count-allocs` (a counting global allocator); without the
-//! feature the alloc fields are reported as null.
+//! feature they are not measured.
 
 use dns_observatory::{
     Dataset, Observatory, ObservatoryConfig, ThreadedPipeline, TopKTracker, TxSummary,
@@ -72,9 +67,9 @@ fn bench_cfg() -> ObservatoryConfig {
     }
 }
 
-/// The fixed grid point used for regression smoke checks.
-const SMOKE_WORKERS: usize = 2;
-const SMOKE_SHARDS: usize = 2;
+/// The fixed grid point the tracing tax is measured on.
+const TRACED_WORKERS: usize = 2;
+const TRACED_SHARDS: usize = 2;
 
 fn generate(sim_secs: f64) -> Vec<Transaction> {
     let mut sim = Simulation::from_config(SimConfig::small());
@@ -97,7 +92,7 @@ fn measure_threaded(txs: &[Transaction], workers: usize, shards: usize, reps: us
 
 /// Same measurement with provenance tracing on: a flight recorder is
 /// attached, so every stage records span events. The ratio against the
-/// untraced run is the tracing tax `scripts/bench-smoke.sh` gates at 5 %.
+/// untraced run is the tracing tax.
 fn measure_traced(txs: &[Transaction], workers: usize, shards: usize, reps: usize) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..reps {
@@ -170,14 +165,6 @@ fn measure_allocs(_txs: &[Transaction]) -> (f64, u64) {
     (f64::NAN, 0)
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Each grid point's predecessor for the monotone-scaling check: adding
 /// cores along this chain must never reduce throughput (with 10 %
 /// measurement tolerance). `(1,1)` has no predecessor.
@@ -192,7 +179,7 @@ fn predecessor(workers: usize, shards: usize) -> Option<(usize, usize)> {
     }
 }
 
-/// The scaling-shape facts `scripts/bench-smoke.sh` gates on.
+/// The scaling-shape facts: best parallel config, speedup, monotonicity.
 fn print_scaling_facts(cores: usize, single: f64, results: &[(usize, usize, f64)]) {
     println!("scaling_cores={cores}");
     println!("scaling_single_tx_per_sec={single:.1}");
@@ -227,65 +214,20 @@ fn print_scaling_facts(cores: usize, single: f64, results: &[(usize, usize, f64)
     }
 }
 
-/// Append the scaling curve to `BENCH_history.jsonl` so the shape is
-/// trackable across commits, alongside the smoke records bench-smoke.sh
-/// writes.
-fn append_history(
-    root: &std::path::Path,
-    cores: usize,
-    single: f64,
-    results: &[(usize, usize, f64)],
-) {
-    use std::io::Write;
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let grid = results
-        .iter()
-        .map(|&(w, s, tps)| {
-            format!(
-                "{{\"workers\":{w},\"shards\":{s},\"tx_per_sec\":{}}}",
-                json_f64(tps)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let line = format!(
-        "{{\"kind\":\"scaling\",\"unix_time\":{unix_time},\"cores\":{cores},\"single_tx_per_sec\":{},\"grid\":[{grid}]}}\n",
-        json_f64(single)
-    );
-    let path = root.join("BENCH_history.jsonl");
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .expect("open BENCH_history.jsonl");
-    f.write_all(line.as_bytes()).expect("append scaling record");
-    println!("appended scaling record to {}", path.display());
-}
-
 fn main() {
-    let smoke_only = std::env::args().any(|a| a == "--smoke");
     let scaling = std::env::args().any(|a| a == "--scaling");
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    if smoke_only {
-        let txs = generate(4.0);
-        let tps = measure_threaded(&txs, SMOKE_WORKERS, SMOKE_SHARDS, 2);
-        println!("smoke_tx_per_sec={tps:.1}");
-        return;
-    }
-
     if std::env::args().any(|a| a == "--trace-overhead") {
-        // Interleaved best-of-3 per mode on the smoke config: the
+        // Interleaved best-of-3 per mode on one config: the
         // tracing tax is the ratio of the two bests, which cancels the
         // shared machine noise better than back-to-back blocks.
         let txs = generate(4.0);
         let mut off = 0.0f64;
         let mut on = 0.0f64;
         for _ in 0..3 {
-            off = off.max(measure_threaded(&txs, SMOKE_WORKERS, SMOKE_SHARDS, 1));
-            on = on.max(measure_traced(&txs, SMOKE_WORKERS, SMOKE_SHARDS, 1));
+            off = off.max(measure_threaded(&txs, TRACED_WORKERS, TRACED_SHARDS, 1));
+            on = on.max(measure_traced(&txs, TRACED_WORKERS, TRACED_SHARDS, 1));
         }
         println!("trace_off_tx_per_sec={off:.1}");
         println!("trace_on_tx_per_sec={on:.1}");
@@ -311,12 +253,11 @@ fn main() {
         );
         results.push((workers, shards, tps));
     }
-    let smoke = measure_threaded(&txs, SMOKE_WORKERS, SMOKE_SHARDS, reps);
 
     let (allocs_per_tx, alloc_total) = measure_allocs(&txs);
     if allocs_per_tx.is_finite() {
         println!("steady-state srvip tracker: {allocs_per_tx:.4} allocs/tx ({alloc_total} total)");
-        // The committed baseline is 0.0001 allocs/tx; hold the line (with
+        // The measured steady state is 0.0001 allocs/tx; hold the line (with
         // 50 % headroom for counter jitter) so recycling regressions fail
         // the bench run itself.
         assert!(
@@ -327,43 +268,7 @@ fn main() {
         println!("steady-state allocs: not measured (build with --features count-allocs)");
     }
 
-    // Hand-rolled JSON baseline for scripts/bench-smoke.sh.
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str(&format!("  \"transactions\": {},\n", txs.len()));
-    out.push_str(&format!("  \"single_tx_per_sec\": {},\n", json_f64(single)));
-    out.push_str(&format!("  \"smoke_tx_per_sec\": {},\n", json_f64(smoke)));
-    out.push_str(&format!(
-        "  \"smoke_config\": {{ \"workers\": {SMOKE_WORKERS}, \"shards\": {SMOKE_SHARDS} }},\n"
-    ));
-    out.push_str(&format!(
-        "  \"allocs_per_tx_srvip_steady\": {},\n",
-        if allocs_per_tx.is_finite() {
-            format!("{allocs_per_tx:.4}")
-        } else {
-            "null".to_string()
-        }
-    ));
-    out.push_str("  \"grid\": [\n");
-    for (i, (w, s, tps)) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{ \"workers\": {w}, \"shards\": {s}, \"tx_per_sec\": {} }}{comma}\n",
-            json_f64(*tps)
-        ));
-    }
-    out.push_str("  ]\n}\n");
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let path = root.join("BENCH_pipeline.json");
-    std::fs::write(&path, out).expect("write BENCH_pipeline.json");
-    println!("wrote {}", path.display());
-
     if scaling {
         print_scaling_facts(cores, single, &results);
-        append_history(&root, cores, single, &results);
     }
 }

@@ -12,10 +12,8 @@
 //! * **renumber** — render + TTL-change scan over a whole interval;
 //! * **topk** — top-k snapshot at one instant (coarsest covering level).
 //!
-//! Writes `BENCH_store.json` at the repository root (the committed
-//! baseline `scripts/bench-smoke.sh` regresses against) and prints the
-//! table. `--smoke` skips the JSON rewrite and prints
-//! `store_smoke_queries_per_sec=<n>` for the regression check.
+//! Prints the table. A measuring tool with its own 100 ms budget, no
+//! baseline: the repository's benchmark is `obsbench/run.sh`.
 
 use dns_observatory::analysis::ttl::{detect_changes, ChangeCategory};
 use dns_observatory::synth::{renumber_truth, SynthConfig, SynthStream};
@@ -74,7 +72,6 @@ fn best_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let dir: PathBuf =
         std::env::temp_dir().join(format!("dnsobs-bench-store-{}", std::process::id()));
 
@@ -86,7 +83,7 @@ fn main() {
         DAYS * WINDOWS_PER_DAY
     );
 
-    let reps = if smoke { 3 } else { 7 };
+    let reps = 7;
 
     // History of one object across the full three months.
     let (history_ms, (points, bound)) = best_ms(reps, || {
@@ -137,20 +134,11 @@ fn main() {
     println!("store_history_ms={history_ms:.3}");
     println!("store_renumber_ms={renumber_ms:.3}");
     println!("store_topk_ms={topk_ms:.3}");
-    println!("store_smoke_queries_per_sec={queries_per_sec:.1}");
+    println!("store_queries_per_sec={queries_per_sec:.1}");
     eprintln!(
         "history: {n} point(s), {hits} exact hits, merged bound {bound}; renumber: {found}/{planted} events; budget {BUDGET_MS} ms, worst {worst:.3} ms",
         n = points.len()
     );
-
-    if !smoke {
-        let json = format!(
-            "{{\n  \"days\": {DAYS},\n  \"windows\": {},\n  \"segments_after_compaction\": {segments},\n  \"build_secs\": {build_secs:.2},\n  \"compact_secs\": {compact_secs:.2},\n  \"history_ms\": {history_ms:.3},\n  \"renumber_ms\": {renumber_ms:.3},\n  \"topk_ms\": {topk_ms:.3},\n  \"store_smoke_queries_per_sec\": {queries_per_sec:.1}\n}}\n",
-            DAYS * WINDOWS_PER_DAY
-        );
-        std::fs::write("BENCH_store.json", json).expect("write BENCH_store.json");
-        eprintln!("wrote BENCH_store.json");
-    }
 
     let _ = std::fs::remove_dir_all(&dir);
     if worst > BUDGET_MS {

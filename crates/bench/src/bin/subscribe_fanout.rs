@@ -11,10 +11,8 @@
 //!   subscribers. The serving tier's design claim is that the seal path
 //!   never blocks on subscribers, so the ratio must stay near 1.0.
 //!
-//! Writes `BENCH_pubsub.json` at the repository root (the committed
-//! baseline `scripts/bench-smoke.sh` regresses against) and prints the
-//! table. `--smoke` runs only the 64-client fanout configuration and
-//! prints `pubsub_smoke_fanout_frames_per_sec=<n>`.
+//! Prints the table. An ungated measuring tool: the repository's
+//! benchmark is `obsbench/run.sh`.
 
 use dns_observatory::{Dataset, ObservatoryConfig, StateExporter};
 use pubsub::{
@@ -278,15 +276,6 @@ fn measure_paced(arrival: &[&WindowState], clients: usize, rate_hz: u64) -> Pace
 }
 
 fn main() {
-    let smoke_only = std::env::args().any(|a| a == "--smoke");
-
-    if smoke_only {
-        let batches = sealed_batches(&generate(6.0));
-        let (fps, _) = measure_fanout(&batches, 64, 2);
-        println!("pubsub_smoke_fanout_frames_per_sec={fps:.1}");
-        return;
-    }
-
     eprintln!("generating workload...");
     let streams = generate(12.0);
     let arrival = arrival_order(&streams);
@@ -299,11 +288,9 @@ fn main() {
 
     let reps = 3;
     let grid = [1usize, 64, 256];
-    let mut fanout = Vec::new();
     for &clients in &grid {
         let (fps, frames) = measure_fanout(&batches, clients, reps);
         println!("fanout {clients:>4} clients: {fps:>12.0} frames/s  ({frames} frames/pass)");
-        fanout.push(fps);
     }
 
     // Clients × update-rate grid under production pacing (windows seal
@@ -350,53 +337,4 @@ fn main() {
         100.0 * ratio,
         full.evicted
     );
-
-    // Hand-rolled JSON baseline for scripts/bench-smoke.sh.
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"sealed_windows\": {},\n", batches.len()));
-    out.push_str(&format!("  \"state_records\": {},\n", arrival.len()));
-    out.push_str(&format!(
-        "  \"fanout_frames_per_sec_1\": {:.1},\n",
-        fanout[0]
-    ));
-    out.push_str(&format!(
-        "  \"fanout_frames_per_sec_64\": {:.1},\n",
-        fanout[1]
-    ));
-    out.push_str(&format!(
-        "  \"fanout_frames_per_sec_256\": {:.1},\n",
-        fanout[2]
-    ));
-    for b in &baselines {
-        out.push_str(&format!(
-            "  \"paced_{}hz_disabled_records_per_sec\": {:.1},\n",
-            b.rate_hz, b.records_per_sec
-        ));
-    }
-    for c in &cells {
-        out.push_str(&format!(
-            "  \"paced_{}hz_{}c_records_per_sec\": {:.1},\n",
-            c.rate_hz, c.clients, c.records_per_sec
-        ));
-        out.push_str(&format!(
-            "  \"paced_{}hz_{}c_p99_push_us\": {},\n",
-            c.rate_hz, c.clients, c.p99_push_us
-        ));
-    }
-    out.push_str(&format!("  \"serve_clients\": {SERVE_CLIENTS},\n"));
-    out.push_str(&format!("  \"serve_evicted\": {},\n", full.evicted));
-    out.push_str(&format!("  \"serve_tax_ratio\": {ratio:.4},\n"));
-    out.push_str(&format!(
-        "  \"pubsub_smoke_fanout_frames_per_sec\": {:.1}\n",
-        fanout[1]
-    ));
-    out.push_str("}\n");
-
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let path = root.join("BENCH_pubsub.json");
-    std::fs::write(&path, out).expect("write BENCH_pubsub.json");
-    println!("wrote {}", path.display());
 }

@@ -135,11 +135,7 @@ impl Observatory {
         let start = *self.window_start.get_or_insert(summary.time);
         if summary.time >= start + self.cfg.window_secs {
             self.dump_window();
-            // Advance to the window containing this summary.
-            let w = self.cfg.window_secs;
-            let start = self.window_start.expect("set above");
-            let skipped = ((summary.time - start) / w).floor();
-            self.window_start = Some(start + skipped * w);
+            self.window_start = Some(next_window_start(start, summary.time, self.cfg.window_secs));
         }
         self.ingested += 1;
         for t in &mut self.trackers {
@@ -178,6 +174,14 @@ impl Observatory {
     pub fn store(&self) -> &TimeSeriesStore {
         &self.store
     }
+}
+
+/// Start of the window containing `t`, given that the window opened at
+/// `start` has just closed (`t >= start + w`). Always advances at least
+/// one window: `(t - start) / w` can round below 1 while `t >= start + w`
+/// holds, and re-opening the closed window would dump it twice.
+fn next_window_start(start: f64, t: f64, w: f64) -> f64 {
+    start + ((t - start) / w).floor().max(1.0) * w
 }
 
 /// Chaos-testing hook: called by each tracker shard as `(shard index,
@@ -916,8 +920,7 @@ fn sequencer_loop(
                 metrics
                     .window_seconds
                     .record(closed_us.saturating_sub(window_opened_us) as f64 / 1e6);
-                let skipped = ((s.time - start) / window_secs).floor();
-                let new_start = start + skipped * window_secs;
+                let new_start = next_window_start(start, s.time, window_secs);
                 window_start = Some(new_start);
                 if trace.is_enabled() {
                     trace.record(
@@ -1363,6 +1366,51 @@ mod tests {
                 (b.kept, b.dropped, b.filtered)
             );
             assert_eq!(format!("{:?}", a.rows), format!("{:?}", b.rows));
+        }
+    }
+
+    /// A summary exactly one window after the first, at a start where
+    /// `(t - start) / w` rounds below 1 (`(0.3 + 2.0) - 0.3 < 2.0` in
+    /// f64), must open the *next* window — never re-open and re-dump the
+    /// one just closed.
+    #[test]
+    fn boundary_summary_never_reopens_the_closed_window() {
+        let (t0, w) = (0.3_f64, 2.0_f64);
+        let t1 = t0 + w;
+        assert!(
+            t1 >= t0 + w && ((t1 - t0) / w).floor() == 0.0,
+            "inputs must trip the rounding"
+        );
+        let psl = psl::Psl::embedded();
+        let mut sim = Simulation::from_config(SimConfig::small());
+        let mut summaries: Vec<TxSummary> = sim
+            .collect(0.2)
+            .iter()
+            .take(2)
+            .map(|tx| TxSummary::from_transaction(tx, &psl))
+            .collect();
+        summaries[0].time = t0;
+        summaries[1].time = t1;
+        let cfg = || ObservatoryConfig {
+            window_secs: w,
+            ..small_cfg()
+        };
+
+        let mut obs = Observatory::new(cfg());
+        for s in summaries.clone() {
+            obs.ingest_summary(s);
+        }
+        let reference = obs.finish();
+        let threaded = ThreadedPipeline::new(cfg(), 2).run_summaries(summaries);
+        for store in [&reference, &threaded] {
+            let windows = store.dataset(Dataset::Qtype);
+            let starts: Vec<f64> = windows.iter().map(|w| w.start).collect();
+            assert_eq!(starts, [t0, t1], "one dump per window, each its own start");
+            let seen: Vec<u64> = windows
+                .iter()
+                .map(|w| w.kept + w.dropped + w.filtered)
+                .collect();
+            assert_eq!(seen, [1, 1]);
         }
     }
 

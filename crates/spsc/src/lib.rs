@@ -10,7 +10,7 @@
 //! syscalls in the steady state. The workspace's `crossbeam-channel`
 //! stand-in (a `Mutex` + `Condvar` MPMC queue, see `stubs/README.md`)
 //! takes a lock and often a futex wake *per message*; measured on the
-//! committed `BENCH_pipeline.json` grid that overhead inverted the
+//! `pipeline_throughput` grid that overhead inverted the
 //! scaling curve (workers=2 ran at half the single-threaded rate).
 //!
 //! Blocking is handled with a spin → yield → timed-park ladder

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::clock::Clock;
 use crate::counter::Counter;
@@ -36,6 +36,30 @@ pub enum StallEvent {
         /// How long the stall lasted, µs.
         stalled_for_us: u64,
     },
+}
+
+/// The one-line operator message (`collector_events stalled for 30.0s at 17`).
+impl std::fmt::Display for StallEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StallEvent::Stalled {
+                name,
+                stalled_for_us,
+                at_value,
+            } => {
+                let secs = *stalled_for_us as f64 / 1e6;
+                write!(f, "{name} stalled for {secs:.1}s at {at_value}")
+            }
+            StallEvent::Recovered {
+                name,
+                stalled_for_us,
+            } => write!(
+                f,
+                "{name} recovered after {:.1}s",
+                *stalled_for_us as f64 / 1e6
+            ),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -157,13 +181,22 @@ impl Watchdog {
         let handle = std::thread::Builder::new()
             .name("stall-watchdog".to_string())
             .stack_size(crate::IO_THREAD_STACK_BYTES)
-            .spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval);
-                    let events = core.lock().expect("watchdog poisoned").tick(clock.now_us());
-                    for event in &events {
-                        on_event(event);
+            .spawn(move || loop {
+                // Parked, not asleep: `stop` unparks the thread, so an
+                // exit never waits out the rest of the interval.
+                let due = Instant::now() + interval;
+                loop {
+                    if stop_flag.load(Ordering::Acquire) {
+                        return;
                     }
+                    match due.checked_duration_since(Instant::now()) {
+                        Some(left) if !left.is_zero() => std::thread::park_timeout(left),
+                        _ => break,
+                    }
+                }
+                let events = core.lock().expect("watchdog poisoned").tick(clock.now_us());
+                for event in &events {
+                    on_event(event);
                 }
             })?;
         Ok(Watchdog {
@@ -178,38 +211,22 @@ impl Watchdog {
         clock: Arc<dyn Clock>,
         interval: Duration,
     ) -> std::io::Result<Watchdog> {
-        Watchdog::spawn(core, clock, interval, |event| match event {
-            StallEvent::Stalled {
-                name,
-                stalled_for_us,
-                at_value,
-            } => eprintln!(
-                "watchdog: {name} stalled for {:.1}s at {at_value}",
-                *stalled_for_us as f64 / 1e6
-            ),
-            StallEvent::Recovered {
-                name,
-                stalled_for_us,
-            } => eprintln!(
-                "watchdog: {name} recovered after {:.1}s",
-                *stalled_for_us as f64 / 1e6
-            ),
+        Watchdog::spawn(core, clock, interval, |event| {
+            eprintln!("watchdog: {event}")
         })
     }
 
-    /// Ask the thread to stop and wait for it.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
+    /// Ask the thread to stop and wait for it (dropping does the same).
+    pub fn stop(self) {}
 }
 
 impl Drop for Watchdog {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        // Release pairs with the thread's Acquire load; the unpark token
+        // makes a not-yet-parked thread's next park return at once.
+        self.stop.store(true, Ordering::Release);
         if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }
@@ -278,5 +295,25 @@ mod tests {
         }
         assert!(fired.load(Ordering::Relaxed));
         dog.stop();
+    }
+
+    #[test]
+    fn stop_does_not_wait_out_the_interval() {
+        use crate::clock::ManualClock;
+
+        let dog = Watchdog::spawn(
+            WatchdogCore::new(),
+            Arc::new(ManualClock::new()),
+            Duration::from_secs(10),
+            |_| {},
+        )
+        .expect("spawn");
+        let started = Instant::now();
+        dog.stop();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "stop took {:?}",
+            started.elapsed()
+        );
     }
 }
