@@ -127,42 +127,83 @@ fn measure_single(txs: &[Transaction], reps: usize) -> f64 {
     best
 }
 
-/// Steady-state allocations per observe() on a warmed SrvIp tracker.
-/// First pass inserts every key (allocating); the measured second pass
-/// should hit the borrowed-bytes lookup path and allocate nothing.
+/// What the counting allocator saw on two warmed trackers.
+struct AllocFacts {
+    /// Allocations per `observe` on a SrvIp tracker that holds every key
+    /// (borrowed-bytes lookups only), and their total.
+    unsaturated: (f64, u64),
+    /// Allocations per `observe` on a gated Qname tracker far smaller
+    /// than the trace's distinct names (admissions, evictions and
+    /// recycled feature state all the way), and evictions per `observe`.
+    saturated: (f64, f64),
+    /// Allocations of a window dump that resets every monitored object
+    /// and has no row to render.
+    dump: u64,
+}
+
 #[cfg(feature = "count-allocs")]
-fn measure_allocs(txs: &[Transaction]) -> (f64, u64) {
+fn measure_allocs(txs: &[Transaction]) -> Option<AllocFacts> {
     use std::sync::atomic::Ordering;
+    let allocs = || counting_alloc::ALLOCS.load(Ordering::Relaxed);
     let psl = psl::Psl::embedded();
     let summaries: Vec<TxSummary> = txs
         .iter()
         .map(|tx| TxSummary::from_transaction(tx, &psl))
         .collect();
-    let mut tracker = TopKTracker::new(
-        Dataset::SrvIp,
-        20_000,
-        dns_observatory::FeatureConfig::default(),
-        true,
-    );
+    let n = summaries.len() as f64;
+    let cfg = dns_observatory::FeatureConfig::default();
+
+    // The first pass inserts every key (allocating); the measured second
+    // pass should allocate nothing.
+    let mut tracker = TopKTracker::new(Dataset::SrvIp, 20_000, cfg, true);
     for s in &summaries {
         tracker.observe(s);
     }
-    let before = counting_alloc::ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for s in &summaries {
         tracker.observe(s);
     }
-    let delta = counting_alloc::ALLOCS.load(Ordering::Relaxed) - before;
-    (delta as f64 / summaries.len() as f64, delta)
+    let unsaturated = allocs() - before;
+
+    // The first pass fills the cache and churns it; the window dump in
+    // between resets every object; the measured second pass meets a full
+    // cache, so every new name goes through the gate and an eviction.
+    let mut tracker = TopKTracker::new(Dataset::Qname, SATURATED_K, cfg, true);
+    for s in &summaries {
+        tracker.observe(s);
+    }
+    let window_start = summaries.last().map_or(0.0, |s| s.time);
+    assert!(!tracker.dump(window_start).is_empty());
+    let before = allocs();
+    let rows = tracker.dump(window_start);
+    let dump = allocs() - before;
+    assert!(rows.is_empty(), "nothing was folded since the last dump");
+    let (before, evictions) = (allocs(), tracker.evictions());
+    for s in &summaries {
+        tracker.observe(s);
+    }
+    let saturated = allocs() - before;
+    let evictions = tracker.evictions() - evictions;
+    Some(AllocFacts {
+        unsaturated: (unsaturated as f64 / n, unsaturated),
+        saturated: (saturated as f64 / n, evictions as f64 / n),
+        dump,
+    })
 }
 
+/// Capacity of the saturated tracker: a twentieth of the small world's
+/// domains, each of which has several names.
+#[cfg(feature = "count-allocs")]
+const SATURATED_K: usize = 100;
+
 #[cfg(not(feature = "count-allocs"))]
-fn measure_allocs(_txs: &[Transaction]) -> (f64, u64) {
+fn measure_allocs(_txs: &[Transaction]) -> Option<AllocFacts> {
     // Keep the unused-import lints quiet in the featureless build.
     let _ = (
         TopKTracker::new as fn(_, _, _, _) -> _,
         TxSummary::from_transaction as fn(_, _) -> _,
     );
-    (f64::NAN, 0)
+    None
 }
 
 /// Each grid point's predecessor for the monotone-scaling check: adding
@@ -254,18 +295,36 @@ fn main() {
         results.push((workers, shards, tps));
     }
 
-    let (allocs_per_tx, alloc_total) = measure_allocs(&txs);
-    if allocs_per_tx.is_finite() {
-        println!("steady-state srvip tracker: {allocs_per_tx:.4} allocs/tx ({alloc_total} total)");
-        // The measured steady state is 0.0001 allocs/tx; hold the line (with
-        // 50 % headroom for counter jitter) so recycling regressions fail
-        // the bench run itself.
-        assert!(
-            allocs_per_tx <= 1.5e-4,
-            "steady-state allocs_per_tx {allocs_per_tx} exceeds the 0.0001 baseline"
-        );
-    } else {
-        println!("steady-state allocs: not measured (build with --features count-allocs)");
+    match measure_allocs(&txs) {
+        Some(facts) => {
+            let (per_tx, total) = facts.unsaturated;
+            println!("steady-state srvip tracker: {per_tx:.4} allocs/tx ({total} total)");
+            // The measured steady state is 0.0001 allocs/tx; hold the line
+            // (with 50 % headroom for counter jitter) so recycling
+            // regressions fail the bench run itself.
+            assert!(
+                per_tx <= 1.5e-4,
+                "steady-state allocs_per_tx {per_tx} exceeds the 0.0001 baseline"
+            );
+            let (per_tx, evictions_per_tx) = facts.saturated;
+            println!(
+                "saturated gated qname tracker: {per_tx:.4} allocs/tx at {evictions_per_tx:.3} \
+                 evictions/tx; {} allocs in a dump without rows",
+                facts.dump
+            );
+            assert!(
+                evictions_per_tx >= 0.05,
+                "the saturated case must evict to mean anything ({evictions_per_tx}/tx)"
+            );
+            // Only a name longer than the inline key spills to the heap;
+            // feature state is recycled, never rebuilt.
+            assert!(
+                per_tx <= 0.05,
+                "saturated allocs_per_tx {per_tx}: churn is back on the allocator"
+            );
+            assert_eq!(facts.dump, 0, "a dump resets feature state in place");
+        }
+        None => println!("steady-state allocs: not measured (build with --features count-allocs)"),
     }
 
     if scaling {

@@ -9,6 +9,7 @@ use crate::sinks::{meta_reporter, Sinks, TsvDir};
 use crate::{fail, Done};
 use dns_observatory::{ObservatoryConfig, StateExporter, ThreadedPipeline, TxSummary};
 use feed::{Collector, CollectorConfig};
+use std::sync::Mutex;
 use telemetry::SystemClock;
 
 /// Entries per exported state record: chunks big trackers so every record
@@ -62,14 +63,17 @@ pub fn print_feed_report(report: &feed::CollectorReport) {
 }
 
 /// The local path: the threaded pipeline over the merged feed, the same
-/// TSV layout as `simulate`, written when the feed ends.
+/// TSV layout as `simulate`, each window written as it closes.
 fn render_locally(
     p: &Parsed,
     session: &mut Session,
     feed: impl Iterator<Item = TxSummary>,
     cfg: ObservatoryConfig,
 ) -> Done {
-    let mut out = TsvDir::create(p.opt(&flags::OUT))?;
+    // Shared by the feeder (meta reports, this thread) and the pipeline's
+    // merge stage (data windows); each takes it once per window.
+    let out = Mutex::new(TsvDir::create(p.opt(&flags::OUT))?);
+    let tsv = || out.lock().expect("a TSV write panicked");
     // Meta self-reports ride on the merged feed's stream time, one per
     // data window.
     let mut meta = meta_reporter(cfg.window_secs);
@@ -80,17 +84,22 @@ fn render_locally(
         pipeline = pipeline.with_flight_recorder(recorder);
     }
     let mut last_us = 0u64;
-    let store = pipeline.run_summaries(feed.inspect(|s| {
-        last_us = (s.time.max(0.0) * 1e6) as u64;
-        if let Some(bytes) = meta.tick(last_us) {
-            out.write_meta(&bytes);
-        }
-    }));
+    let mut written = Ok(());
+    pipeline.run_summaries_into(
+        feed.inspect(|s| {
+            last_us = (s.time.max(0.0) * 1e6) as u64;
+            if let Some(bytes) = meta.tick(last_us) {
+                tsv().write_meta(&bytes);
+            }
+        }),
+        |dump| written = written.and_then(|()| tsv().write_window(dump)),
+    );
     session.feed_ended();
     if let Some(bytes) = meta.finish(last_us) {
-        out.write_meta(&bytes);
+        tsv().write_meta(&bytes);
     }
-    out.write_store(&store)
+    tsv().report();
+    written
 }
 
 /// The federated path: fold the merged feed into per-window sketch state

@@ -34,9 +34,14 @@ pub fn simulate(p: &Parsed) -> Done {
     // The meta self-report rides on stream time: one window of platform
     // counters per data window, written next to the data files.
     let mut meta = meta_reporter(window);
+    let mut written = Ok(());
     sim.run(duration, &mut |tx| {
         let at = (tx.time.max(0.0) * 1e6) as u64;
         obs.ingest(tx);
+        // Windows leave as they close, like `collect --out`'s.
+        for dump in obs.take_windows() {
+            written = written.and_then(|()| out.write_window(dump));
+        }
         if let Some(bytes) = meta.tick(at) {
             out.write_meta(&bytes);
         }
@@ -45,7 +50,11 @@ pub fn simulate(p: &Parsed) -> Done {
         out.write_meta(&bytes);
     }
     eprintln!("ingested {} transactions", obs.ingested());
-    out.write_store(&obs.finish())
+    for dump in obs.finish().take_windows() {
+        written = written.and_then(|()| out.write_window(dump));
+    }
+    out.report();
+    written
 }
 
 /// The sensor half of a distributed run: simulate the full deployment's

@@ -4,8 +4,8 @@
 use crate::flags::{self, Parsed};
 use crate::session::{open_store, Session};
 use crate::{fail, Done};
-use dns_observatory::aggregate::{Aggregator, Level};
-use dns_observatory::{render_state, tsv, MetaReporter, TimeSeriesStore, WindowDump};
+use dns_observatory::aggregate::rollup;
+use dns_observatory::{render_state, tsv, MetaReporter, WindowDump};
 use feed::{Sensor, SensorConfig, SensorReport};
 use pubsub::{EvictReason, ServeConfig, Server, ServerHandle};
 use sketchwire::WindowState;
@@ -26,7 +26,13 @@ pub struct TsvDir {
     dir: PathBuf,
     files: usize,
     meta_files: usize,
+    /// Base windows of the local pipeline awaiting their `10win` rollup,
+    /// per dataset.
+    rollups: BTreeMap<String, Vec<WindowDump>>,
 }
+
+/// Base windows per coarse `10win` rollup file.
+const ROLLUP_FAN_IN: usize = 10;
 
 impl TsvDir {
     /// Create `--out` (or [`DEFAULT_OUT`]) and everything above it.
@@ -38,6 +44,7 @@ impl TsvDir {
             dir,
             files: 0,
             meta_files: 0,
+            rollups: BTreeMap::new(),
         })
     }
 
@@ -73,26 +80,19 @@ impl TsvDir {
         }
     }
 
-    /// Everything a finished local run collected: base windows plus a
-    /// coarse `10win` rollup per dataset when the run is long enough.
-    pub fn write_store(&mut self, store: &TimeSeriesStore) -> Done {
-        let ladder = [Level {
-            name: "10win",
-            fan_in: 10,
-            retention: 1_000,
-        }];
-        let mut rollups: BTreeMap<&str, Aggregator> = BTreeMap::new();
-        for w in store.windows() {
-            self.write_dump("", w)?;
-            let rollup = rollups.entry(&w.dataset);
-            rollup
-                .or_insert_with(|| Aggregator::new(&ladder))
-                .push(w.clone());
+    /// One closed window of the local pipeline, written as it arrives;
+    /// every tenth of a dataset completes a coarse `10win` rollup, which
+    /// takes the windows by move and is written at once too — so a long
+    /// run keeps at most nine windows per dataset, whatever its length.
+    pub fn write_window(&mut self, dump: WindowDump) -> Done {
+        self.write_dump("", &dump)?;
+        let pending = self.rollups.entry(dump.dataset.clone()).or_default();
+        pending.push(dump);
+        if pending.len() == ROLLUP_FAN_IN {
+            let rolled = rollup(pending);
+            pending.clear();
+            self.write_dump("10win-", &rolled)?;
         }
-        for w in rollups.values().flat_map(|rollup| rollup.completed(0)) {
-            self.write_dump("10win-", w)?;
-        }
-        self.report();
         Ok(())
     }
 

@@ -7,9 +7,10 @@
 
 use crate::summarize::{Outcome, TxSummary};
 use serde::{Deserialize, Serialize};
-use sketches::{HyperLogLog, LogHistogram, TopValues};
+use sketches::{HyperLogLog, LogBuckets, LogHistogram, TopValues};
 use sketchwire::StateError;
-use std::collections::BTreeSet;
+use std::net::IpAddr;
+use std::sync::OnceLock;
 
 /// Positional layout contract of a serialized [`FeatureSet`] — the order
 /// in which counters, sketches, and distributions appear inside a
@@ -52,11 +53,91 @@ impl Default for FeatureConfig {
     }
 }
 
+/// The bucket layouts of the three per-object histograms — response
+/// delay (ms), network hops, response size (bytes) — which every
+/// [`FeatureSet`] shares.
+fn hist_layouts() -> &'static [LogBuckets; 3] {
+    static LAYOUTS: OnceLock<[LogBuckets; 3]> = OnceLock::new();
+    LAYOUTS.get_or_init(|| {
+        [
+            LogBuckets::new(0.2, 10_000.0, 10),
+            LogBuckets::new(1.0, 64.0, 20),
+            LogBuckets::new(12.0, 9_000.0, 10),
+        ]
+    })
+}
+
+fn hash_ip(ip: IpAddr) -> u64 {
+    match ip {
+        IpAddr::V4(v4) => HyperLogLog::hash(&v4.octets()),
+        IpAddr::V6(v6) => HyperLogLog::hash(&v6.octets()),
+    }
+}
+
+/// What a fold derives from a summary alone, whichever object it is
+/// folded into: the HyperLogLog item hashes and the histogram bucket
+/// indices. One summary is folded once per dataset, so the pipeline
+/// loads one digest per summary ([`FoldDigest::load`], reusing its
+/// storage) and every tracker folds with it.
+#[derive(Debug, Default)]
+pub struct FoldDigest {
+    qname: u64,
+    qtype: u64,
+    nameserver: u64,
+    resolver: u64,
+    /// NoError only, like the sketches they feed.
+    tld: Option<u64>,
+    esld: Option<u64>,
+    ip4s: Vec<u64>,
+    ip6s: Vec<u64>,
+    /// Bucket of each histogram's value, where the summary has one.
+    delay: Option<usize>,
+    hops: Option<usize>,
+    size: Option<usize>,
+}
+
+impl FoldDigest {
+    /// The digest of `s`.
+    pub fn of(s: &TxSummary) -> FoldDigest {
+        let mut digest = FoldDigest::default();
+        digest.load(s);
+        digest
+    }
+
+    /// Replace the contents with the digest of `s`.
+    pub fn load(&mut self, s: &TxSummary) {
+        self.qname = HyperLogLog::hash(s.qname.as_wire());
+        self.qtype = HyperLogLog::hash(&s.qtype.code().to_be_bytes());
+        self.nameserver = hash_ip(s.nameserver);
+        self.resolver = hash_ip(s.resolver);
+        let ok = s.outcome == Outcome::NoError;
+        let hash_text = |t: &String| HyperLogLog::hash(t.as_bytes());
+        self.tld = s.tld.as_ref().filter(|_| ok).map(hash_text);
+        self.esld = s.esld.as_ref().filter(|_| ok).map(hash_text);
+        self.ip4s.clear();
+        self.ip6s.clear();
+        if ok {
+            let hashes = s.ip4s.iter().map(|a| HyperLogLog::hash(&a.octets()));
+            self.ip4s.extend(hashes);
+            let hashes = s.ip6s.iter().map(|a| HyperLogLog::hash(&a.octets()));
+            self.ip6s.extend(hashes);
+        }
+        let answered = s.outcome != Outcome::Unanswered;
+        let [delays, hops, sizes] = hist_layouts();
+        let bucket = |layout: &LogBuckets, value: Option<f64>| {
+            value
+                .filter(|v| answered && !v.is_nan())
+                .map(|v| layout.index_of(v))
+        };
+        self.delay = bucket(delays, s.delay_ms);
+        self.hops = bucket(hops, s.hops.map(f64::from));
+        self.size = bucket(sizes, s.resp_size.map(f64::from));
+    }
+}
+
 /// Live sketch state for one tracked object.
 #[derive(Debug, Clone)]
 pub struct FeatureSet {
-    /// Construction config, kept so [`FeatureSet::reset`] preserves it.
-    cfg: FeatureConfig,
     // --- counters ---------------------------------------------------------
     hits: u64,
     unans: u64,
@@ -86,8 +167,9 @@ pub struct FeatureSet {
     qtypes: HyperLogLog,
     ip4s: HyperLogLog,
     ip6s: HyperLogLog,
-    /// Exact contributor set (small by construction).
-    sources: BTreeSet<u16>,
+    /// Exact contributor set (small by construction), sorted ascending.
+    /// A `Vec`, so a reset keeps its storage.
+    sources: Vec<u16>,
     // --- distributions ------------------------------------------------------
     ttl: TopValues,
     ttl_a: TopValues,
@@ -107,7 +189,6 @@ impl FeatureSet {
     pub fn new(cfg: FeatureConfig) -> FeatureSet {
         let hll = || HyperLogLog::new(cfg.hll_precision);
         FeatureSet {
-            cfg,
             hits: 0,
             unans: 0,
             ok: 0,
@@ -134,22 +215,29 @@ impl FeatureSet {
             qtypes: hll(),
             ip4s: hll(),
             ip6s: hll(),
-            sources: BTreeSet::new(),
+            sources: Vec::new(),
             ttl: TopValues::new(cfg.ttl_slots),
             ttl_a: TopValues::new(cfg.ttl_slots),
             nsttl: TopValues::new(cfg.ttl_slots),
             negttl: TopValues::new(cfg.ttl_slots),
             a_data: TopValues::new(cfg.ttl_slots),
             ns_names: TopValues::new(cfg.ttl_slots),
-            resp_delays: LogHistogram::new(0.2, 10_000.0, 10),
-            network_hops: LogHistogram::new(1.0, 64.0, 20),
-            resp_size: LogHistogram::new(12.0, 9_000.0, 10),
+            resp_delays: LogHistogram::with_buckets(hist_layouts()[0]),
+            network_hops: LogHistogram::with_buckets(hist_layouts()[1]),
+            resp_size: LogHistogram::with_buckets(hist_layouts()[2]),
             qdots_max: 0,
         }
     }
 
-    /// Fold one summary into the state.
+    /// Fold one summary into the state: the one-object form of
+    /// [`FeatureSet::fold_digest`].
     pub fn fold(&mut self, s: &TxSummary) {
+        self.fold_digest(s, &FoldDigest::of(s));
+    }
+
+    /// Fold one summary into the state, `d` being its digest.
+    pub fn fold_digest(&mut self, s: &TxSummary, d: &FoldDigest) {
+        debug_assert_eq!(self.resp_delays.buckets(), hist_layouts()[0]);
         self.hits += 1;
         match s.outcome {
             Outcome::Unanswered => self.unans += 1,
@@ -181,32 +269,32 @@ impl FeatureSet {
             if s.dnssec_ok {
                 self.ok_sec += 1;
             }
-            self.qnames.insert(s.qname.as_wire());
-            if let Some(tld) = &s.tld {
-                self.tlds.insert(tld.as_bytes());
+            self.qnames.insert_hash(d.qname);
+            if let Some(tld) = d.tld {
+                self.tlds.insert_hash(tld);
             }
-            if let Some(esld) = &s.esld {
-                self.eslds.insert(esld.as_bytes());
+            if let Some(esld) = d.esld {
+                self.eslds.insert_hash(esld);
             }
-            for a in &s.ip4s {
-                self.ip4s.insert(&a.octets());
+            for &a in &d.ip4s {
+                self.ip4s.insert_hash(a);
             }
-            for a in &s.ip6s {
-                self.ip6s.insert(&a.octets());
+            for &a in &d.ip6s {
+                self.ip6s.insert_hash(a);
             }
         }
         if s.outcome != Outcome::Unanswered {
             self.answered += 1;
             self.lvl_sum += s.answer_count as u64;
             self.nslvl_sum += s.authority_ns_count as u64;
-            if let Some(d) = s.delay_ms {
-                self.resp_delays.record(d);
+            if let (Some(at), Some(delay)) = (d.delay, s.delay_ms) {
+                self.resp_delays.record_at(at, delay);
             }
-            if let Some(h) = s.hops {
-                self.network_hops.record(h as f64);
+            if let (Some(at), Some(hops)) = (d.hops, s.hops) {
+                self.network_hops.record_at(at, hops as f64);
             }
-            if let Some(sz) = s.resp_size {
-                self.resp_size.record(sz as f64);
+            if let (Some(at), Some(size)) = (d.size, s.resp_size) {
+                self.resp_size.record_at(at, size as f64);
             }
             if let Some(ttl) = s.answer_ttl {
                 self.ttl.record(ttl as u64);
@@ -234,18 +322,14 @@ impl FeatureSet {
         }
         self.qdots_sum += s.qdots as u64;
         self.qdots_max = self.qdots_max.max(s.qdots);
-        self.qnamesa.insert(s.qname.as_wire());
-        self.qtypes.insert(&s.qtype.code().to_be_bytes());
-        match s.nameserver {
-            std::net::IpAddr::V4(v4) => self.srvips.insert(&v4.octets()),
-            std::net::IpAddr::V6(v6) => self.srvips.insert(&v6.octets()),
-        }
-        match s.resolver {
-            std::net::IpAddr::V4(v4) => self.srcips.insert(&v4.octets()),
-            std::net::IpAddr::V6(v6) => self.srcips.insert(&v6.octets()),
-        }
-        if (self.sources.len() as u64) < STATE_SOURCE_CAP {
-            self.sources.insert(s.contributor);
+        self.qnamesa.insert_hash(d.qname);
+        self.qtypes.insert_hash(d.qtype);
+        self.srvips.insert_hash(d.nameserver);
+        self.srcips.insert_hash(d.resolver);
+        if let Err(at) = self.sources.binary_search(&s.contributor) {
+            if (self.sources.len() as u64) < STATE_SOURCE_CAP {
+                self.sources.insert(at, s.contributor);
+            }
         }
     }
 
@@ -299,9 +383,68 @@ impl FeatureSet {
     }
 
     /// Reset all statistics for the next window (the object itself stays
-    /// in the top-k cache — paper §2.4).
+    /// in the top-k cache — paper §2.4). Clears in place: every sketch
+    /// keeps its storage, so neither a window dump nor an eviction (which
+    /// recycles the victim's state through here) touches the allocator.
     pub fn reset(&mut self) {
-        *self = FeatureSet::new(self.cfg);
+        let FeatureSet {
+            hits,
+            unans,
+            ok,
+            nxd,
+            rfs,
+            fail,
+            ok_ans,
+            ok_ns,
+            ok_add,
+            ok_nil,
+            ok6,
+            ok6nil,
+            ok_sec,
+            qdots_sum,
+            lvl_sum,
+            nslvl_sum,
+            answered,
+            srvips,
+            srcips,
+            qnamesa,
+            qnames,
+            tlds,
+            eslds,
+            qtypes,
+            ip4s,
+            ip6s,
+            sources,
+            ttl,
+            ttl_a,
+            nsttl,
+            negttl,
+            a_data,
+            ns_names,
+            resp_delays,
+            network_hops,
+            resp_size,
+            qdots_max,
+        } = self;
+        for counter in [
+            hits, unans, ok, nxd, rfs, fail, ok_ans, ok_ns, ok_add, ok_nil, ok6, ok6nil, ok_sec,
+            qdots_sum, lvl_sum, nslvl_sum, answered,
+        ] {
+            *counter = 0;
+        }
+        for hll in [
+            srvips, srcips, qnamesa, qnames, tlds, eslds, qtypes, ip4s, ip6s,
+        ] {
+            hll.clear();
+        }
+        sources.clear();
+        for top in [ttl, ttl_a, nsttl, negttl, a_data, ns_names] {
+            top.clear();
+        }
+        for hist in [resp_delays, network_hops, resp_size] {
+            hist.clear();
+        }
+        *qdots_max = 0;
     }
 
     /// Total transactions folded so far.
@@ -349,7 +492,7 @@ impl FeatureSet {
             .map(HllState::from_sketch)
             .collect(),
             source_cap: STATE_SOURCE_CAP,
-            sources: self.sources.iter().copied().collect(),
+            sources: self.sources.clone(),
             tops: [
                 &self.ttl,
                 &self.ttl_a,
@@ -415,10 +558,6 @@ impl FeatureSet {
         };
         let hist = |i: usize| state.hists[i].to_sketch();
         Ok(FeatureSet {
-            cfg: FeatureConfig {
-                hll_precision: state.hlls[0].p,
-                ttl_slots: state.tops[0].capacity as usize,
-            },
             hits: a[0],
             unans: a[1],
             ok: a[2],
@@ -445,12 +584,17 @@ impl FeatureSet {
             qtypes: hll(6),
             ip4s: hll(7),
             ip6s: hll(8),
-            sources: state
-                .sources
-                .iter()
-                .take(state.source_cap as usize)
-                .copied()
-                .collect(),
+            sources: {
+                let mut ids: Vec<u16> = state
+                    .sources
+                    .iter()
+                    .take(state.source_cap as usize)
+                    .copied()
+                    .collect();
+                ids.sort_unstable();
+                ids.dedup();
+                ids
+            },
             ttl: top(0),
             ttl_a: top(1),
             nsttl: top(2),
@@ -668,6 +812,119 @@ mod tests {
         assert_eq!(row.hits, 0);
         assert!(row.resp_delays[1].is_nan());
         assert!(row.ttl_top.is_empty());
+    }
+
+    /// The fold as it is defined, every sketch fed its item or value
+    /// directly: what folding through a [`FoldDigest`] must reproduce.
+    fn fold_reference(fs: &mut FeatureSet, s: &TxSummary) {
+        use dnswire::RecordType;
+        let ip = |a: std::net::IpAddr| match a {
+            std::net::IpAddr::V4(v4) => v4.octets().to_vec(),
+            std::net::IpAddr::V6(v6) => v6.octets().to_vec(),
+        };
+        let nodata = s.is_nodata();
+        fs.hits += 1;
+        match s.outcome {
+            Outcome::Unanswered => fs.unans += 1,
+            Outcome::NoError => fs.ok += 1,
+            Outcome::NxDomain => fs.nxd += 1,
+            Outcome::Refused => fs.rfs += 1,
+            Outcome::ServFail => fs.fail += 1,
+            Outcome::OtherError => {}
+        }
+        if s.outcome == Outcome::NoError {
+            fs.ok_ans += s.ok_ans as u64;
+            fs.ok_ns += s.ok_ns as u64;
+            fs.ok_add += s.ok_add as u64;
+            fs.ok_nil += nodata as u64;
+            fs.ok6 += (s.qtype == RecordType::Aaaa) as u64;
+            fs.ok6nil += (s.qtype == RecordType::Aaaa && nodata) as u64;
+            fs.ok_sec += s.dnssec_ok as u64;
+            fs.qnames.insert(s.qname.as_wire());
+            if let Some(tld) = &s.tld {
+                fs.tlds.insert(tld.as_bytes());
+            }
+            if let Some(esld) = &s.esld {
+                fs.eslds.insert(esld.as_bytes());
+            }
+            s.ip4s.iter().for_each(|a| fs.ip4s.insert(&a.octets()));
+            s.ip6s.iter().for_each(|a| fs.ip6s.insert(&a.octets()));
+        }
+        if s.outcome != Outcome::Unanswered {
+            fs.answered += 1;
+            fs.lvl_sum += s.answer_count as u64;
+            fs.nslvl_sum += s.authority_ns_count as u64;
+            s.delay_ms
+                .into_iter()
+                .for_each(|d| fs.resp_delays.record(d));
+            s.hops
+                .into_iter()
+                .for_each(|h| fs.network_hops.record(h as f64));
+            s.resp_size
+                .into_iter()
+                .for_each(|b| fs.resp_size.record(b as f64));
+            if let Some(ttl) = s.answer_ttl {
+                fs.ttl.record(ttl as u64);
+                if s.qtype == RecordType::A {
+                    fs.ttl_a.record(ttl as u64);
+                }
+                if s.qtype == RecordType::Ns {
+                    fs.nsttl.record(ttl as u64);
+                }
+            }
+            s.ns_ttl.into_iter().for_each(|t| fs.nsttl.record(t as u64));
+            if let Some(m) = s.soa_minimum {
+                if nodata || s.outcome == Outcome::NxDomain {
+                    fs.negttl.record(m as u64);
+                }
+            }
+            s.answer_data_hashes
+                .iter()
+                .for_each(|&h| fs.a_data.record(h));
+            s.ns_name_hashes.iter().for_each(|&h| fs.ns_names.record(h));
+        }
+        fs.qdots_sum += s.qdots as u64;
+        fs.qdots_max = fs.qdots_max.max(s.qdots);
+        fs.qnamesa.insert(s.qname.as_wire());
+        fs.qtypes.insert(&s.qtype.code().to_be_bytes());
+        fs.srvips.insert(&ip(s.nameserver));
+        fs.srcips.insert(&ip(s.resolver));
+        if !fs.sources.contains(&s.contributor) && (fs.sources.len() as u64) < STATE_SOURCE_CAP {
+            fs.sources.push(s.contributor);
+            fs.sources.sort_unstable();
+        }
+    }
+
+    /// Folding through one reused digest equals the direct fold, in the
+    /// exported state and the rendered row, and a reset set folds like a
+    /// new one.
+    #[test]
+    fn digest_fold_equals_direct_fold() {
+        let psl = Psl::embedded();
+        let mut sim = Simulation::from_config(SimConfig::small());
+        let mut summaries = Vec::new();
+        sim.run(2.0, &mut |tx| {
+            summaries.push(TxSummary::from_transaction(tx, &psl))
+        });
+        assert!(summaries.iter().any(|s| !s.ip4s.is_empty()));
+        assert!(summaries.iter().any(|s| s.outcome == Outcome::Unanswered));
+
+        let mut digest = FoldDigest::default();
+        let mut recycled = FeatureSet::new(FeatureConfig::default());
+        for half in summaries.chunks(summaries.len() / 2 + 1) {
+            let mut direct = FeatureSet::new(FeatureConfig::default());
+            recycled.reset();
+            for s in half {
+                fold_reference(&mut direct, s);
+                digest.load(s);
+                recycled.fold_digest(s, &digest);
+            }
+            assert_eq!(recycled.to_state(), direct.to_state());
+            assert_eq!(
+                format!("{:?}", recycled.row()),
+                format!("{:?}", direct.row())
+            );
+        }
     }
 
     #[test]

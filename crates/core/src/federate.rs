@@ -20,7 +20,7 @@
 //!   absent-key merge law is only valid against a whole tracker's
 //!   `min_count`, so the forwarding path keeps trackers whole.
 
-use crate::features::FeatureSet;
+use crate::features::{FeatureSet, FoldDigest};
 use crate::pipeline::{window_id_us, ObservatoryConfig};
 use crate::summarize::TxSummary;
 use crate::timeseries::WindowDump;
@@ -56,6 +56,8 @@ pub struct StateExporter {
     resumed_skipped: u64,
     trace: TraceRing,
     now_us: u64,
+    /// The current summary's digest, shared by every tracker.
+    digest: FoldDigest,
 }
 
 impl StateExporter {
@@ -87,6 +89,7 @@ impl StateExporter {
             resumed_skipped: 0,
             trace: TraceRing::disabled(),
             now_us: 0,
+            digest: FoldDigest::default(),
         }
     }
 
@@ -199,8 +202,9 @@ impl StateExporter {
             _ => {}
         }
         self.ingested += 1;
+        self.digest.load(&summary);
         for t in &mut self.trackers {
-            t.observe(&summary);
+            t.observe_digest(&summary, &self.digest);
         }
     }
 

@@ -53,7 +53,7 @@ pub mod timeseries;
 pub mod topk;
 pub mod tsv;
 
-pub use features::{FeatureConfig, FeatureRow, FeatureSet};
+pub use features::{FeatureConfig, FeatureRow, FeatureSet, FoldDigest};
 pub use federate::{render_global, render_state, write_global, StateExporter};
 pub use keys::{Dataset, Key, KeyBuf};
 pub use metrics::{MetaReporter, SequencerMetrics, ShardMetrics, TrackerMetrics};

@@ -22,13 +22,21 @@
 //! * **Adaptive batching** — the feeder grows its batch size under
 //!   backlog (deep stage rings / shard queues) and shrinks it when the
 //!   pipeline runs idle, between a configurable `[min, max]`.
+//! * **Bounded hand-offs** — every ring is a few batches deep, so the
+//!   pipeline holds a fixed number of batches between its input and the
+//!   trackers' state ([`ThreadedPipeline::in_flight_bound`]) and a slow
+//!   shard pushes back on the caller's iterator instead of queueing the
+//!   stream.
+//! * **Streaming windows** — shards ship each closed window's parts to a
+//!   merge stage as they dump; it hands the caller's sink one
+//!   [`WindowDump`] per dataset in window order while the run goes on.
 //!
 //! The threaded output is byte-identical to the single-threaded
 //! [`Observatory`] (in the unsaturated-cache regime for `shards > 1`);
 //! the differential tests below and `crates/core/tests/frontier_prop.rs`
 //! enforce it.
 
-use crate::features::FeatureConfig;
+use crate::features::{FeatureConfig, FoldDigest};
 use crate::keys::Dataset;
 use crate::metrics::{SequencerMetrics, ShardMetrics};
 use crate::summarize::TxSummary;
@@ -75,6 +83,8 @@ pub struct Observatory {
     /// Stats captured at the previous window boundary, per tracker.
     prev_stats: Vec<(u64, u64, u64)>,
     ingested: u64,
+    /// The current summary's digest, shared by every tracker.
+    digest: FoldDigest,
 }
 
 impl Observatory {
@@ -94,6 +104,7 @@ impl Observatory {
             window_start: None,
             prev_stats,
             ingested: 0,
+            digest: FoldDigest::default(),
         }
     }
 
@@ -138,8 +149,9 @@ impl Observatory {
             self.window_start = Some(next_window_start(start, summary.time, self.cfg.window_secs));
         }
         self.ingested += 1;
+        self.digest.load(&summary);
         for t in &mut self.trackers {
-            t.observe(&summary);
+            t.observe_digest(&summary, &self.digest);
         }
     }
 
@@ -174,6 +186,13 @@ impl Observatory {
     pub fn store(&self) -> &TimeSeriesStore {
         &self.store
     }
+
+    /// Take the windows completed since the last call, leaving the store
+    /// empty: a long run that writes windows out as they close holds
+    /// trackers, not every window it ever closed.
+    pub fn take_windows(&mut self) -> Vec<WindowDump> {
+        self.store.take_windows()
+    }
 }
 
 /// Start of the window containing `t`, given that the window opened at
@@ -192,12 +211,30 @@ pub type StallHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
 
 /// Feeder → worker and worker → sequencer ring depth, in batches.
 const STAGE_RING_BATCHES: usize = 4;
-/// Sequencer → shard ring depth, in messages. Deep enough that window
-/// closes and short shard hiccups never stall the sequencer.
-const SHARD_RING_MSGS: usize = 64;
+/// Sequencer → shard ring depth, in messages. A few batches ride out a
+/// window dump; anything deeper only lets the sequencer's ingest counter
+/// run ahead of the tracker state it stands for.
+const SHARD_RING_MSGS: usize = 4;
+/// Shard → merge ring depth, in closed windows.
+const WINDOW_RING_PARTS: usize = 4;
+/// A shard hears of window closes at the latest when it is this many
+/// behind (normally they ride on its next batch). The merge stage needs
+/// every shard's part of a window before it can emit it, so an idle
+/// shard left arbitrarily far behind would fill the busy shards' window
+/// rings and, through them, stall the sequencer that alone can wake it;
+/// keeping the lag below [`WINDOW_RING_PARTS`] rules that cycle out.
+const MAX_SHARD_LAG: usize = 2;
 /// Default adaptive batch bounds (transactions per batch).
 const BATCH_MIN_DEFAULT: usize = 64;
-const BATCH_MAX_DEFAULT: usize = 8_192;
+const BATCH_MAX_DEFAULT: usize = 2_048;
+/// Batches `run_summaries` holds between its input and the trackers'
+/// state when a shard stops: one each in the feeder's, the sequencer's
+/// and the shard's hands, and both rings between them full. Times the
+/// batch maximum (2 048 by default) that is 22 528 summaries, of which
+/// the `pipeline_ingested_total` counter — bumped by the sequencer as it
+/// takes a batch — can be ahead of the trackers by at most the
+/// `SHARD_RING_MSGS + 2` batches downstream of it (12 288).
+const IN_FLIGHT_BATCHES: usize = STAGE_RING_BATCHES + SHARD_RING_MSGS + 3;
 /// Initial batch size before the controller has seen any signal.
 const BATCH_START: usize = 512;
 
@@ -220,12 +257,18 @@ struct ShardMsg {
 type ShardBatch = (Arc<Recycled<TxSummary>>, Vec<(u32, u16)>);
 
 /// The sequencer's view of how far each shard's window clock lags the
-/// global one: all closed window starts, plus a per-shard cursor of how
-/// many have been shipped. Shards learn about closes lazily — piggybacked
-/// on their next batch, or in a final drain message — so a window close
-/// costs nothing on the hot path and never synchronizes the shard pool.
+/// global one: the closed window starts some shard still lacks, plus a
+/// per-shard cursor of how many have been shipped. Shards learn about
+/// closes lazily — piggybacked on their next batch, in a message of
+/// their own once [`MAX_SHARD_LAG`] behind, or in the final drain — so a
+/// window close costs nothing on the hot path and never synchronizes
+/// the shard pool.
 struct Frontier {
+    /// Closed window starts not yet shipped to every shard.
     closes: Vec<f64>,
+    /// Closes recorded before `closes[0]` (every shard has them).
+    base: usize,
+    /// Closes shipped to each shard, counted from the stream's start.
     sent: Vec<usize>,
 }
 
@@ -233,6 +276,7 @@ impl Frontier {
     fn new(shards: usize) -> Frontier {
         Frontier {
             closes: Vec::new(),
+            base: 0,
             sent: vec![0; shards],
         }
     }
@@ -242,17 +286,21 @@ impl Frontier {
         self.closes.push(start);
     }
 
-    /// The closes shard `sh` has not heard about yet; marks them sent.
-    /// Returns an empty (allocation-free) `Vec` when the shard is
-    /// current.
+    /// How many closes shard `sh` has not heard about yet.
+    fn lag(&self, sh: usize) -> usize {
+        self.base + self.closes.len() - self.sent[sh]
+    }
+
+    /// The closes shard `sh` has not heard about yet; marks them sent
+    /// and forgets what every shard has now been sent. Returns an empty
+    /// (allocation-free) `Vec` when the shard is current.
     fn take(&mut self, sh: usize) -> Vec<f64> {
-        let from = self.sent[sh];
-        self.sent[sh] = self.closes.len();
-        if from == self.closes.len() {
-            Vec::new()
-        } else {
-            self.closes[from..].to_vec()
-        }
+        let unsent = self.closes[self.sent[sh] - self.base..].to_vec();
+        self.sent[sh] = self.base + self.closes.len();
+        let everyone_has = self.sent.iter().copied().min().unwrap_or(self.base);
+        self.closes.drain(..everyone_has - self.base);
+        self.base = everyone_has;
+        unsent
     }
 }
 
@@ -302,7 +350,9 @@ impl AdaptiveBatch {
 /// order) the dumped rows plus this window's `(kept, dropped, filtered)`
 /// deltas.
 type ShardPart = (Vec<(String, crate::features::FeatureRow)>, (u64, u64, u64));
-type ShardWindows = Vec<(f64, Vec<ShardPart>)>;
+/// One closed window as one shard saw it: its start and a part per
+/// dataset.
+type ShardWindow = (f64, Vec<ShardPart>);
 
 /// A threaded pipeline: transactions are chunked into recycled batches
 /// and dealt round-robin to `workers` summarizer threads over SPSC
@@ -403,6 +453,12 @@ impl ThreadedPipeline {
         self
     }
 
+    /// The most summaries [`Self::run_summaries_into`] holds between its
+    /// input and the trackers' state, however far a shard falls behind.
+    pub fn in_flight_bound(&self) -> usize {
+        IN_FLIGHT_BATCHES * self.batch_max
+    }
+
     /// Per-shard cache capacity for a dataset configured with capacity `k`.
     fn shard_capacity(k: usize, shards: usize) -> usize {
         if shards <= 1 {
@@ -413,7 +469,20 @@ impl ThreadedPipeline {
         }
     }
 
-    /// Consume `transactions`, returning the collected time series.
+    /// Consume `transactions`, returning the collected time series:
+    /// [`Self::run_into`] with every window kept.
+    pub fn run<I>(&self, transactions: I) -> TimeSeriesStore
+    where
+        I: IntoIterator<Item = Transaction>,
+    {
+        let mut store = TimeSeriesStore::new();
+        self.run_into(transactions, |dump| store.push(dump));
+        store
+    }
+
+    /// Consume `transactions`, handing `sink` every window as it closes
+    /// (one [`WindowDump`] per dataset, in window order, from the merge
+    /// stage's thread).
     ///
     /// The input is chunked into batches on the calling thread (batch
     /// storage is recycled through bounded [`Pool`]s, so the steady state
@@ -422,15 +491,11 @@ impl ThreadedPipeline {
     /// so window boundaries are deterministic and identical to the
     /// single-threaded result, then scatters summaries to the tracker
     /// shards with per-shard frontier watermarks.
-    pub fn run<I>(&self, transactions: I) -> TimeSeriesStore
+    pub fn run_into<I>(&self, transactions: I, sink: impl FnMut(WindowDump) + Send)
     where
         I: IntoIterator<Item = Transaction>,
     {
         let workers = self.workers;
-        let shards = self.shards;
-        let datasets: Vec<Dataset> = self.cfg.datasets.iter().map(|&(ds, _)| ds).collect();
-        let window_secs = self.cfg.window_secs;
-
         // One SPSC ring per stage edge.
         let mut task_txs = Vec::with_capacity(workers);
         let mut task_rxs = Vec::with_capacity(workers);
@@ -444,22 +509,16 @@ impl ThreadedPipeline {
             done_txs.push(tx);
             done_rxs.push(rx);
         }
-        let (shard_txs, shard_rxs) = shard_rings(shards);
-
         // Batch-storage pools, bounded to the rings' aggregate depth (a
         // slow stage can never accumulate more idle buffers than the
         // rings could hold in flight).
         let tx_pool: Pool<Transaction> = Pool::new(workers * STAGE_RING_BATCHES + 2);
         let summary_pool: Pool<TxSummary> =
-            Pool::new(workers * STAGE_RING_BATCHES + 2 * shards + 2);
-        let assign_pool: Pool<(u32, u16)> = Pool::new(shards * SHARD_RING_MSGS + shards + 2);
+            Pool::new(workers * (STAGE_RING_BATCHES + 1) + SHARD_RING_MSGS + 2);
+        let seq_metrics = SequencerMetrics::register(&self.registry, self.shards);
+        let trace = self.trace(workers);
 
-        let seq_metrics = SequencerMetrics::register(&self.registry, shards);
-        let trace = PipelineTrace::new(self.recorder.as_ref(), self.clock.clone(), workers, shards);
-
-        let mut shard_windows: Vec<ShardWindows> = Vec::with_capacity(shards);
         std::thread::scope(|scope| {
-            // Summarizer workers.
             for (w, (task_rx, done_tx)) in task_rxs.into_iter().zip(done_txs).enumerate() {
                 let tx_pool = tx_pool.clone();
                 let summary_pool = summary_pool.clone();
@@ -467,40 +526,7 @@ impl ThreadedPipeline {
                 scope
                     .spawn(move || worker_loop(w, task_rx, done_tx, tx_pool, summary_pool, wtrace));
             }
-
-            let shard_handles: Vec<_> = shard_rxs
-                .into_iter()
-                .enumerate()
-                .map(|(sh, rx)| {
-                    let cfg = &self.cfg;
-                    let metrics = ShardMetrics::register(&self.registry, sh, &datasets);
-                    let stall = self.stall.clone();
-                    let assign_pool = assign_pool.clone();
-                    let strace = trace.shards[sh].clone();
-                    scope.spawn(move || {
-                        shard_loop(sh, rx, cfg, shards, metrics, stall, assign_pool, strace)
-                    })
-                })
-                .collect();
-
-            let datasets: &[Dataset] = &datasets;
-            let seq_m = seq_metrics.clone();
-            let seq_summary_pool = summary_pool.clone();
-            let seq_assign_pool = assign_pool.clone();
-            let seq_trace = trace.sequencer.clone();
-            let sequencer = scope.spawn(move || {
-                sequencer_loop(
-                    done_rxs,
-                    shard_txs,
-                    datasets,
-                    window_secs,
-                    seq_m,
-                    seq_summary_pool,
-                    seq_assign_pool,
-                    seq_trace,
-                )
-            });
-
+            self.spawn_tracking(scope, done_rxs, &summary_pool, &seq_metrics, &trace, sink);
             // Feeder (this thread): chunk the input into recycled batch
             // Vecs, dealing them round-robin to the workers.
             feed_batches(
@@ -511,17 +537,22 @@ impl ThreadedPipeline {
                 &seq_metrics,
                 &trace.feeder,
             );
-
-            sequencer.join().expect("sequencer thread");
-            for h in shard_handles {
-                shard_windows.push(h.join().expect("shard thread"));
-            }
         });
-
-        merge_shard_windows(shard_windows, &datasets, window_secs, &trace)
     }
 
-    /// Consume pre-built summaries, returning the collected time series.
+    /// Consume pre-built summaries, returning the collected time series:
+    /// [`Self::run_summaries_into`] with every window kept.
+    pub fn run_summaries<I>(&self, summaries: I) -> TimeSeriesStore
+    where
+        I: IntoIterator<Item = TxSummary>,
+    {
+        let mut store = TimeSeriesStore::new();
+        self.run_summaries_into(summaries, |dump| store.push(dump));
+        store
+    }
+
+    /// Consume pre-built summaries, handing `sink` every window as it
+    /// closes, like [`Self::run_into`].
     ///
     /// This is the collector-side entry point of the feed transport: the
     /// summaries were produced (and parallelized) on the sensors, so the
@@ -531,57 +562,27 @@ impl ThreadedPipeline {
     /// storage flows back through the bounded summary pool exactly as on
     /// the transaction path. With one shard the result is byte-identical
     /// to feeding the same summaries through
-    /// [`Observatory::ingest_summary`].
-    pub fn run_summaries<I>(&self, summaries: I) -> TimeSeriesStore
+    /// [`Observatory::ingest_summary`]. While a shard is stopped the
+    /// feeder takes at most [`Self::in_flight_bound`] summaries from the
+    /// input and then waits.
+    pub fn run_summaries_into<I>(&self, summaries: I, sink: impl FnMut(WindowDump) + Send)
     where
         I: IntoIterator<Item = TxSummary>,
     {
-        let shards = self.shards;
-        let datasets: Vec<Dataset> = self.cfg.datasets.iter().map(|&(ds, _)| ds).collect();
-        let window_secs = self.cfg.window_secs;
-
         let (feed_tx, feed_rx) = ring::<Vec<TxSummary>>(STAGE_RING_BATCHES);
-        let (shard_txs, shard_rxs) = shard_rings(shards);
-        let summary_pool: Pool<TxSummary> = Pool::new(STAGE_RING_BATCHES + 2 * shards + 2);
-        let assign_pool: Pool<(u32, u16)> = Pool::new(shards * SHARD_RING_MSGS + shards + 2);
-        let seq_metrics = SequencerMetrics::register(&self.registry, shards);
-        let trace = PipelineTrace::new(self.recorder.as_ref(), self.clock.clone(), 0, shards);
+        let summary_pool: Pool<TxSummary> = Pool::new(IN_FLIGHT_BATCHES);
+        let seq_metrics = SequencerMetrics::register(&self.registry, self.shards);
+        let trace = self.trace(0);
 
-        let mut shard_windows: Vec<ShardWindows> = Vec::with_capacity(shards);
         std::thread::scope(|scope| {
-            let shard_handles: Vec<_> = shard_rxs
-                .into_iter()
-                .enumerate()
-                .map(|(sh, rx)| {
-                    let cfg = &self.cfg;
-                    let metrics = ShardMetrics::register(&self.registry, sh, &datasets);
-                    let stall = self.stall.clone();
-                    let assign_pool = assign_pool.clone();
-                    let strace = trace.shards[sh].clone();
-                    scope.spawn(move || {
-                        shard_loop(sh, rx, cfg, shards, metrics, stall, assign_pool, strace)
-                    })
-                })
-                .collect();
-
-            let datasets: &[Dataset] = &datasets;
-            let seq_m = seq_metrics.clone();
-            let seq_summary_pool = summary_pool.clone();
-            let seq_assign_pool = assign_pool.clone();
-            let seq_trace = trace.sequencer.clone();
-            let sequencer = scope.spawn(move || {
-                sequencer_loop(
-                    vec![feed_rx],
-                    shard_txs,
-                    datasets,
-                    window_secs,
-                    seq_m,
-                    seq_summary_pool,
-                    seq_assign_pool,
-                    seq_trace,
-                )
-            });
-
+            self.spawn_tracking(
+                scope,
+                vec![feed_rx],
+                &summary_pool,
+                &seq_metrics,
+                &trace,
+                sink,
+            );
             feed_batches(
                 summaries.into_iter(),
                 vec![feed_tx],
@@ -590,14 +591,81 @@ impl ThreadedPipeline {
                 &seq_metrics,
                 &trace.feeder,
             );
-
-            sequencer.join().expect("sequencer thread");
-            for h in shard_handles {
-                shard_windows.push(h.join().expect("shard thread"));
-            }
         });
+    }
 
-        merge_shard_windows(shard_windows, &datasets, window_secs, &trace)
+    fn trace(&self, workers: usize) -> PipelineTrace {
+        PipelineTrace::new(
+            self.recorder.as_ref(),
+            self.clock.clone(),
+            workers,
+            self.shards,
+        )
+    }
+
+    /// The stages both entry points share, spawned on `scope`: the
+    /// sequencer over `inputs`, the tracker shards, and the merge stage
+    /// that feeds `sink`. They end by themselves once `inputs` end.
+    fn spawn_tracking<'scope, 'env>(
+        &'env self,
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+        inputs: Vec<Consumer<Vec<TxSummary>>>,
+        summary_pool: &Pool<TxSummary>,
+        seq_metrics: &SequencerMetrics,
+        trace: &PipelineTrace,
+        sink: impl FnMut(WindowDump) + Send + 'scope,
+    ) {
+        let shards = self.shards;
+        let datasets: Vec<Dataset> = self.cfg.datasets.iter().map(|&(ds, _)| ds).collect();
+        let window_secs = self.cfg.window_secs;
+        let assign_pool: Pool<(u32, u16)> = Pool::new(shards * SHARD_RING_MSGS + shards + 2);
+
+        let mut shard_txs = Vec::with_capacity(shards);
+        let mut window_rxs = Vec::with_capacity(shards);
+        for sh in 0..shards {
+            let (tx, rx) = ring::<ShardMsg>(SHARD_RING_MSGS);
+            shard_txs.push(tx);
+            let (window_tx, window_rx) = ring::<ShardWindow>(WINDOW_RING_PARTS);
+            window_rxs.push(window_rx);
+            let cfg = &self.cfg;
+            let metrics = ShardMetrics::register(&self.registry, sh, &datasets);
+            let stall = self.stall.clone();
+            let assign_pool = assign_pool.clone();
+            let strace = trace.shards[sh].clone();
+            scope.spawn(move || {
+                shard_loop(
+                    sh,
+                    rx,
+                    window_tx,
+                    cfg,
+                    shards,
+                    metrics,
+                    stall,
+                    assign_pool,
+                    strace,
+                )
+            });
+        }
+
+        let seal_trace = trace.seal.clone();
+        let merge_datasets = datasets.clone();
+        scope.spawn(move || merge_loop(window_rxs, &merge_datasets, window_secs, seal_trace, sink));
+
+        let seq_m = seq_metrics.clone();
+        let seq_summary_pool = summary_pool.clone();
+        let seq_trace = trace.sequencer.clone();
+        scope.spawn(move || {
+            sequencer_loop(
+                inputs,
+                shard_txs,
+                &datasets,
+                window_secs,
+                seq_m,
+                seq_summary_pool,
+                assign_pool,
+                seq_trace,
+            )
+        });
     }
 }
 
@@ -669,17 +737,6 @@ impl PipelineTrace {
             seal: stage("pipeline/seal".to_string()),
         }
     }
-}
-
-fn shard_rings(shards: usize) -> (Vec<Producer<ShardMsg>>, Vec<Consumer<ShardMsg>>) {
-    let mut shard_txs = Vec::with_capacity(shards);
-    let mut shard_rxs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = ring::<ShardMsg>(SHARD_RING_MSGS);
-        shard_txs.push(tx);
-        shard_rxs.push(rx);
-    }
-    (shard_txs, shard_rxs)
 }
 
 /// The shared feeder: chunk `it` into pooled batch `Vec`s and deal them
@@ -760,18 +817,20 @@ fn worker_loop(
 /// Tracker shard: owns an independent TopKTracker per dataset over its
 /// disjoint slice of the key space. Processes each message's frontier
 /// closes (window dumps) before its batch assignments, which restores
-/// exactly the single-threaded dump-before-observe order.
+/// exactly the single-threaded dump-before-observe order, and ships
+/// every dumped window to the merge stage at once.
 #[allow(clippy::too_many_arguments)] // internal stage entry point
 fn shard_loop(
     sh: usize,
     mut rx: Consumer<ShardMsg>,
+    mut windows: Producer<ShardWindow>,
     cfg: &ObservatoryConfig,
     shards: usize,
     mut metrics: ShardMetrics,
     stall: Option<StallHook>,
     assign_pool: Pool<(u32, u16)>,
     trace: StageTrace,
-) -> ShardWindows {
+) {
     let mut trackers: Vec<TopKTracker> = cfg
         .datasets
         .iter()
@@ -785,7 +844,7 @@ fn shard_loop(
         })
         .collect();
     let mut prev = vec![(0u64, 0u64, 0u64); trackers.len()];
-    let mut windows: ShardWindows = Vec::new();
+    let mut digest = FoldDigest::default();
     let mut msg_idx = 0u64;
     while let Some(msg) = rx.pop() {
         metrics.queue_depth.add(-1.0);
@@ -817,15 +876,18 @@ fn shard_loop(
                         .value(rows as u64),
                 );
             }
-            windows.push((start, parts));
+            if windows.push((start, parts)).is_err() {
+                return; // merge stage died (panic propagates at scope join)
+            }
         }
         if let Some((summaries, assign)) = msg.batch {
             let t0 = std::time::Instant::now();
             for &(idx, mask) in &assign {
                 let s = &summaries[idx as usize];
+                digest.load(s);
                 for (d, t) in trackers.iter_mut().enumerate() {
                     if mask & (1 << d) != 0 {
-                        t.observe(s);
+                        t.observe_digest(s, &digest);
                     }
                 }
             }
@@ -835,7 +897,6 @@ fn shard_loop(
             // batch returns its storage to the summary pool.
         }
     }
-    windows
 }
 
 /// Sequencer: collect worker batches in round-robin order (global stream
@@ -903,9 +964,9 @@ fn sequencer_loop(
             if s.time >= start + window_secs {
                 // Window boundary *before* this summary: everything
                 // routed so far belongs to the closing window, so flush
-                // it, then record the close on the frontier. No message
-                // is sent to idle shards — they learn of the close with
-                // their next batch (or the final drain).
+                // it, then record the close on the frontier. Idle shards
+                // learn of it with their next batch, once they are
+                // `MAX_SHARD_LAG` closes behind, or in the final drain.
                 flush_pending(
                     &mut pending,
                     &batch,
@@ -914,6 +975,7 @@ fn sequencer_loop(
                     &metrics,
                 );
                 frontier.close(start);
+                send_closes(&mut shard_txs, &mut frontier, &metrics, MAX_SHARD_LAG);
                 metrics.windows.inc(1);
                 metrics.watermark_lag_seconds.set(s.time - start);
                 let closed_us = trace.now_us();
@@ -990,12 +1052,22 @@ fn sequencer_loop(
     }
     // Drain outstanding frontier deltas so every shard closes every
     // window (idle shards included) before the rings disconnect.
+    send_closes(&mut shard_txs, &mut frontier, &metrics, 1);
+}
+
+/// Tell every shard that is at least `min_lag` window closes behind the
+/// frontier about them, in a message without a batch.
+fn send_closes(
+    shard_txs: &mut [Producer<ShardMsg>],
+    frontier: &mut Frontier,
+    metrics: &SequencerMetrics,
+    min_lag: usize,
+) {
     for (sh, tx) in shard_txs.iter_mut().enumerate() {
-        let closes = frontier.take(sh);
-        if !closes.is_empty() {
+        if frontier.lag(sh) >= min_lag {
             metrics.queue_depth[sh].add(1.0);
             tx.push(ShardMsg {
-                closes,
+                closes: frontier.take(sh),
                 batch: None,
             })
             .unwrap_or_else(|_| panic!("shard thread alive"));
@@ -1040,35 +1112,48 @@ fn flush_pending(
     }
 }
 
-/// Merge: every shard processes every frontier close, so all shards
-/// report the same window starts in the same order. Partitions are
-/// disjoint, so a window's rows are the concatenation, re-sorted with
-/// the tracker's own dump order (hits desc, then key).
-fn merge_shard_windows(
-    mut shard_windows: Vec<ShardWindows>,
+/// Merge stage: every shard processes every frontier close, so the
+/// rings deliver the same window starts in the same order and the k-th
+/// part on each belongs to the k-th window. Partitions are disjoint, so a
+/// window's rows are the concatenation, re-sorted with the tracker's own
+/// dump order (hits desc, then key). Each merged window goes to `sink`
+/// at once, one dump per dataset; the stage ends with the shards.
+fn merge_loop(
+    mut parts: Vec<Consumer<ShardWindow>>,
     datasets: &[Dataset],
     window_secs: f64,
-    trace: &PipelineTrace,
-) -> TimeSeriesStore {
-    let mut store = TimeSeriesStore::new();
-    let n_windows = shard_windows.first().map_or(0, Vec::len);
-    debug_assert!(shard_windows.iter().all(|w| w.len() == n_windows));
-    for w in 0..n_windows {
-        let start = shard_windows[0][w].0;
+    seal: StageTrace,
+    mut sink: impl FnMut(WindowDump),
+) {
+    loop {
+        let mut window: Vec<ShardWindow> = Vec::with_capacity(parts.len());
+        for rx in &mut parts {
+            match rx.pop() {
+                Some(part) => window.push(part),
+                // The shards end together, after the final drain.
+                None => return,
+            }
+        }
+        let start = window[0].0;
+        debug_assert!(window.iter().all(|(s, _)| *s == start));
         let mut window_rows = 0u64;
         for (d, ds) in datasets.iter().enumerate() {
             let mut rows = Vec::new();
             let (mut kept, mut dropped, mut filtered) = (0u64, 0u64, 0u64);
-            for sw in shard_windows.iter_mut() {
-                let (part_rows, (dk, dd, df)) = std::mem::take(&mut sw[w].1[d]);
-                rows.extend(part_rows);
+            for (_, shard_parts) in window.iter_mut() {
+                let (part_rows, (dk, dd, df)) = std::mem::take(&mut shard_parts[d]);
+                if rows.is_empty() {
+                    rows = part_rows;
+                } else {
+                    rows.extend(part_rows);
+                }
                 kept += dk;
                 dropped += dd;
                 filtered += df;
             }
             rows.sort_by(|a, b| b.1.hits.cmp(&a.1.hits).then_with(|| a.0.cmp(&b.0)));
             window_rows += rows.len() as u64;
-            store.push(WindowDump {
+            sink(WindowDump {
                 dataset: ds.name().to_string(),
                 start,
                 length: window_secs,
@@ -1080,15 +1165,14 @@ fn merge_shard_windows(
         }
         // The merged window is final — the pipeline-local terminal of its
         // provenance trace (the federation tier seals across upstreams).
-        if trace.seal.is_enabled() {
-            trace.seal.record(
-                TraceEvent::new(trace.seal.now_us(), "seal", TraceKind::Seal)
+        if seal.is_enabled() {
+            seal.record(
+                TraceEvent::new(seal.now_us(), "seal", TraceKind::Seal)
                     .window(window_id_us(start))
                     .value(window_rows),
             );
         }
     }
-    store
 }
 
 #[cfg(test)]
@@ -1465,6 +1549,106 @@ mod tests {
         for (a, b) in clean.windows().iter().zip(stalled.windows()) {
             assert_eq!(format!("{:?}", a.rows), format!("{:?}", b.rows));
         }
+    }
+
+    /// The frontier forgets a close once every shard has been sent it:
+    /// what it retains is the slowest shard's lag, not the run's length.
+    #[test]
+    fn frontier_retains_only_what_the_slowest_shard_lacks() {
+        let mut frontier = Frontier::new(3);
+        let mut heard: Vec<Vec<f64>> = vec![Vec::new(); 3];
+        for w in 0..10_000usize {
+            frontier.close(w as f64);
+            // Shard 0 hears of every close, shard 1 of every 7th, shard 2
+            // of every 50th.
+            for (sh, every) in [1usize, 7, 50].into_iter().enumerate() {
+                if w % every == 0 {
+                    heard[sh].extend(frontier.take(sh));
+                }
+            }
+            let slowest = (0..3).map(|sh| frontier.lag(sh)).max().unwrap();
+            assert!(slowest < 50);
+            assert_eq!(frontier.closes.len(), slowest, "after close {w}");
+        }
+        let all: Vec<f64> = (0..10_000).map(|w| w as f64).collect();
+        for (sh, heard) in heard.iter_mut().enumerate() {
+            heard.extend(frontier.take(sh));
+            assert_eq!(*heard, all, "shard {sh} hears every close once, in order");
+        }
+        assert!(frontier.closes.is_empty());
+    }
+
+    /// With the one shard frozen on its first message the feeder takes
+    /// exactly `in_flight_bound()` summaries from its input — every ring
+    /// full, one batch in each stage's hands — and then waits.
+    #[test]
+    fn frozen_shard_stops_the_feeder_at_the_in_flight_bound() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::{mpsc, Mutex};
+        use std::time::Duration;
+
+        const BATCH: usize = 64;
+        let pipeline = ThreadedPipeline::new(
+            ObservatoryConfig {
+                window_secs: 1e9,
+                ..small_cfg()
+            },
+            1,
+        )
+        .with_batch_range(BATCH, BATCH);
+        let bound = pipeline.in_flight_bound();
+        assert_eq!(bound, 11 * BATCH);
+
+        let psl = psl::Psl::embedded();
+        let mut sim = Simulation::from_config(SimConfig::small());
+        let summaries: Vec<TxSummary> = sim
+            .collect(2.0)
+            .iter()
+            .map(|tx| TxSummary::from_transaction(tx, &psl))
+            .collect();
+        assert!(summaries.len() > 2 * bound);
+
+        let frozen = Arc::new(AtomicBool::new(true));
+        let overrun = Arc::new(AtomicBool::new(false));
+        let pulled = Arc::new(AtomicUsize::new(0));
+        let (at_bound_tx, at_bound_rx) = mpsc::channel::<()>();
+        let at_bound_rx = Mutex::new(at_bound_rx);
+        let thaw = Arc::clone(&frozen);
+        let pipeline = pipeline.with_stall_injector(Arc::new(move |_, msg| {
+            if msg == 0 {
+                at_bound_rx
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("the feeder fills the pipeline up to its bound");
+                // Time for a feeder that is not held back to show itself;
+                // one that is held back takes nothing however long this is.
+                std::thread::sleep(Duration::from_millis(100));
+                thaw.store(false, Ordering::SeqCst);
+            }
+        }));
+
+        let total = summaries.len();
+        let input = summaries.into_iter().inspect(|_| {
+            let n = pulled.fetch_add(1, Ordering::SeqCst) + 1;
+            if n == bound {
+                at_bound_tx.send(()).unwrap();
+            }
+            if n > bound && frozen.load(Ordering::SeqCst) {
+                overrun.store(true, Ordering::SeqCst);
+            }
+        });
+        let store = pipeline.run_summaries(input);
+        assert!(
+            !overrun.load(Ordering::SeqCst),
+            "feeder took more than {bound} summaries while the shard was frozen"
+        );
+        let seen: u64 = store
+            .dataset(Dataset::Qtype)
+            .iter()
+            .map(|w| w.kept + w.dropped + w.filtered)
+            .sum();
+        assert_eq!(seen, total as u64, "and nothing was lost to the stall");
     }
 
     /// An empty input stream must terminate cleanly with an empty store

@@ -58,6 +58,11 @@ impl TimeSeriesStore {
         &self.windows
     }
 
+    /// Take every window out, in arrival order, leaving the store empty.
+    pub fn take_windows(&mut self) -> Vec<WindowDump> {
+        std::mem::take(&mut self.windows)
+    }
+
     /// Windows belonging to one dataset, in time order.
     pub fn dataset(&self, dataset: Dataset) -> Vec<&WindowDump> {
         let name = dataset.name();

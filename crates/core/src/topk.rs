@@ -1,7 +1,7 @@
 //! Top-k object tracking (paper §2.2, step C): Space-Saving cache with a
 //! Bloom-filter eviction gate and the 60-second residency rule.
 
-use crate::features::{FeatureConfig, FeatureSet};
+use crate::features::{FeatureConfig, FeatureSet, FoldDigest};
 use crate::keys::{Dataset, Key, KeyBuf};
 use crate::summarize::TxSummary;
 use sketches::{BloomFilter, SpaceSaving};
@@ -26,6 +26,8 @@ pub struct TopKTracker {
     /// Reusable key-encoding scratch; lives here so `observe` allocates
     /// nothing per transaction.
     keybuf: KeyBuf,
+    /// Reusable digest for the one-tracker [`TopKTracker::observe`].
+    digest: FoldDigest,
     /// Transactions dropped because their object is not monitored.
     dropped: u64,
     /// Transactions aggregated into a monitored object.
@@ -43,6 +45,7 @@ impl TopKTracker {
             bloom: bloom_gate.then(|| BloomFilter::new(4 * k.max(1_024), 0.02)),
             feature_cfg,
             keybuf: KeyBuf::new(),
+            digest: FoldDigest::default(),
             dropped: 0,
             kept: 0,
             filtered: 0,
@@ -119,22 +122,40 @@ impl TopKTracker {
         Ok(tracker)
     }
 
-    /// Feed one summary. Steady state (object already monitored) performs
-    /// no allocation: the key is encoded into the reusable scratch buffer
-    /// and looked up by borrowed bytes.
+    /// Feed one summary: the one-tracker form of
+    /// [`TopKTracker::observe_digest`], the digest built here.
     pub fn observe(&mut self, s: &TxSummary) {
+        let mut digest = std::mem::take(&mut self.digest);
+        digest.load(s);
+        self.observe_digest(s, &digest);
+        self.digest = digest;
+    }
+
+    /// Feed one summary, `d` being its [`FoldDigest`] (loaded once per
+    /// summary and shared by every dataset's tracker). Allocates nothing
+    /// once the cache is full, whether the object is monitored or
+    /// displaces another: the key is encoded into the reusable scratch
+    /// buffer and looked up by borrowed bytes, and feature state is
+    /// recycled.
+    pub fn observe_digest(&mut self, s: &TxSummary, d: &FoldDigest) {
         if !self.dataset.key_into(s, &mut self.keybuf) {
             self.filtered += 1;
             return;
         }
-        let keybuf = &self.keybuf;
+        let key = self.keybuf.as_bytes();
+        // One index probe per transaction: a monitored object folds
+        // straight away, and only an unknown key goes on to admission.
+        if let Some(fs) = self.ss.observe_known(key, s.time) {
+            fs.fold_digest(s, d);
+            self.kept += 1;
+            return;
+        }
         // The Bloom gate only applies when the key would *displace* a
-        // monitored object: if the cache is full and the key is unknown,
-        // require a second sighting first.
+        // monitored object: if the cache is full, require a second
+        // sighting first.
         if let Some(bloom) = &mut self.bloom {
-            let full = self.ss.len() == self.ss.capacity();
-            if full && self.ss.count(keybuf.as_bytes()).is_none() {
-                let seen_before = bloom.check_and_insert(keybuf.as_bytes());
+            if self.ss.len() == self.ss.capacity() {
+                let seen_before = bloom.check_and_insert(key);
                 if !seen_before {
                     self.dropped += 1;
                     return;
@@ -146,13 +167,15 @@ impl TopKTracker {
             }
         }
         let cfg = self.feature_cfg;
-        let fs = self.ss.observe_with_ref(
-            keybuf.as_bytes(),
+        // An evicted object's feature state is recycled in place, never
+        // dropped and rebuilt: churn costs no allocator work.
+        let fs = self.ss.admit(
+            self.keybuf.to_key(),
             s.time,
-            || keybuf.to_key(),
             || FeatureSet::new(cfg),
+            FeatureSet::reset,
         );
-        fs.fold(s);
+        fs.fold_digest(s, d);
         self.kept += 1;
     }
 
@@ -250,13 +273,19 @@ impl TopKTracker {
     /// survive a full window in the cache (paper §2.4's residency rule) —
     /// but their state is still reset so the next window starts clean.
     pub fn dump(&mut self, window_start: f64) -> Vec<(String, crate::features::FeatureRow)> {
-        let mut rows = Vec::with_capacity(self.ss.len());
+        let mut rows = Vec::new();
+        let monitored = self.ss.len();
         // One pass: residency comes straight from each entry's insertion
         // time, so only emitted rows pay a key rendering (and nothing is
         // cloned into a side set, as the old two-pass version did).
         self.ss
             .for_each_value(|key, _count, _rate, inserted_at, fs| {
                 if inserted_at <= window_start && fs.hits() > 0 {
+                    if rows.is_empty() {
+                        // Sized on the first row, so a window without
+                        // traffic allocates nothing at all.
+                        rows.reserve(monitored);
+                    }
                     rows.push((key.render(), fs.row()));
                 }
                 fs.reset();

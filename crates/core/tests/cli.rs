@@ -363,3 +363,88 @@ fn forwarding_collect_leaves_no_output_directory() {
     assert_eq!(left, ["global"], "only the aggregator's --out exists");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `collect --out` writes a window when it closes, not when the feed
+/// ends: a sensor sends two windows and falls silent, and the first
+/// window's files are there while the feed is still open. After BYE the
+/// tree is, byte for byte, the reference fold of the same summaries.
+#[test]
+fn collect_writes_each_window_as_it_closes() {
+    use dns_observatory::{Dataset, Observatory, ObservatoryConfig, TxSummary};
+
+    let dir = temp_dir("streaming");
+    let out = dir.join("out");
+    let addr = free_addr();
+    let collect = Proc::spawn(
+        &dir,
+        &[
+            "collect",
+            "--listen",
+            &addr,
+            "--window",
+            "1",
+            "--topk",
+            "300",
+            "--out",
+            out.to_str().unwrap(),
+        ],
+    );
+
+    let psl = psl::Psl::embedded();
+    let mut sim = simnet::Simulation::from_config(simnet::SimConfig::small());
+    let summaries: Vec<TxSummary> = sim
+        .collect(2.0)
+        .iter()
+        .map(|tx| TxSummary::from_transaction(tx, &psl))
+        .collect();
+    let client = feed::Sensor::connect(addr, feed::SensorConfig::new(0));
+    for s in &summaries {
+        client.send(s.clone());
+    }
+    client.wait_drained();
+
+    let datasets = [
+        (Dataset::SrvIp, 300),
+        (Dataset::Esld, 300),
+        (Dataset::Qname, 300),
+        (Dataset::Qtype, 64),
+        (Dataset::Rcode, 16),
+    ];
+    let first_start = summaries[0].time as u64;
+    let first_window = |ds: Dataset| out.join(format!("{}-{first_start:05}.tsv", ds.name()));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !datasets.iter().all(|&(ds, _)| first_window(ds).exists()) {
+        assert!(
+            Instant::now() < deadline,
+            "the first window was not written while the feed was open"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    client.finish();
+    collect.join();
+
+    let mut reference = Observatory::new(ObservatoryConfig {
+        datasets: datasets.to_vec(),
+        window_secs: 1.0,
+        ..ObservatoryConfig::default()
+    });
+    for s in summaries {
+        reference.ingest_summary(s);
+    }
+    let kinds: Vec<Dataset> = datasets.iter().map(|&(ds, _)| ds).collect();
+    let want = dns_observatory::tsv::render_store(&reference.finish(), &kinds);
+    assert_eq!(want.len(), 2 * datasets.len(), "two windows were sent");
+    for (name, bytes) in &want {
+        let got = std::fs::read(out.join(format!("{name}.tsv"))).expect(name);
+        assert!(got == *bytes, "{name}.tsv differs from the reference fold");
+    }
+    let data_files = std::fs::read_dir(&out)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            !name.to_string_lossy().starts_with("meta-")
+        })
+        .count();
+    assert_eq!(data_files, want.len(), "and nothing else");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,8 +4,12 @@
 
 use dns_observatory::aggregate::rollup;
 use dns_observatory::analysis::distribution::traffic_distribution;
-use dns_observatory::{tsv, FeatureConfig, FeatureRow, FeatureSet, WindowDump};
+use dns_observatory::{
+    tsv, Dataset, FeatureConfig, FeatureRow, FeatureSet, Key, KeyBuf, TopKTracker, TxSummary,
+    WindowDump,
+};
 use proptest::prelude::*;
+use sketches::{BloomFilter, SpaceSaving};
 
 fn arb_tops() -> impl Strategy<Value = Vec<(u64, f64)>> {
     prop::collection::vec((1u64..100_000, 0.01f64..=1.0), 0..=3).prop_map(|mut v| {
@@ -192,5 +196,154 @@ proptest! {
                 prop_assert!(last <= 1.0 + 1e-9);
             }
         }
+    }
+}
+
+/// What [`TopKTracker`] is defined to do, with none of its recycling:
+/// feature state is built anew for every admitted key and every window,
+/// and the gate is consulted after a separate lookup.
+struct FreshStateTracker {
+    dataset: Dataset,
+    ss: SpaceSaving<Key, FeatureSet>,
+    bloom: BloomFilter,
+    keybuf: KeyBuf,
+    stats: (u64, u64, u64),
+}
+
+impl FreshStateTracker {
+    fn new(dataset: Dataset, k: usize) -> FreshStateTracker {
+        FreshStateTracker {
+            dataset,
+            ss: SpaceSaving::new(k, 60.0),
+            bloom: BloomFilter::new(4 * k.max(1_024), 0.02),
+            keybuf: KeyBuf::new(),
+            stats: (0, 0, 0),
+        }
+    }
+
+    fn observe(&mut self, s: &TxSummary) {
+        if !self.dataset.key_into(s, &mut self.keybuf) {
+            self.stats.2 += 1;
+            return;
+        }
+        let key = self.keybuf.as_bytes();
+        if self.ss.len() == self.ss.capacity() && self.ss.count(key).is_none() {
+            if !self.bloom.check_and_insert(key) {
+                self.stats.1 += 1;
+                return;
+            }
+            let set: u32 = self.bloom.words().iter().map(|w| w.count_ones()).sum();
+            if set as f64 / self.bloom.num_bits() as f64 > 0.5 {
+                self.bloom.clear();
+            }
+        }
+        let fresh = || FeatureSet::new(FeatureConfig::default());
+        self.ss
+            .observe_with_ref(
+                key,
+                s.time,
+                || self.keybuf.to_key(),
+                fresh,
+                |fs| *fs = fresh(),
+            )
+            .fold(s);
+        self.stats.0 += 1;
+    }
+
+    fn dump(&mut self, window_start: f64) -> Vec<(String, FeatureRow)> {
+        let mut rows = Vec::new();
+        self.ss.for_each_value(|key, _, _, inserted_at, fs| {
+            if inserted_at <= window_start && fs.hits() > 0 {
+                rows.push((key.render(), fs.row()));
+            }
+            *fs = FeatureSet::new(FeatureConfig::default());
+        });
+        rows.sort_by(|a, b| b.1.hits.cmp(&a.1.hits).then_with(|| a.0.cmp(&b.0)));
+        rows
+    }
+
+    fn export(&mut self) -> sketchwire::TopKState {
+        let entries = self
+            .ss
+            .iter_restore()
+            .into_iter()
+            .map(|e| sketchwire::TopKEntry {
+                key: e.key.render(),
+                count: e.count,
+                error: e.error,
+                inserted_at: e.inserted_at,
+                features: e.value.to_state(),
+            })
+            .collect();
+        self.dump(f64::NEG_INFINITY);
+        sketchwire::TopKState {
+            dataset: self.dataset.name().to_string(),
+            capacity: self.ss.capacity() as u64,
+            observed: self.ss.observed(),
+            min_count: self.ss.min_count(),
+            error_bound: self.ss.error_bound(),
+            evictions: self.ss.evictions(),
+            kept: 0,
+            dropped: 0,
+            filtered: 0,
+            chunk: 0,
+            chunks: 1,
+            entries,
+            gate: Some(sketchwire::GateState::from_filter(&self.bloom)),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Recycling is invisible: over saturated, gated key streams with
+    /// dumps and exports interleaved at random, the tracker and the
+    /// fresh-state reference agree on every dumped row, every exported
+    /// state (gate words included), every admission and every eviction.
+    #[test]
+    fn recycling_tracker_equals_fresh_state_reference(
+        seed in 0u64..1_000_000,
+        k in 8usize..96,
+        qname in any::<bool>(),
+        breaks in prop::collection::vec((0.0f64..1.0, any::<bool>()), 1..6),
+    ) {
+        let psl = psl::Psl::embedded();
+        let cfg = simnet::SimConfig {
+            seed,
+            weight_botnet: 40.0, // unique names: churn past any small cache
+            ..simnet::SimConfig::small()
+        };
+        let mut summaries = Vec::new();
+        simnet::Simulation::from_config(cfg).run(4.0, &mut |tx| {
+            summaries.push(TxSummary::from_transaction(tx, &psl));
+        });
+        let dataset = if qname { Dataset::Qname } else { Dataset::SrvIp };
+        let mut tracker = TopKTracker::new(dataset, k, FeatureConfig::default(), true);
+        let mut reference = FreshStateTracker::new(dataset, k);
+
+        let mut breaks: Vec<(usize, bool)> = breaks
+            .into_iter()
+            .map(|(at, export)| ((at * summaries.len() as f64) as usize, export))
+            .collect();
+        breaks.push((summaries.len(), true));
+        breaks.sort();
+        let mut from = 0;
+        for (to, export) in breaks {
+            for s in &summaries[from..to] {
+                tracker.observe(s);
+                reference.observe(s);
+            }
+            from = to;
+            prop_assert_eq!(tracker.stats(), reference.stats);
+            if export {
+                prop_assert_eq!(tracker.export_state(0, 0, 0), reference.export());
+            } else {
+                let start = summaries[to / 2].time;
+                let (got, want) = (tracker.dump(start), reference.dump(start));
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            }
+        }
+        prop_assert!(tracker.evictions() > 0, "premise: the cache saturated");
     }
 }

@@ -10,7 +10,8 @@
 //! accept thread ──spawns──▶ reader thread per connection
 //!                                │  decoded frames / errors
 //!                                ▼
-//!                          merge thread ──▶ output channel (merged items)
+//!                          merge thread ──▶ output channel (merged items,
+//!                                           one message per frame)
 //! ```
 //!
 //! The merge thread owns the [`TimeMerger`] and one [`SensorLedger`] per
@@ -633,12 +634,27 @@ impl<T: FeedItem> CollectorCore<T> {
     }
 }
 
+/// The collector's merged, time-ordered output. The merge thread hands
+/// over everything a frame released as one message (one channel
+/// round-trip per frame, not per item); [`MergedFeed::iter`] flattens
+/// that back into items.
+pub struct MergedFeed<T> {
+    batches: Receiver<Vec<T>>,
+}
+
+impl<T> MergedFeed<T> {
+    /// The merged items, blocking for more until the feed has ended.
+    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        self.batches.iter().flatten()
+    }
+}
+
 /// TCP feed server: accepts sensors, merges their streams, and hands the
 /// merged items out through a channel.
 pub struct Collector<T> {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    output: Option<Receiver<T>>,
+    output: Option<MergedFeed<T>>,
     accept: Option<JoinHandle<()>>,
     merge: Option<JoinHandle<CollectorReport>>,
 }
@@ -651,7 +667,7 @@ impl<T: FeedItem> Collector<T> {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let (event_tx, event_rx) = unbounded::<Event<T>>();
-        let (out_tx, out_rx) = unbounded::<T>();
+        let (out_tx, out_rx) = unbounded::<Vec<T>>();
 
         let accept = {
             let stop = Arc::clone(&stop);
@@ -673,7 +689,7 @@ impl<T: FeedItem> Collector<T> {
         Ok(Collector {
             addr: local,
             stop,
-            output: Some(out_rx),
+            output: Some(MergedFeed { batches: out_rx }),
             accept: Some(accept),
             merge: Some(merge),
         })
@@ -684,9 +700,9 @@ impl<T: FeedItem> Collector<T> {
         self.addr
     }
 
-    /// Take the merged output channel. Iterate it to drive the pipeline;
-    /// it ends when the expected number of BYEs has arrived.
-    pub fn take_output(&mut self) -> Receiver<T> {
+    /// Take the merged output. Iterate it to drive the pipeline; it ends
+    /// when the expected number of BYEs has arrived.
+    pub fn take_output(&mut self) -> MergedFeed<T> {
         self.output.take().expect("collector output already taken")
     }
 
@@ -818,7 +834,7 @@ fn reader_loop<T: FeedItem>(
 
 fn merge_loop<T: FeedItem>(
     events: Receiver<Event<T>>,
-    output: Sender<T>,
+    output: Sender<Vec<T>>,
     stop: &AtomicBool,
     config: CollectorConfig,
 ) -> CollectorReport {
@@ -855,10 +871,10 @@ fn merge_loop<T: FeedItem>(
             }
             last_gap_recorded = gap_recorded;
         }
-        for item in ready.drain(..) {
-            if output.send(item).is_err() {
-                break;
-            }
+        // A dropped output only means nobody reads the items; the ledger
+        // is kept to the end either way.
+        if !ready.is_empty() {
+            let _ = output.send(std::mem::take(&mut ready));
         }
         if core.done() {
             break;
@@ -867,10 +883,8 @@ fn merge_loop<T: FeedItem>(
 
     // Everything still buffered belongs to closed or abandoned streams.
     let report = core.finish(&mut ready);
-    for item in ready.drain(..) {
-        if output.send(item).is_err() {
-            break;
-        }
+    if !ready.is_empty() {
+        let _ = output.send(ready);
     }
     stop.store(true, Ordering::Relaxed);
     report
@@ -1231,6 +1245,9 @@ mod tests {
         sensor.send(TestItem::at(0, 0.0));
         sensor.send(TestItem::at(1, 1.0));
         sensor.wait_drained();
+        // Drained means written, not read: see both items merged before
+        // the next incarnation can race its BYE past them.
+        let mut merged: Vec<TestItem> = output.iter().take(2).collect();
         let r1 = sensor.abort();
         assert_eq!(r1.next_seq, 2);
 
@@ -1243,7 +1260,7 @@ mod tests {
         let r2 = sensor.finish();
         assert_eq!(r2.next_seq, 6);
 
-        let merged: Vec<TestItem> = output.iter().collect();
+        merged.extend(output.iter());
         let report = collector.finish();
         assert_eq!(merged.len(), 3);
         let stats = &report.sensors[&5];

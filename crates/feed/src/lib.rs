@@ -66,8 +66,8 @@ pub mod varint;
 pub use backoff::{Backoff, BackoffConfig};
 pub use codec::{ByteReader, FeedItem};
 pub use collector::{
-    Collector, CollectorConfig, CollectorCore, CollectorReport, FrameOutcome, SensorLedger,
-    SensorStats,
+    Collector, CollectorConfig, CollectorCore, CollectorReport, FrameOutcome, MergedFeed,
+    SensorLedger, SensorStats,
 };
 pub use error::FeedError;
 pub use frame::{Frame, FrameReader, MAGIC, MAX_FRAME, PROTOCOL_VERSION};

@@ -13,6 +13,10 @@ pub struct BloomFilter {
     num_bits: usize,
     num_hashes: u32,
     inserted: u64,
+    /// Population count of `bits`, kept as bits are set so that
+    /// [`BloomFilter::fill_ratio`] costs a division, not a pass over
+    /// the whole array.
+    set_bits: u64,
 }
 
 impl BloomFilter {
@@ -35,6 +39,7 @@ impl BloomFilter {
             num_bits: m,
             num_hashes: k,
             inserted: 0,
+            set_bits: 0,
         }
     }
 
@@ -58,7 +63,10 @@ impl BloomFilter {
         let (h1, h2) = self.base_hashes(item);
         for i in 0..self.num_hashes {
             let bit = self.bit_index(h1, h2, i);
-            self.bits[bit / 64] |= 1u64 << (bit % 64);
+            let word = &mut self.bits[bit / 64];
+            let mask = 1u64 << (bit % 64);
+            self.set_bits += u64::from(*word & mask == 0);
+            *word |= mask;
         }
         self.inserted += 1;
     }
@@ -85,6 +93,7 @@ impl BloomFilter {
             if *word & mask == 0 {
                 present = false;
                 *word |= mask;
+                self.set_bits += 1;
             }
         }
         self.inserted += 1;
@@ -95,12 +104,12 @@ impl BloomFilter {
     pub fn clear(&mut self) {
         self.bits.fill(0);
         self.inserted = 0;
+        self.set_bits = 0;
     }
 
     /// Fraction of bits set; a loaded filter (>0.5) has degraded accuracy.
     pub fn fill_ratio(&self) -> f64 {
-        let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        set as f64 / self.num_bits as f64
+        self.set_bits as f64 / self.num_bits as f64
     }
 
     /// The raw bit array, one little-endian word per 64 bits. Hashing is
@@ -124,11 +133,13 @@ impl BloomFilter {
         if num_bits == 0 || num_hashes == 0 || bits.len() != num_bits.div_ceil(64) {
             return None;
         }
+        let set_bits = bits.iter().map(|w| u64::from(w.count_ones())).sum();
         Some(BloomFilter {
             bits,
             num_bits,
             num_hashes,
             inserted,
+            set_bits,
         })
     }
 

@@ -166,7 +166,14 @@ impl LogHistogram {
         if value.is_nan() {
             return;
         }
-        let idx = self.buckets.index_of(value);
+        self.record_at(self.buckets.index_of(value), value);
+    }
+
+    /// Record `value` (not NaN) in bucket `idx`, which the caller took
+    /// from this histogram's layout ([`LogBuckets::index_of`]) — the
+    /// logarithm is then paid once for any number of histograms that
+    /// share the layout.
+    pub fn record_at(&mut self, idx: usize, value: f64) {
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += value;

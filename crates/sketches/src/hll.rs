@@ -37,7 +37,15 @@ impl HyperLogLog {
 
     /// Add one item.
     pub fn insert(&mut self, item: &[u8]) {
-        self.insert_hash(xxh64(item, HLL_SEED));
+        self.insert_hash(Self::hash(item));
+    }
+
+    /// The 64-bit hash [`HyperLogLog::insert`] takes of `item`. Every
+    /// sketch hashes alike, so an item bound for several of them is
+    /// hashed once and fed to each through
+    /// [`HyperLogLog::insert_hash`].
+    pub fn hash(item: &[u8]) -> u64 {
+        xxh64(item, HLL_SEED)
     }
 
     /// Add a pre-hashed item (lets callers share one hash computation

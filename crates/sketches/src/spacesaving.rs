@@ -153,14 +153,14 @@ impl<K: Eq + Hash + Clone, V> SpaceSaving<K, V> {
         self.observe_with(key, now, V::default)
     }
 
-    /// Observe `key` at stream time `now`, constructing fresh state with
-    /// `make` when the key (re)enters the cache.
+    /// Observe `key` at stream time `now`, with `make` supplying fresh
+    /// state whenever the key (re)enters the cache.
     ///
     /// Returns the state so the caller can fold transaction features into
-    /// it. If the key displaced another, the state is newly created even
-    /// though count/error/rate are inherited.
-    pub fn observe_with(&mut self, key: &K, now: f64, make: impl FnOnce() -> V) -> &mut V {
-        self.observe_with_ref(key, now, || key.clone(), make)
+    /// it. If the key displaced another, the state is fresh even though
+    /// count/error/rate are inherited.
+    pub fn observe_with(&mut self, key: &K, now: f64, make: impl Fn() -> V) -> &mut V {
+        self.observe_with_ref(key, now, || key.clone(), &make, |v| *v = make())
     }
 
     /// Observe a key by a borrowed lookup form `q`, deferring construction
@@ -170,34 +170,104 @@ impl<K: Eq + Hash + Clone, V> SpaceSaving<K, V> {
     /// performs no owned-key construction at all, which is what makes the
     /// tracker's hot loop allocation-free. `make_key` is called only on
     /// insertion (cache not yet full, or eviction of the minimum entry)
-    /// and must produce a key whose `Borrow<Q>` view equals `q`.
+    /// and must produce a key whose `Borrow<Q>` view equals `q`; `make`
+    /// and `recycle` are [`SpaceSaving::admit`]'s.
     pub fn observe_with_ref<Q>(
         &mut self,
         q: &Q,
         now: f64,
         make_key: impl FnOnce() -> K,
         make: impl FnOnce() -> V,
+        recycle: impl FnOnce(&mut V),
     ) -> &mut V
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        self.observed += 1;
-        if let Some(&idx) = self.index.get(q) {
-            self.bump(idx, now);
-            return &mut self.entries[idx].value;
+        match self.index.get(q) {
+            Some(&idx) => self.hit(idx, now),
+            None => {
+                let key = make_key();
+                debug_assert!(
+                    key.borrow() == q,
+                    "make_key must agree with the lookup form"
+                );
+                self.admit(key, now, make, recycle)
+            }
         }
-        let key = make_key();
-        debug_assert!(
-            key.borrow() == q,
-            "make_key must agree with the lookup form"
-        );
-        let idx = if self.entries.len() < self.capacity {
-            self.insert_new(key, make(), now)
-        } else {
-            self.replace_min(key, make(), now)
+    }
+
+    /// Observe `q` only if it is already monitored: one index probe, and
+    /// nothing at all changes when it is not. Callers that decide
+    /// admission themselves (an eviction gate) follow a `None` with
+    /// [`SpaceSaving::admit`] or with nothing.
+    pub fn observe_known<Q>(&mut self, q: &Q, now: f64) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let idx = *self.index.get(q)?;
+        Some(self.hit(idx, now))
+    }
+
+    /// Observe a key that is not monitored: it takes a free slot with
+    /// `make()` as its state or, when the cache is full, the minimum
+    /// entry's slot. On eviction the victim's state stays where it is and
+    /// `recycle` resets it in place — nothing is dropped or built, so a
+    /// tracker under churn does no allocator work for its states — while
+    /// count/error/rate are inherited as the algorithm demands. A key
+    /// that turns out to be monitored is simply observed.
+    pub fn admit(
+        &mut self,
+        key: K,
+        now: f64,
+        make: impl FnOnce() -> V,
+        recycle: impl FnOnce(&mut V),
+    ) -> &mut V {
+        use std::collections::hash_map::Entry as Slot;
+        let idx = match self.index.entry(key) {
+            Slot::Occupied(slot) => {
+                let idx = *slot.get();
+                return self.hit(idx, now);
+            }
+            Slot::Vacant(slot) if self.entries.len() < self.capacity => {
+                let idx = self.entries.len();
+                self.entries.push(Entry {
+                    key: slot.key().clone(),
+                    count: 1,
+                    error: 0,
+                    value: make(),
+                    rate: 0.0,
+                    rate_updated: now,
+                    inserted_at: now,
+                    bucket: NIL,
+                    prev: NIL,
+                    next: NIL,
+                });
+                slot.insert(idx);
+                self.link_new(idx);
+                idx
+            }
+            Slot::Vacant(slot) => {
+                let victim = self.buckets[self.min_bucket].head;
+                debug_assert_ne!(victim, NIL);
+                let old_key = std::mem::replace(&mut self.entries[victim].key, slot.key().clone());
+                slot.insert(victim);
+                self.index.remove(&old_key);
+                recycle(&mut self.entries[victim].value);
+                self.replace_min(victim, now);
+                victim
+            }
         };
+        self.observed += 1;
         self.bump_rate(idx, now);
+        &mut self.entries[idx].value
+    }
+
+    /// One more observation of the monitored entry `idx`.
+    fn hit(&mut self, idx: Idx, now: f64) -> &mut V {
+        self.observed += 1;
+        self.bump(idx, now);
         &mut self.entries[idx].value
     }
 
@@ -398,20 +468,8 @@ impl<K: Eq + Hash + Clone, V> SpaceSaving<K, V> {
         self.bump_rate(idx, now);
     }
 
-    fn insert_new(&mut self, key: K, value: V, now: f64) -> Idx {
-        let idx = self.entries.len();
-        self.entries.push(Entry {
-            key: key.clone(),
-            count: 1,
-            error: 0,
-            value,
-            rate: 0.0,
-            rate_updated: now,
-            inserted_at: now,
-            bucket: NIL,
-            prev: NIL,
-            next: NIL,
-        });
+    /// Put the just-pushed entry `idx` (count 1) on the bucket list.
+    fn link_new(&mut self, idx: Idx) {
         // Bucket with count 1 is by definition the minimum if present.
         let target = if self.min_bucket != NIL && self.buckets[self.min_bucket].count == 1 {
             self.min_bucket
@@ -419,28 +477,18 @@ impl<K: Eq + Hash + Clone, V> SpaceSaving<K, V> {
             self.alloc_bucket(1, NIL, self.min_bucket)
         };
         self.push_into_bucket(idx, target);
-        self.index.insert(key, idx);
-        idx
     }
 
-    fn replace_min(&mut self, key: K, value: V, now: f64) -> Idx {
+    /// The minimum entry `victim` now holds a new key: inherit the
+    /// minimum count as the error term and move up one bucket.
+    fn replace_min(&mut self, victim: Idx, now: f64) {
         self.evictions += 1;
         let bucket = self.min_bucket;
-        debug_assert_ne!(bucket, NIL);
-        let victim = self.buckets[bucket].head;
-        debug_assert_ne!(victim, NIL);
-
         let min_count = self.buckets[bucket].count;
-        let old_key = self.entries[victim].key.clone();
-        self.index.remove(&old_key);
-        self.index.insert(key.clone(), victim);
-
         {
             let e = &mut self.entries[victim];
-            e.key = key;
             e.error = min_count;
             e.count = min_count + 1;
-            e.value = value;
             e.inserted_at = now;
             // Rate state is inherited (decaying estimate of the slot's
             // traffic), matching the paper: "keeping (and updating) the
@@ -457,7 +505,6 @@ impl<K: Eq + Hash + Clone, V> SpaceSaving<K, V> {
         self.unlink(victim);
         self.push_into_bucket(victim, target);
         self.maybe_free_bucket(bucket);
-        victim
     }
 
     fn alloc_bucket(&mut self, count: u64, lower: Idx, higher: Idx) -> Idx {

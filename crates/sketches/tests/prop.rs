@@ -105,6 +105,65 @@ proptest! {
         }
     }
 
+    /// Bloom filter: the running set-bit count behind `fill_ratio` is the
+    /// population count of the bit array, through every way the array
+    /// changes (insert, check-and-insert, clear, rebuild from parts —
+    /// stray bits past `num_bits` in the last word included).
+    #[test]
+    fn bloom_fill_ratio_is_the_popcount(
+        ops in prop::collection::vec((0u8..16, any::<u16>()), 1..400),
+        stray in any::<u64>(),
+    ) {
+        let mut bf = BloomFilter::new(64, 0.02);
+        for (op, item) in ops {
+            let item = item.to_le_bytes();
+            match op {
+                0 => bf.clear(),
+                1 => {
+                    let mut words = bf.words().to_vec();
+                    *words.last_mut().expect("never empty") |= stray;
+                    bf = BloomFilter::from_parts(
+                        words,
+                        bf.num_bits(),
+                        bf.num_hashes(),
+                        bf.inserted(),
+                    )
+                    .expect("consistent parts");
+                }
+                2..=8 => bf.insert(&item),
+                _ => {
+                    bf.check_and_insert(&item);
+                }
+            }
+            let set: u32 = bf.words().iter().map(|w| w.count_ones()).sum();
+            prop_assert_eq!(bf.fill_ratio(), set as f64 / bf.num_bits() as f64);
+        }
+    }
+
+    /// HyperLogLog and histogram: the split forms the fold digest uses
+    /// (`insert_hash(hash(item))`, `record_at(index_of(v), v)`) are the
+    /// whole forms.
+    #[test]
+    fn split_sketch_updates_equal_whole_ones(
+        items in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..200),
+        values in prop::collection::vec(0.01f64..50_000.0, 1..200),
+    ) {
+        let (mut whole, mut split) = (HyperLogLog::new(7), HyperLogLog::new(7));
+        for item in &items {
+            whole.insert(item);
+            split.insert_hash(HyperLogLog::hash(item));
+        }
+        prop_assert_eq!(whole.registers(), split.registers());
+        let (mut whole, mut split) = (LogHistogram::for_delays_ms(), LogHistogram::for_delays_ms());
+        for &v in &values {
+            whole.record(v);
+            split.record_at(split.buckets().index_of(v), v);
+        }
+        prop_assert_eq!(whole.counts(), split.counts());
+        prop_assert_eq!(whole.mean(), split.mean());
+        prop_assert_eq!(whole.quartiles(), split.quartiles());
+    }
+
     /// Histogram: quantiles are monotone in q and bracketed by min/max.
     #[test]
     fn histogram_quantile_monotone(
