@@ -7,12 +7,13 @@ use crate::{fail, Done};
 use dns_observatory::aggregate::rollup;
 use dns_observatory::{render_state, tsv, MetaReporter, WindowDump};
 use feed::{Sensor, SensorConfig, SensorReport};
-use pubsub::{EvictReason, ServeConfig, Server, ServerHandle};
-use sketchwire::WindowState;
+use pubsub::{EvictReason, SealedRecord, ServeConfig, Server, ServerHandle};
+use sketchwire::{TopKState, WindowState};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
+use std::sync::Arc;
 use store::{CompactionPolicy, Store};
 use telemetry::Registry;
 
@@ -259,16 +260,25 @@ impl Sinks {
     /// chunk) to every sink. Durability first: the window is in the store
     /// (then compaction and `--retain` tick) before anything downstream
     /// sees it, so a crash can lose a rendering but never show a window
-    /// that a restart would not also have. Publishing comes last because
-    /// it takes the batch; it never blocks — a full broker ring drops the
-    /// batch and counts it, subscribers resync later.
-    pub fn seal(&mut self, mut batch: Vec<WindowState>) -> Done {
+    /// that a restart would not also have. Each record is encoded at most
+    /// once: the store and `--state-out` frame the same item bytes, and the
+    /// broker's snapshots too when they are there (otherwise the broker
+    /// encodes on its own thread). The uplink is flushed with the window,
+    /// so it never waits on later ones. Publishing comes before the TSV
+    /// render, so the broker thread encodes while this one renders; it
+    /// never blocks — a full broker ring drops the batch and counts it,
+    /// subscribers resync later.
+    pub fn seal(&mut self, batch: Vec<WindowState>) -> Done {
         if batch.is_empty() {
             return Ok(());
         }
+        let items: Vec<Vec<u8>> = match self.store.is_some() || self.state_out.is_some() {
+            true => batch.iter().map(WindowState::item_bytes).collect(),
+            false => Vec::new(),
+        };
         if let Some(store) = &mut self.store {
             store
-                .append(&batch)
+                .append_encoded(&batch, &items)
                 .map_err(|e| fail(format_args!("store append failed: {e}")))?;
             compact(store)?;
             if let (Some(span), Some(frontier)) = (self.retain, store.frontier_us()) {
@@ -281,26 +291,29 @@ impl Sinks {
                 std::process::exit(3);
             }
         }
-        if let Some(tsv) = &mut self.tsv {
-            render(tsv, &batch)?;
-        }
         self.exported += batch.len() as u64;
         if let Some((_, buf)) = &mut self.state_out {
-            batch
+            items
                 .iter()
-                .for_each(|ws| sketchwire::write_record(ws, buf));
+                .for_each(|item| sketchwire::write_record_bytes(item, buf));
         }
         if let Some(up) = &self.forward {
-            // The uplink takes records by value too: clone only when the
-            // broker still needs them.
-            let records = match self.serve {
-                Some(_) => batch.clone(),
-                None => std::mem::take(&mut batch),
-            };
-            records.into_iter().for_each(|ws| up.send(ws));
+            batch.iter().for_each(|ws| up.send(ws));
+            up.flush();
         }
+        // The broker and the render share the records instead of copying
+        // them.
+        let batch: Vec<Arc<WindowState>> = batch.into_iter().map(Arc::new).collect();
         if let Some((_, handle)) = &mut self.serve {
-            handle.publish_windows(batch);
+            let mut items = items.into_iter();
+            let records = batch.iter().map(|state| SealedRecord {
+                state: state.clone(),
+                item: items.next(),
+            });
+            handle.publish_records(records.collect());
+        }
+        if let Some(tsv) = &mut self.tsv {
+            render(tsv, &batch)?;
         }
         Ok(())
     }
@@ -353,17 +366,17 @@ impl Sinks {
 /// Render one window's batch through the path `subscribe` and the store's
 /// queries use: chunks of a dataset (adjacent in a batch) are reassembled,
 /// then `render_state` → `tsv::write_window`.
-fn render(tsv: &mut TsvDir, batch: &[WindowState]) -> Done {
+fn render(tsv: &mut TsvDir, batch: &[Arc<WindowState>]) -> Done {
     let mut rest = batch;
     while let Some(first) = rest.first() {
         let (start, dataset) = (first.start, &first.topk.dataset);
-        let same = |ws: &&WindowState| ws.start == start && ws.topk.dataset == *dataset;
+        let same = |ws: &&Arc<WindowState>| ws.start == start && ws.topk.dataset == *dataset;
         let (parts, tail) = rest.split_at(rest.iter().take_while(same).count());
         rest = tail;
         let dump = if parts.len() == 1 && first.topk.chunks == 1 {
             render_state(&first.topk, start, first.length)
         } else {
-            let chunks: Vec<_> = parts.iter().map(|ws| ws.topk.clone()).collect();
+            let chunks: Vec<&TopKState> = parts.iter().map(|ws| &ws.topk).collect();
             sketchwire::merge_chunks(&chunks)
                 .and_then(|whole| render_state(&whole, start, first.length))
         };

@@ -238,8 +238,10 @@ impl Proc {
         }
         let mut err = String::new();
         use std::io::Read;
-        let mut pipe = self.0.stderr.take().expect("piped stderr");
-        pipe.read_to_string(&mut err).expect("read stderr");
+        // A test that reads the stderr as it comes has taken it.
+        if let Some(mut pipe) = self.0.stderr.take() {
+            pipe.read_to_string(&mut err).expect("read stderr");
+        }
         let status = self.0.wait().expect("reaped");
         assert!(status.success(), "dnsobs failed ({status}): {err}");
         err
@@ -446,5 +448,332 @@ fn collect_writes_each_window_as_it_closes() {
         })
         .count();
     assert_eq!(data_files, want.len(), "and nothing else");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Summaries of `window_secs`-second windows of a small simulated world:
+/// every summary of the first window, then the first one of the second.
+fn first_window_and_one(psl: &psl::Psl) -> (f64, Vec<dns_observatory::TxSummary>) {
+    let mut sim = simnet::Simulation::from_config(simnet::SimConfig::small());
+    let summaries: Vec<_> = sim
+        .collect(2.0)
+        .iter()
+        .map(|tx| dns_observatory::TxSummary::from_transaction(tx, psl))
+        .collect();
+    // State-exporting windows start at whole multiples of their length.
+    let first = summaries[0].time.floor();
+    let next = summaries
+        .iter()
+        .position(|s| s.time >= first + 1.0)
+        .expect("a second window");
+    (first, summaries[..=next].to_vec())
+}
+
+/// A forwarding `collect` sends a window upstream when it closes: its
+/// sensor sends window 0 and one transaction of window 1, then idles,
+/// and window 0's records arrive upstream before any BYE.
+#[test]
+fn forwarding_collect_flushes_each_window_upstream() {
+    use sketchwire::WindowState;
+    use std::io::Read;
+
+    let dir = temp_dir("flush");
+    let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
+    upstream.set_nonblocking(true).unwrap();
+    let up_addr = upstream.local_addr().unwrap().to_string();
+    let addr = free_addr();
+    let collect = Proc::spawn(
+        &dir,
+        &[
+            "collect",
+            "--listen",
+            &addr,
+            "--window",
+            "1",
+            "--topk",
+            "300",
+            "--forward",
+            &up_addr,
+        ],
+    );
+    let psl = psl::Psl::embedded();
+    let (first, summaries) = first_window_and_one(&psl);
+    let client =
+        feed::Sensor::<dns_observatory::TxSummary>::connect(addr, feed::SensorConfig::new(0));
+    for s in &summaries {
+        client.send(s);
+    }
+    client.flush();
+    client.wait_drained();
+
+    // The uplink connects with its first frame.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let late = "window 0 did not go upstream while the feed was open";
+    let mut stream = loop {
+        match upstream.accept() {
+            Ok((stream, _)) => break stream,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                assert!(Instant::now() < deadline, "{late}");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("accept: {e}"),
+        }
+    };
+    stream.set_nonblocking(false).unwrap();
+    let mut reader = feed::FrameReader::<WindowState>::new();
+    let mut buf = vec![0u8; 1 << 16];
+    let mut datasets = std::collections::BTreeSet::new();
+    let mut read = |stream: &mut std::net::TcpStream, reader: &mut feed::FrameReader<_>| {
+        let left = deadline.saturating_duration_since(Instant::now());
+        stream
+            .set_read_timeout(Some(left.max(Duration::from_millis(1))))
+            .unwrap();
+        let n = stream
+            .read(&mut buf)
+            .unwrap_or_else(|e| panic!("{late}: {e}"));
+        reader.push(&buf[..n]);
+        n
+    };
+    while datasets.len() < 5 {
+        assert!(read(&mut stream, &mut reader) > 0, "{late}");
+        while let Some(frame) = reader.next_frame().expect("valid uplink frames") {
+            if let feed::Frame::Batch { items, .. } = frame {
+                for ws in items {
+                    assert_eq!(ws.start, first, "only window 0 has closed");
+                    datasets.insert(ws.topk.dataset);
+                }
+            }
+        }
+    }
+    client.finish();
+    while read(&mut stream, &mut reader) > 0 {}
+    collect.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// How long an upstream outage a forwarding `collect` rides out. Every
+/// closed window is flushed as a frame of its own, so the uplink's send
+/// buffer (`buffer_frames` frames) holds that many windows, plus the one
+/// its writer is retrying. Later windows are dropped, and the BYE
+/// ledgers them.
+#[test]
+fn a_down_upstream_buffers_one_frame_per_window() {
+    use sketchwire::WindowState;
+    use std::io::{BufRead, Read};
+
+    const WINDOWS: usize = 70;
+    let buffered = feed::SensorConfig::new(0).buffer_frames;
+    let dir = temp_dir("outage");
+    let (addr, up_addr) = (free_addr(), free_addr());
+    let mut collect = Proc::spawn(
+        &dir,
+        &[
+            "collect",
+            "--listen",
+            &addr,
+            "--window",
+            "1",
+            "--topk",
+            "300",
+            "--forward",
+            &up_addr,
+        ],
+    );
+    let stderr = collect.0.stderr.take().expect("piped stderr");
+    let (lines, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in std::io::BufReader::new(stderr)
+            .lines()
+            .map_while(Result::ok)
+        {
+            let _ = lines.send(line);
+        }
+    });
+
+    // A few summaries of window 0, repeated one window later each time.
+    let psl = psl::Psl::embedded();
+    let (first, mut summaries) = first_window_and_one(&psl);
+    summaries.pop();
+    summaries.truncate(50);
+    let client =
+        feed::Sensor::<dns_observatory::TxSummary>::connect(addr, feed::SensorConfig::new(0));
+    for k in 0..WINDOWS {
+        for s in &summaries {
+            let mut s = s.clone();
+            s.time += k as f64;
+            client.send(s);
+        }
+    }
+    client.finish();
+
+    // Every window has gone to the uplink once the ledger is printed.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let line = rx.recv_timeout(left).expect("collect printed its ledger");
+        if line.starts_with("exported ") {
+            break;
+        }
+    }
+    let upstream = TcpListener::bind(&up_addr).expect("bind the upstream");
+    upstream.set_nonblocking(true).unwrap();
+    let mut stream = loop {
+        match upstream.accept() {
+            Ok((stream, _)) => break stream,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                assert!(Instant::now() < deadline, "the uplink never reconnected");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("accept: {e}"),
+        }
+    };
+    stream.set_nonblocking(false).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = feed::FrameReader::<WindowState>::new();
+    let mut buf = vec![0u8; 1 << 16];
+    let (mut starts, mut dropped) = (Vec::new(), None);
+    while dropped.is_none() {
+        let n = stream.read(&mut buf).expect("uplink read");
+        assert!(n > 0, "the uplink closed before its BYE");
+        reader.push(&buf[..n]);
+        while let Some(frame) = reader.next_frame().expect("valid uplink frames") {
+            match frame {
+                feed::Frame::Batch { items, .. } => {
+                    let start = items[0].start;
+                    assert!(
+                        items.iter().all(|ws| ws.start == start),
+                        "one window a frame"
+                    );
+                    starts.push(start);
+                }
+                feed::Frame::Bye { dropped_frames, .. } => dropped = Some(dropped_frames),
+                feed::Frame::Hello { .. } => {}
+            }
+        }
+    }
+    let delivered = starts.len();
+    assert!(
+        delivered == buffered || delivered == buffered + 1,
+        "{delivered} windows survived a {buffered}-frame buffer"
+    );
+    let oldest: Vec<f64> = (0..delivered).map(|k| first + k as f64).collect();
+    assert_eq!(starts, oldest, "the oldest windows are kept");
+    assert_eq!(dropped, Some((WINDOWS - delivered) as u64));
+    collect.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `collect --forward A --serve B` hands the uplink borrowed records and
+/// the broker the batch itself; a subscriber of B renders, byte for byte,
+/// the TSVs the aggregator at A writes.
+#[test]
+fn forward_and_serve_deliver_the_same_windows() {
+    use pubsub::{Frame, FrameReader, SubEvent, SubscriberCore, Topic};
+    use std::io::{Read, Write};
+
+    let dir = temp_dir("forward-serve");
+    let global = dir.join("global");
+    let (agg_addr, addr, serve_addr) = (free_addr(), free_addr(), free_addr());
+    let aggregate = Proc::spawn(
+        &dir,
+        &[
+            "aggregate",
+            "--listen",
+            &agg_addr,
+            "--out",
+            global.to_str().unwrap(),
+        ],
+    );
+    let collect = Proc::spawn(
+        &dir,
+        &[
+            "collect",
+            "--listen",
+            &addr,
+            "--window",
+            "1",
+            "--topk",
+            "300",
+            "--forward",
+            &agg_addr,
+            "--serve",
+            &serve_addr,
+        ],
+    );
+    // Subscribe before any window seals: the handshake's answer comes
+    // just before the broker registers the client.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut stream = loop {
+        match std::net::TcpStream::connect(&serve_addr) {
+            Ok(stream) => break stream,
+            Err(e) => {
+                assert!(Instant::now() < deadline, "--serve never listened: {e}");
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        }
+    };
+    let hello = Frame::Hello {
+        protocol: pubsub::PROTOCOL_VERSION,
+        item_version: 1,
+    };
+    let subscribe = Frame::Subscribe {
+        topics: vec![Topic::Features],
+    };
+    for frame in [hello, subscribe] {
+        stream.write_all(&pubsub::encode_frame_vec(&frame)).unwrap();
+    }
+    let (mut reader, mut sub) = (FrameReader::new(), SubscriberCore::new());
+    let mut buf = vec![0u8; 1 << 16];
+    let mut next_event = |stream: &mut std::net::TcpStream| loop {
+        if let Some(frame) = reader.next_frame().expect("valid frames") {
+            match sub.on_frame(frame).expect("consistent stream") {
+                Some(event) => return Some(event),
+                None => return None,
+            }
+        }
+        let n = stream.read(&mut buf).expect("subscription read");
+        assert!(n > 0, "stream closed without a Bye");
+        reader.push(&buf[..n]);
+    };
+    assert!(next_event(&mut stream).is_none(), "the broker's hello");
+    std::thread::sleep(Duration::from_millis(200));
+
+    sensor(&dir, &addr).join();
+    let mut mirror = std::collections::BTreeMap::new();
+    loop {
+        match next_event(&mut stream) {
+            Some(SubEvent::Window(h)) => {
+                let dump =
+                    dns_observatory::render_state(&h.state, h.start, h.length).expect("renders");
+                let mut bytes = Vec::new();
+                dns_observatory::tsv::write_window(&mut bytes, &dump).unwrap();
+                let name = format!("{}-{:05}.tsv", dump.dataset, dump.start as u64);
+                mirror.insert(name, bytes);
+            }
+            Some(SubEvent::Meta { .. }) => {}
+            Some(SubEvent::End) => break,
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+    collect.join();
+    aggregate.join();
+    let written: std::collections::BTreeMap<String, Vec<u8>> = std::fs::read_dir(&global)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    assert!(written.len() >= 10, "aggregator wrote {written:?}");
+    assert_eq!(
+        mirror.keys().collect::<Vec<_>>(),
+        written.keys().collect::<Vec<_>>()
+    );
+    for (name, bytes) in &written {
+        assert!(mirror[name] == *bytes, "{name}: subscriber differs");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -73,6 +73,24 @@ pub fn encode_frame_into<P: LengthPrefix>(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
 }
 
+/// Open a frame whose payload is then written straight into `out`:
+/// reserves the length prefix and returns its offset for [`end_frame`].
+pub fn begin_frame<P: LengthPrefix>(out: &mut Vec<u8>) -> usize {
+    let at = out.len();
+    out.resize(at + P::WIDTH, 0);
+    at
+}
+
+/// Close a frame opened at `at` by [`begin_frame`]: everything written
+/// after the reserved prefix is the payload, and its length is patched in.
+pub fn end_frame<P: LengthPrefix>(out: &mut [u8], at: usize) {
+    let len = out.len() - at - P::WIDTH;
+    debug_assert!(len <= P::MAX_LEN, "payload exceeds prefix range");
+    let mut prefix = Vec::with_capacity(P::WIDTH);
+    P::put(len, &mut prefix);
+    out[at..at + P::WIDTH].copy_from_slice(&prefix);
+}
+
 /// Incremental reassembler for a length-prefixed byte stream.
 ///
 /// Feed arbitrary chunks with [`Reassembler::push`]; complete frame
@@ -185,6 +203,17 @@ mod tests {
         let mut out = Vec::new();
         encode_frame_into::<U16Prefix>(b"abc", &mut out);
         assert_eq!(out, [0, 3, b'a', b'b', b'c']);
+    }
+
+    #[test]
+    fn in_place_frames_match_encode_frame_into() {
+        let mut out = b"head".to_vec();
+        let at = begin_frame::<U32Prefix>(&mut out);
+        out.extend_from_slice(&[7; 300]);
+        end_frame::<U32Prefix>(&mut out, at);
+        let mut want = b"head".to_vec();
+        encode_frame_into::<U32Prefix>(&[7; 300], &mut want);
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! numbers are still consumed, so the collector sees the exact gap, and
 //! the BYE frame reports the sensor's own tally.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
@@ -147,9 +148,9 @@ impl<T: FeedItem> SensorEncoder<T> {
     /// [`crate::frame::MAX_FRAME`] (the item then opens the next
     /// batch). A *single* item must still fit a frame on its own; that
     /// is the chunking layer's contract, not the encoder's.
-    pub fn push(&mut self, item: T) -> Option<SealedFrame> {
+    pub fn push(&mut self, item: impl Borrow<T>) -> Option<SealedFrame> {
         let start = self.pending.len();
-        item.encode(&mut self.pending);
+        item.borrow().encode(&mut self.pending);
         if self.pending_items > 0 && self.pending.len() > MAX_BATCH_BYTES {
             let tail = self.pending.split_off(start);
             let sealed = self.flush();
@@ -301,9 +302,10 @@ impl<T: FeedItem> Sensor<T> {
         }
     }
 
-    /// Queue an item. When the batch fills, the sealed frame enters the
-    /// send buffer — or is dropped (and accounted) if the buffer is full.
-    pub fn send(&self, item: T) {
+    /// Queue an item (by value or by reference: it is encoded at once).
+    /// When the batch fills, the sealed frame enters the send buffer — or
+    /// is dropped (and accounted) if the buffer is full.
+    pub fn send(&self, item: impl Borrow<T>) {
         self.metrics.pushed_items.inc(1);
         let sealed = self.shared.encoder.lock().unwrap().push(item);
         if let Some(frame) = sealed {

@@ -26,11 +26,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sketches::LogBuckets;
-use sketchwire::{StateError, TopKState, WindowState};
+use sketchwire::{StateError, TopKEntry, TopKState, WindowState};
 use telemetry::{Counter, Gauge, Histogram, Registry, TraceEvent, TraceKind, TraceRing};
 
-use crate::codec::{encode_frame_vec, EvictReason, Frame, Topic};
-use crate::delta::{canonicalize, diff_states, strip_features, window_id_us};
+use crate::codec::{
+    encode_frame_vec, frame_into, EvictReason, Frame, Topic, TYPE_DELTA, TYPE_SNAPSHOT,
+};
+use crate::delta::{
+    canonicalize, encode_diff, encode_stripped_entry, strictly_ascending, window_id_us,
+};
 
 /// Broker tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -201,13 +205,36 @@ struct Client {
     totals: ClientTotals,
 }
 
+/// One sealed record as a seal path publishes it: the state, shared with
+/// the seal path's other sinks, and its item encoding
+/// ([`WindowState::item_bytes`]) when the seal path already made one for
+/// the store or `--state-out`.
+#[derive(Debug, Clone)]
+pub struct SealedRecord {
+    /// The record.
+    pub state: Arc<WindowState>,
+    /// The record's item bytes, if already encoded.
+    pub item: Option<Vec<u8>>,
+}
+
+impl From<WindowState> for SealedRecord {
+    fn from(state: WindowState) -> SealedRecord {
+        SealedRecord {
+            state: Arc::new(state),
+            item: None,
+        }
+    }
+}
+
 /// One dataset's current published window plus its pre-encoded frames
 /// (encoded once, shared by every subscriber and every late joiner).
 #[derive(Debug)]
 struct Published {
     window_us: u64,
-    full: TopKState,
-    topk_only: TopKState,
+    /// The canonical whole state: the seal path's own record when it
+    /// arrived whole and canonical (frames say upstream 0 whatever its
+    /// `upstream`), else the reassembly.
+    state: Arc<WindowState>,
     snap_full: Arc<Vec<u8>>,
     snap_topk: Arc<Vec<u8>>,
 }
@@ -393,6 +420,20 @@ impl BrokerCore {
         window: Vec<WindowState>,
         actions: &mut Vec<Action>,
     ) -> Result<(), StateError> {
+        let records = window.into_iter().map(SealedRecord::from).collect();
+        self.on_sealed_records(records, actions)
+    }
+
+    /// [`BrokerCore::on_sealed`] over records the seal path shares with
+    /// its other sinks. Nothing is deep-copied: a dataset that arrived
+    /// whole and canonical is published as is, its snapshot frames the
+    /// record's item bytes when they came along, and both deltas encode
+    /// straight from the two published states.
+    pub fn on_sealed_records(
+        &mut self,
+        window: Vec<SealedRecord>,
+        actions: &mut Vec<Action>,
+    ) -> Result<(), StateError> {
         if window.is_empty() {
             return Ok(());
         }
@@ -400,50 +441,46 @@ impl BrokerCore {
         if let Some(m) = &self.metrics {
             m.windows_ingested.inc(1);
         }
-        let mut by_ds: BTreeMap<String, Vec<WindowState>> = BTreeMap::new();
-        for ws in window {
-            by_ds.entry(ws.topk.dataset.clone()).or_default().push(ws);
+        let mut by_ds: BTreeMap<String, Vec<SealedRecord>> = BTreeMap::new();
+        for r in window {
+            by_ds
+                .entry(r.state.topk.dataset.clone())
+                .or_default()
+                .push(r);
         }
         let sends_before = actions.len();
         let mut updates = Vec::with_capacity(by_ds.len());
         let mut first_window_us = 0;
         for (ds, parts) in by_ds {
-            let start = parts[0].start;
-            let length = parts[0].length;
-            let window_us = window_id_us(start);
-            let topks: Vec<TopKState> = parts.into_iter().map(|w| w.topk).collect();
-            let full = canonicalize(sketchwire::merge_chunks(&topks)?);
-            let topk_only = strip_features(&full);
-            let snap_full = Arc::new(encode_frame_vec(&Frame::Snapshot(Box::new(WindowState {
-                upstream: 0,
-                start,
-                length,
-                topk: full.clone(),
-            }))));
-            let snap_topk = Arc::new(encode_frame_vec(&Frame::Snapshot(Box::new(WindowState {
-                upstream: 0,
-                start,
-                length,
-                topk: topk_only.clone(),
-            }))));
+            let window_us = window_id_us(parts[0].state.start);
+            let prev = self.published.get(&ds);
+            // A dataset's frames change size slowly: size each buffer by
+            // its predecessor's.
+            let (full_len, topk_len) =
+                prev.map_or((0, 0), |p| (p.snap_full.len(), p.snap_topk.len()));
+            let (state, snap_full) = publishable(parts, full_len)?;
+            let snap_topk = snapshot(topk_len, &state, encode_stripped_entry);
             // Deltas are only worth encoding when someone might consume
             // them; with no clients the seal path pays for snapshots only.
-            let (prev_us, delta_full, delta_topk) = match self.published.get(&ds) {
+            let (prev_us, delta_full, delta_topk) = match prev {
                 Some(p) if p.window_us < window_us && !self.clients.is_empty() => {
-                    let df = diff_states(p.window_us, &p.full, window_us, start, length, &full);
-                    let dt = diff_states(
-                        p.window_us,
-                        &p.topk_only,
-                        window_us,
-                        start,
-                        length,
-                        &topk_only,
-                    );
-                    (
-                        Some(p.window_us),
-                        Some(Arc::new(encode_frame_vec(&Frame::Delta(Box::new(df))))),
-                        Some(Arc::new(encode_frame_vec(&Frame::Delta(Box::new(dt))))),
-                    )
+                    let delta = |stripped| {
+                        frame(0, TYPE_DELTA, |out| {
+                            let (start, length) = (state.start, state.length);
+                            let (basis, next) = (&p.state.topk, &state.topk);
+                            encode_diff(
+                                p.window_us,
+                                basis,
+                                window_us,
+                                start,
+                                length,
+                                next,
+                                stripped,
+                                out,
+                            )
+                        })
+                    };
+                    (Some(p.window_us), Some(delta(false)), Some(delta(true)))
                 }
                 _ => (None, None, None),
             };
@@ -451,8 +488,7 @@ impl BrokerCore {
                 ds.clone(),
                 Published {
                     window_us,
-                    full,
-                    topk_only,
+                    state,
                     snap_full: snap_full.clone(),
                     snap_topk: snap_topk.clone(),
                 },
@@ -662,6 +698,67 @@ struct Update {
     snap_topk: Arc<Vec<u8>>,
     delta_full: Option<Arc<Vec<u8>>>,
     delta_topk: Option<Arc<Vec<u8>>>,
+}
+
+/// One dataset's canonical whole state and its full-fidelity snapshot.
+/// A dataset that arrived whole and canonical — one part, `chunks == 1`,
+/// no gate, keys strictly ascending, as `AggregatorCore` seals a merge of
+/// two or more upstreams — is taken as is, and an upstream-0 record's
+/// item bytes are its snapshot's body. Anything else is reassembled and
+/// canonicalized first: chunked or gated input, as `collect --serve`
+/// sends, and a dataset one upstream alone contributed to an aggregator,
+/// which keeps that collector's gate.
+fn publishable(
+    mut parts: Vec<SealedRecord>,
+    capacity: usize,
+) -> Result<(Arc<WindowState>, Arc<Vec<u8>>), StateError> {
+    let whole = |t: &TopKState| {
+        t.chunk == 0
+            && t.chunks == 1
+            && t.gate.is_none()
+            && strictly_ascending(t.entries.iter().map(|e| e.key.as_str()))
+    };
+    if parts.len() == 1 && whole(&parts[0].state.topk) {
+        let SealedRecord { state, item } = parts.pop().expect("one part");
+        let snap = match item {
+            // The item plus the length prefix, type byte and CRC.
+            Some(item) if state.upstream == 0 => frame(item.len() + 9, TYPE_SNAPSHOT, |out| {
+                out.extend_from_slice(&item)
+            }),
+            _ => snapshot(capacity, &state, TopKEntry::encode),
+        };
+        return Ok((state, snap));
+    }
+    let (start, length) = (parts[0].state.start, parts[0].state.length);
+    let topks: Vec<&TopKState> = parts.iter().map(|r| &r.state.topk).collect();
+    let topk = canonicalize(sketchwire::merge_chunks(&topks)?);
+    let state = Arc::new(WindowState {
+        upstream: 0,
+        start,
+        length,
+        topk,
+    });
+    let snap = snapshot(capacity, &state, TopKEntry::encode);
+    Ok((state, snap))
+}
+
+/// The `Snapshot` frame of `state` as upstream 0, each entry written by
+/// `entry`.
+fn snapshot(
+    capacity: usize,
+    state: &WindowState,
+    entry: fn(&TopKEntry, &mut Vec<u8>),
+) -> Arc<Vec<u8>> {
+    frame(capacity, TYPE_SNAPSHOT, |out| {
+        WindowState::encode_parts(0, state.start, state.length, &state.topk, entry, out)
+    })
+}
+
+/// One frame in a buffer of its own, preallocated to `capacity` bytes.
+fn frame(capacity: usize, ty: u8, body: impl FnOnce(&mut Vec<u8>)) -> Arc<Vec<u8>> {
+    let mut out = Vec::with_capacity(capacity);
+    frame_into(&mut out, ty, body);
+    Arc::new(out)
 }
 
 /// Try to accept a frame into the client's egress window. Free function

@@ -14,6 +14,7 @@
 
 use std::fmt;
 
+use dnswire::framing::{self, LengthPrefix, U32Prefix};
 use feed::codec::write_varint;
 use feed::crc32::crc32;
 use feed::{ByteReader, FeedError, FeedItem};
@@ -34,8 +35,8 @@ pub const MAX_FRAME: usize = 64 << 20;
 
 const TYPE_HELLO: u8 = 1;
 const TYPE_SUBSCRIBE: u8 = 2;
-const TYPE_SNAPSHOT: u8 = 3;
-const TYPE_DELTA: u8 = 4;
+pub(crate) const TYPE_SNAPSHOT: u8 = 3;
+pub(crate) const TYPE_DELTA: u8 = 4;
 const TYPE_META: u8 = 5;
 const TYPE_EVICT: u8 = 6;
 const TYPE_BYE: u8 = 7;
@@ -221,51 +222,48 @@ pub enum Frame {
 
 /// Encode one frame, length-prefixed and CRC-trailed, appending to `out`.
 pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
-    let mut payload = Vec::new();
     match frame {
         Frame::Hello {
             protocol,
             item_version,
-        } => {
-            payload.push(TYPE_HELLO);
-            payload.extend_from_slice(&MAGIC);
-            payload.push(*protocol);
-            payload.push(*item_version);
-        }
-        Frame::Subscribe { topics } => {
-            payload.push(TYPE_SUBSCRIBE);
-            write_varint(topics.len() as u64, &mut payload);
+        } => frame_into(out, TYPE_HELLO, |out| {
+            out.extend_from_slice(&MAGIC);
+            out.push(*protocol);
+            out.push(*item_version);
+        }),
+        Frame::Subscribe { topics } => frame_into(out, TYPE_SUBSCRIBE, |out| {
+            write_varint(topics.len() as u64, out);
             for t in topics {
-                t.encode(&mut payload);
+                t.encode(out);
             }
-        }
-        Frame::Snapshot(state) => {
-            payload.push(TYPE_SNAPSHOT);
-            state.encode(&mut payload);
-        }
-        Frame::Delta(delta) => {
-            payload.push(TYPE_DELTA);
-            delta.encode(&mut payload);
-        }
-        Frame::Meta { start_us, bytes } => {
-            payload.push(TYPE_META);
-            write_varint(*start_us, &mut payload);
-            write_varint(bytes.len() as u64, &mut payload);
-            payload.extend_from_slice(bytes);
-        }
+        }),
+        Frame::Snapshot(state) => frame_into(out, TYPE_SNAPSHOT, |out| state.encode(out)),
+        Frame::Delta(delta) => frame_into(out, TYPE_DELTA, |out| delta.encode(out)),
+        Frame::Meta { start_us, bytes } => frame_into(out, TYPE_META, |out| {
+            write_varint(*start_us, out);
+            write_varint(bytes.len() as u64, out);
+            out.extend_from_slice(bytes);
+        }),
         Frame::Evict {
             reason,
             undelivered,
-        } => {
-            payload.push(TYPE_EVICT);
-            payload.push(reason.code());
-            write_varint(*undelivered, &mut payload);
-        }
-        Frame::Bye => payload.push(TYPE_BYE),
+        } => frame_into(out, TYPE_EVICT, |out| {
+            out.push(reason.code());
+            write_varint(*undelivered, out);
+        }),
+        Frame::Bye => frame_into(out, TYPE_BYE, |_| {}),
     }
-    let crc = crc32(&payload);
-    payload.extend_from_slice(&crc.to_le_bytes());
-    dnswire::framing::encode_frame_into::<dnswire::framing::U32Prefix>(&payload, out);
+}
+
+/// Append one frame of type `ty` whose body `body` writes straight into
+/// `out`; the length prefix and the CRC are patched in around it.
+pub(crate) fn frame_into(out: &mut Vec<u8>, ty: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = framing::begin_frame::<U32Prefix>(out);
+    out.push(ty);
+    body(out);
+    let crc = crc32(&out[at + U32Prefix::WIDTH..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    framing::end_frame::<U32Prefix>(out, at);
 }
 
 /// Convenience: encode one frame into a fresh buffer.

@@ -64,20 +64,26 @@ fn empty_features() -> FeatureState {
 /// by the canonical empty one. This is what `topk`-topic subscribers
 /// receive — rank and bound data at a fraction of the bytes.
 pub fn strip_features(state: &TopKState) -> TopKState {
-    TopKState {
-        entries: state
-            .entries
-            .iter()
-            .map(|e| TopKEntry {
-                key: e.key.clone(),
-                count: e.count,
-                error: e.error,
-                inserted_at: e.inserted_at,
-                features: empty_features(),
-            })
-            .collect(),
-        ..state.clone()
-    }
+    let mut stripped = state.header();
+    stripped.entries = state
+        .entries
+        .iter()
+        .map(|e| TopKEntry {
+            key: e.key.clone(),
+            count: e.count,
+            error: e.error,
+            inserted_at: e.inserted_at,
+            features: empty_features(),
+        })
+        .collect();
+    stripped
+}
+
+/// Write `e` as [`strip_features`] would leave it, without building the
+/// stripped entry.
+pub(crate) fn encode_stripped_entry(e: &TopKEntry, out: &mut Vec<u8>) {
+    e.encode_counters(out);
+    empty_features().encode(out);
 }
 
 /// One dataset's window-to-window difference: the full header of the new
@@ -122,29 +128,26 @@ pub struct WindowDelta {
 impl WindowDelta {
     /// Encode into `out` (the pub/sub codec frames this as a payload body).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        write_varint(self.dataset.len() as u64, out);
-        out.extend_from_slice(self.dataset.as_bytes());
-        write_varint(self.prev_window_us, out);
-        write_varint(self.window_us, out);
-        out.extend_from_slice(&self.start.to_bits().to_le_bytes());
-        out.extend_from_slice(&self.length.to_bits().to_le_bytes());
-        write_varint(self.capacity, out);
-        write_varint(self.observed, out);
-        write_varint(self.min_count, out);
-        write_varint(self.error_bound, out);
-        write_varint(self.evictions, out);
-        write_varint(self.kept, out);
-        write_varint(self.dropped, out);
-        write_varint(self.filtered, out);
-        write_varint(self.changed.len() as u64, out);
-        for e in &self.changed {
-            e.encode(out);
-        }
-        write_varint(self.removed.len() as u64, out);
-        for k in &self.removed {
-            write_varint(k.len() as u64, out);
-            out.extend_from_slice(k.as_bytes());
-        }
+        let head = DeltaHead {
+            dataset: &self.dataset,
+            prev_window_us: self.prev_window_us,
+            window_us: self.window_us,
+            start: self.start,
+            length: self.length,
+            counters: [
+                self.capacity,
+                self.observed,
+                self.min_count,
+                self.error_bound,
+                self.evictions,
+                self.kept,
+                self.dropped,
+                self.filtered,
+            ],
+        };
+        let changed: Vec<&TopKEntry> = self.changed.iter().collect();
+        let removed: Vec<&str> = self.removed.iter().map(String::as_str).collect();
+        head.encode(&changed, TopKEntry::encode, &removed, out);
     }
 
     /// Decode and validate one delta.
@@ -228,6 +231,55 @@ impl WindowDelta {
     }
 }
 
+/// A delta's header: everything before the changed entries.
+struct DeltaHead<'a> {
+    dataset: &'a str,
+    prev_window_us: u64,
+    window_us: u64,
+    start: f64,
+    length: f64,
+    /// `capacity, observed, min_count, error_bound, evictions, kept,
+    /// dropped, filtered` of the new window, in wire order.
+    counters: [u64; 8],
+}
+
+impl DeltaHead<'_> {
+    /// Write the header, then the changed entries (each through `entry`)
+    /// and the removed keys — one delta body.
+    fn encode(
+        &self,
+        changed: &[&TopKEntry],
+        entry: fn(&TopKEntry, &mut Vec<u8>),
+        removed: &[&str],
+        out: &mut Vec<u8>,
+    ) {
+        write_varint(self.dataset.len() as u64, out);
+        out.extend_from_slice(self.dataset.as_bytes());
+        write_varint(self.prev_window_us, out);
+        write_varint(self.window_us, out);
+        out.extend_from_slice(&self.start.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.length.to_bits().to_le_bytes());
+        for c in self.counters {
+            write_varint(c, out);
+        }
+        write_varint(changed.len() as u64, out);
+        for e in changed {
+            entry(e, out);
+        }
+        write_varint(removed.len() as u64, out);
+        for k in removed {
+            write_varint(k.len() as u64, out);
+            out.extend_from_slice(k.as_bytes());
+        }
+    }
+}
+
+/// Whether `keys` are strictly ascending (so also free of duplicates).
+pub(crate) fn strictly_ascending<'a>(mut keys: impl Iterator<Item = &'a str>) -> bool {
+    let mut last = None;
+    keys.all(|k| last.replace(k).is_none_or(|prev| prev < k))
+}
+
 fn read_string(
     r: &mut ByteReader<'_>,
     max: usize,
@@ -305,6 +357,66 @@ pub fn diff_states(
     }
 }
 
+/// Encode into `out` the delta body `diff_states(prev_window_us, prev,
+/// window_us, start, length, next).encode(out)` writes, straight from the
+/// borrowed entries: no changed entry is cloned. With `stripped`, the
+/// body is the delta between the feature-stripped views of both states
+/// (what the same chain over [`strip_features`] of each writes), and
+/// neither view is built.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn encode_diff(
+    prev_window_us: u64,
+    prev: &TopKState,
+    window_us: u64,
+    start: f64,
+    length: f64,
+    next: &TopKState,
+    stripped: bool,
+    out: &mut Vec<u8>,
+) {
+    // Stripped entries all carry the same empty features, so they differ
+    // exactly when their counter pairs do.
+    let same = |p: &TopKEntry, n: &TopKEntry| match stripped {
+        true => p.count == n.count && p.error == n.error && p.inserted_at == n.inserted_at,
+        false => p == n,
+    };
+    let mut changed = Vec::new();
+    let mut removed = Vec::new();
+    let mut prev_entries = prev.entries.iter().peekable();
+    for n in &next.entries {
+        while let Some(p) = prev_entries.next_if(|p| p.key < n.key) {
+            removed.push(p.key.as_str());
+        }
+        match prev_entries.next_if(|p| p.key == n.key) {
+            Some(p) if same(p, n) => {}
+            _ => changed.push(n),
+        }
+    }
+    removed.extend(prev_entries.map(|p| p.key.as_str()));
+    let head = DeltaHead {
+        dataset: &next.dataset,
+        prev_window_us,
+        window_us,
+        start,
+        length,
+        counters: [
+            next.capacity,
+            next.observed,
+            next.min_count,
+            next.error_bound,
+            next.evictions,
+            next.kept,
+            next.dropped,
+            next.filtered,
+        ],
+    };
+    let entry = match stripped {
+        true => encode_stripped_entry,
+        false => TopKEntry::encode,
+    };
+    head.encode(&changed, entry, &removed, out);
+}
+
 /// Apply a delta to its basis window, reproducing the next window's
 /// canonical state exactly. Strict about desync: a removed key the basis
 /// does not hold, or a dataset mismatch, is an error — the subscriber
@@ -317,7 +429,7 @@ pub fn apply_delta(prev: &TopKState, d: &WindowDelta) -> Result<TopKState, &'sta
         prev.entries.iter().map(|e| (e.key.as_str(), e)).collect();
     for k in &d.removed {
         if entries.remove(k.as_str()).is_none() {
-            return Err("delta removes a key the basis does not hold");
+            return Err(REMOVES_UNHELD);
         }
     }
     for e in &d.changed {
@@ -336,6 +448,72 @@ pub fn apply_delta(prev: &TopKState, d: &WindowDelta) -> Result<TopKState, &'sta
         chunk: 0,
         chunks: 1,
         entries: entries.into_values().cloned().collect(),
+        gate: None,
+    })
+}
+
+const REMOVES_UNHELD: &str = "delta removes a key the basis does not hold";
+
+/// Whether the basis, the changed and the removed keys are each strictly
+/// ascending — true of every decoded delta and every canonical basis —
+/// so one forward walk over each applies the delta.
+fn walkable(prev: &TopKState, d: &WindowDelta) -> bool {
+    strictly_ascending(prev.entries.iter().map(|e| e.key.as_str()))
+        && strictly_ascending(d.changed.iter().map(|e| e.key.as_str()))
+        && strictly_ascending(d.removed.iter().map(String::as_str))
+}
+
+/// [`apply_delta`] by move: one sorted merge walk moves the basis's
+/// entries and the delta's changed entries into the result, and clones
+/// nothing. Same result and same rejections as [`apply_delta`] on every
+/// input; a rejected delta hands the basis back, untouched, with the
+/// error. An input whose key lists are not all strictly ascending is
+/// handed to [`apply_delta`] itself.
+// The error carries the basis back: no larger than the state `Ok` holds.
+#[allow(clippy::result_large_err)]
+pub fn apply_delta_owned(
+    prev: TopKState,
+    d: WindowDelta,
+) -> Result<TopKState, (TopKState, &'static str)> {
+    if !walkable(&prev, &d) {
+        return apply_delta(&prev, &d).map_err(|e| (prev, e));
+    }
+    if prev.dataset != d.dataset {
+        return Err((prev, "delta dataset mismatch"));
+    }
+    // Both lists ascend, so one forward scan finds every removed key.
+    let mut held = prev.entries.iter().map(|e| e.key.as_str());
+    if !d.removed.iter().all(|k| held.any(|h| h == k)) {
+        return Err((prev, REMOVES_UNHELD));
+    }
+    // A key both removed and changed leaves the basis here and comes back
+    // from `changed` before the next basis key, as in `apply_delta`.
+    let mut entries = Vec::with_capacity(prev.entries.len() + d.changed.len());
+    let mut changed = d.changed.into_iter().peekable();
+    let mut removed = d.removed.iter().peekable();
+    for e in prev.entries {
+        while let Some(c) = changed.next_if(|c| c.key < e.key) {
+            entries.push(c);
+        }
+        if removed.next_if(|k| **k == e.key).is_some() {
+            continue;
+        }
+        entries.push(changed.next_if(|c| c.key == e.key).unwrap_or(e));
+    }
+    entries.extend(changed);
+    Ok(TopKState {
+        dataset: d.dataset,
+        capacity: d.capacity,
+        observed: d.observed,
+        min_count: d.min_count,
+        error_bound: d.error_bound,
+        evictions: d.evictions,
+        kept: d.kept,
+        dropped: d.dropped,
+        filtered: d.filtered,
+        chunk: 0,
+        chunks: 1,
+        entries,
         gate: None,
     })
 }

@@ -37,14 +37,17 @@ pub mod delta;
 pub mod server;
 pub mod subscriber;
 
-pub use broker::{Action, BrokerConfig, BrokerCore, BrokerReport, ClientTotals, EvictionRecord};
+pub use broker::{
+    Action, BrokerConfig, BrokerCore, BrokerReport, ClientTotals, EvictionRecord, SealedRecord,
+};
 pub use client::SubscribeClient;
 pub use codec::{
     encode_frame, encode_frame_vec, EvictReason, Frame, FrameReader, Topic, MAGIC, MAX_FRAME,
     PROTOCOL_VERSION,
 };
 pub use delta::{
-    apply_delta, canonicalize, diff_states, strip_features, window_id_us, WindowDelta,
+    apply_delta, apply_delta_owned, canonicalize, diff_states, strip_features, window_id_us,
+    WindowDelta,
 };
 pub use server::{Ingest, ServeConfig, Server, ServerHandle};
-pub use subscriber::{SubError, SubEvent, SubscriberCore};
+pub use subscriber::{HeldWindow, SubError, SubEvent, SubscriberCore};

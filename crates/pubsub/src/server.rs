@@ -32,7 +32,7 @@ use feed::FeedItem;
 use sketchwire::WindowState;
 use telemetry::{Counter, Registry, TraceRing};
 
-use crate::broker::{Action, BrokerConfig, BrokerCore, BrokerReport};
+use crate::broker::{Action, BrokerConfig, BrokerCore, BrokerReport, SealedRecord};
 use crate::codec::{encode_frame_vec, EvictReason, Frame, FrameReader, Topic, PROTOCOL_VERSION};
 
 /// Serving-tier configuration.
@@ -57,7 +57,7 @@ impl Default for ServeConfig {
 #[derive(Debug)]
 pub enum Ingest {
     /// A sealed window batch (all datasets, possibly chunked).
-    Windows(Vec<WindowState>),
+    Windows(Vec<SealedRecord>),
     /// Meta TSV bytes for one window.
     Meta {
         /// Window start, microseconds.
@@ -78,7 +78,14 @@ impl ServerHandle {
     /// Offer a sealed window batch. Returns `false` (and counts the
     /// drop) if the ring is full or the server is gone — never blocks.
     pub fn publish_windows(&mut self, windows: Vec<WindowState>) -> bool {
-        self.offer(Ingest::Windows(windows))
+        self.publish_records(windows.into_iter().map(SealedRecord::from).collect())
+    }
+
+    /// Offer a sealed window batch the seal path shares with its other
+    /// sinks (see [`BrokerCore::on_sealed_records`]). Same non-blocking
+    /// contract.
+    pub fn publish_records(&mut self, records: Vec<SealedRecord>) -> bool {
+        self.offer(Ingest::Windows(records))
     }
 
     /// Offer one window's meta TSV bytes. Same non-blocking contract.
@@ -446,8 +453,8 @@ fn run_broker(
         let mut ingest_done = false;
         loop {
             match ring.try_pop() {
-                Ok(Ingest::Windows(windows)) => {
-                    if core.on_sealed(windows, &mut actions).is_err() {
+                Ok(Ingest::Windows(records)) => {
+                    if core.on_sealed_records(records, &mut actions).is_err() {
                         seal_errors.inc(1);
                     }
                 }

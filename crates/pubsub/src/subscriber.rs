@@ -9,12 +9,13 @@
 //! dataset is byte-identical to the broker's published window.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use feed::FeedError;
 use sketchwire::TopKState;
 
 use crate::codec::{EvictReason, Frame};
-use crate::delta::{apply_delta, window_id_us};
+use crate::delta::{apply_delta_owned, window_id_us};
 
 /// One held dataset window.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,8 +34,10 @@ pub struct HeldWindow {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SubEvent {
     /// A dataset advanced to a new consistent window (via snapshot or
-    /// delta — the caller cannot tell, which is the point).
-    Window(HeldWindow),
+    /// delta — the caller cannot tell, which is the point). The window is
+    /// the one the subscriber now holds, shared: drop the event before the
+    /// next frame and that frame's delta applies by move.
+    Window(Arc<HeldWindow>),
     /// Meta TSV bytes for one window.
     Meta {
         /// Window start, microseconds.
@@ -96,7 +99,7 @@ impl std::error::Error for SubError {}
 /// keeps the per-dataset current state queryable.
 #[derive(Debug, Default)]
 pub struct SubscriberCore {
-    held: BTreeMap<String, HeldWindow>,
+    held: BTreeMap<String, Arc<HeldWindow>>,
     hello_seen: bool,
     snapshots_applied: u64,
     deltas_applied: u64,
@@ -110,12 +113,12 @@ impl SubscriberCore {
 
     /// The held window for `dataset`, if any.
     pub fn held(&self, dataset: &str) -> Option<&HeldWindow> {
-        self.held.get(dataset)
+        self.held.get(dataset).map(|h| &**h)
     }
 
     /// All held windows, dataset-ascending.
     pub fn held_windows(&self) -> impl Iterator<Item = (&String, &HeldWindow)> {
-        self.held.iter()
+        self.held.iter().map(|(ds, h)| (ds, &**h))
     }
 
     /// Snapshots installed so far.
@@ -140,20 +143,19 @@ impl SubscriberCore {
                 Ok(None)
             }
             Frame::Snapshot(ws) => {
-                let window_us = window_id_us(ws.start);
-                let held = HeldWindow {
-                    window_us,
+                let held = Arc::new(HeldWindow {
+                    window_us: window_id_us(ws.start),
                     start: ws.start,
                     length: ws.length,
                     state: ws.topk,
-                };
+                });
                 self.held.insert(held.state.dataset.clone(), held.clone());
                 self.snapshots_applied += 1;
                 Ok(Some(SubEvent::Window(held)))
             }
             Frame::Delta(d) => {
-                let prev = match self.held.get(&d.dataset) {
-                    Some(h) if h.window_us == d.prev_window_us => h,
+                match self.held.get(&d.dataset) {
+                    Some(h) if h.window_us == d.prev_window_us => {}
                     other => {
                         return Err(SubError::Desync {
                             dataset: d.dataset.clone(),
@@ -161,15 +163,28 @@ impl SubscriberCore {
                             basis_us: d.prev_window_us,
                         })
                     }
+                }
+                // The basis moves into the next window unless the
+                // application still holds its event; then it is copied.
+                let basis = self.held.remove(&d.dataset).expect("checked above");
+                let basis = Arc::try_unwrap(basis).unwrap_or_else(|h| (*h).clone());
+                let (window_us, start, length) = (d.window_us, d.start, d.length);
+                let state = match apply_delta_owned(basis.state, *d) {
+                    Ok(state) => state,
+                    Err((state, what)) => {
+                        // A rejected delta leaves the held window as it was.
+                        let kept = Arc::new(HeldWindow { state, ..basis });
+                        self.held.insert(kept.state.dataset.clone(), kept);
+                        return Err(SubError::Apply(what));
+                    }
                 };
-                let state = apply_delta(&prev.state, &d).map_err(SubError::Apply)?;
-                let held = HeldWindow {
-                    window_us: d.window_us,
-                    start: d.start,
-                    length: d.length,
+                let held = Arc::new(HeldWindow {
+                    window_us,
+                    start,
+                    length,
                     state,
-                };
-                self.held.insert(d.dataset.clone(), held.clone());
+                });
+                self.held.insert(held.state.dataset.clone(), held.clone());
                 self.deltas_applied += 1;
                 Ok(Some(SubEvent::Window(held)))
             }
@@ -317,6 +332,36 @@ mod tests {
                 ..
             }) => {}
             other => panic!("expected desync, got {other:?}"),
+        }
+    }
+
+    /// A delta that fails to apply leaves the held window as it was,
+    /// whether the basis moved into the walk or was copied because the
+    /// application kept its event.
+    #[test]
+    fn rejected_delta_keeps_the_held_window() {
+        for keep_event in [false, true] {
+            let mut sub = SubscriberCore::new();
+            let first = sealed(1, vec![entry("a", 5), entry("b", 2)]).remove(0);
+            let event = sub.on_frame(Frame::Snapshot(Box::new(first))).unwrap();
+            let kept = keep_event.then_some(event);
+            let before = sub.held("aafqdn").unwrap().clone();
+            let next = &sealed(2, vec![entry("b", 4)])[0].topk;
+            let mut d = crate::delta::diff_states(
+                before.window_us,
+                &before.state,
+                1_200_000_000,
+                1200.0,
+                600.0,
+                next,
+            );
+            d.removed.push("zz-unheld".to_string());
+            assert!(matches!(
+                sub.on_frame(Frame::Delta(Box::new(d))),
+                Err(SubError::Apply(_))
+            ));
+            assert_eq!(sub.held("aafqdn"), Some(&before), "keep_event {keep_event}");
+            drop(kept);
         }
     }
 

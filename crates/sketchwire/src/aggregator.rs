@@ -12,12 +12,13 @@
 //! deterministically and diff it against a plain fold of the survivor
 //! streams.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use telemetry::trace::{TraceEvent, TraceKind, TraceRing};
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
-use crate::merge::{merge_chunks, merge_topk};
+use crate::merge::{assemble_chunks, merge_topk_into};
 use crate::state::{StateError, TopKState, WindowState};
 
 /// Stage name the aggregator records trace events under.
@@ -430,31 +431,29 @@ impl AggregatorCore {
         let conflicts_before = self.merge_conflicts;
         let mut by_dataset: BTreeMap<String, TopKState> = BTreeMap::new();
         let mut contributors: Vec<u64> = Vec::new();
-        for (&upstream, datasets) in &accum.sources {
+        // The window is sealed once: its states merge by move.
+        for (upstream, datasets) in accum.sources {
             let mut contributed = false;
             for (name, parts) in datasets {
-                let assembled = match merge_chunks(parts) {
+                let assembled = match assemble_chunks(parts) {
                     Ok(s) => s,
                     Err(_) => {
                         self.merge_conflicts += 1;
                         continue;
                     }
                 };
-                let merged = match by_dataset.remove(name) {
-                    None => Some(assembled),
-                    Some(current) => match merge_topk(&current, &assembled) {
-                        Ok(m) => Some(m),
-                        Err(_) => {
+                match by_dataset.entry(name) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(assembled);
+                    }
+                    Entry::Occupied(mut merged) => {
+                        if merge_topk_into(merged.get_mut(), assembled).is_err() {
                             self.merge_conflicts += 1;
-                            Some(current)
                         }
-                    },
-                };
-                if let Some(m) = merged {
-                    by_dataset.insert(name.clone(), m);
-                    self.dataset_merges += 1;
-                    contributed = true;
+                    }
                 }
+                self.dataset_merges += 1;
+                contributed = true;
             }
             if contributed {
                 contributors.push(upstream);

@@ -31,8 +31,11 @@ pub mod state;
 pub use aggregator::{
     AggregatorConfig, AggregatorCore, AggregatorReport, GlobalWindow, UpstreamStats, WindowLineage,
 };
-pub use merge::{merge_chunks, merge_features, merge_topk};
-pub use record::{read_all, write_record, RecordReader, MAX_RECORD, RECORD_MAGIC, RECORD_VERSION};
+pub use merge::{assemble_chunks, merge_chunks, merge_features, merge_topk, merge_topk_into};
+pub use record::{
+    read_all, write_record, write_record_bytes, RecordReader, MAX_RECORD, RECORD_MAGIC,
+    RECORD_VERSION,
+};
 pub use state::{
     FeatureState, GateState, HistogramState, HllState, StateError, TopKEntry, TopKState,
     TopValuesState, WindowState,

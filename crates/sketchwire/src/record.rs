@@ -25,17 +25,38 @@ pub const RECORD_VERSION: u8 = 1;
 /// feed transport's frame cap, but an absurd length is still corruption.
 pub const MAX_RECORD: usize = 64 << 20;
 
-/// Append one record to `out`.
+/// Append one record to `out`, encoding the state straight into it.
 pub fn write_record(ws: &WindowState, out: &mut Vec<u8>) {
-    let mut payload = Vec::new();
-    ws.encode(&mut payload);
+    let at = begin_record(out);
+    ws.encode(out);
+    end_record(out, at);
+}
+
+/// Append one record whose payload is an item encoding made earlier
+/// ([`WindowState::item_bytes`]): the same bytes [`write_record`] writes
+/// for that state.
+pub fn write_record_bytes(item: &[u8], out: &mut Vec<u8>) {
+    let at = begin_record(out);
+    out.extend_from_slice(item);
+    end_record(out, at);
+}
+
+/// Write the magic, the version and a length placeholder; returns where
+/// the CRC-covered part starts.
+fn begin_record(out: &mut Vec<u8>) -> usize {
     out.extend_from_slice(&RECORD_MAGIC);
-    let crc_start = out.len();
+    let at = out.len();
     out.push(RECORD_VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    // CRC over version + length + payload.
-    let crc = crc32(&out[crc_start..]);
+    out.extend_from_slice(&[0; 4]);
+    at
+}
+
+/// Patch the payload length written after `at`, then append the CRC over
+/// version + length + payload.
+fn end_record(out: &mut Vec<u8>, at: usize) {
+    let len = (out.len() - at - 5) as u32;
+    out[at + 1..at + 5].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[at..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 

@@ -417,11 +417,18 @@ impl TopKEntry {
     /// Encode into `out` (public so the pub/sub delta codec can frame
     /// individual entries without re-stating the layout).
     pub fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_counters(out);
+        self.features.encode(out);
+    }
+
+    /// Encode everything but the feature accumulator, which the caller
+    /// writes next (the pub/sub tier's feature-stripped view writes an
+    /// empty one without building it per entry).
+    pub fn encode_counters(&self, out: &mut Vec<u8>) {
         write_string(&self.key, out);
         write_varint(self.count, out);
         write_varint(self.error, out);
         write_f64(self.inserted_at, out);
-        self.features.encode(out);
     }
 
     /// Decode and validate one entry.
@@ -607,8 +614,29 @@ impl TopKState {
         chunks
     }
 
+    /// A copy of everything but the entries: counters, chunk position and
+    /// gate.
+    pub fn header(&self) -> TopKState {
+        TopKState {
+            dataset: self.dataset.clone(),
+            entries: Vec::new(),
+            gate: self.gate.clone(),
+            ..*self
+        }
+    }
+
     /// Encode into `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_with(out, TopKEntry::encode);
+    }
+
+    /// [`TopKState::encode`] with every entry written by `entry` instead
+    /// of [`TopKEntry::encode`].
+    pub(crate) fn encode_with(
+        &self,
+        out: &mut Vec<u8>,
+        mut entry: impl FnMut(&TopKEntry, &mut Vec<u8>),
+    ) {
         write_string(&self.dataset, out);
         write_varint(self.capacity, out);
         write_varint(self.observed, out);
@@ -622,7 +650,7 @@ impl TopKState {
         write_varint(self.chunks as u64, out);
         write_varint(self.entries.len() as u64, out);
         for e in &self.entries {
-            e.encode(out);
+            entry(e, out);
         }
         match &self.gate {
             None => out.push(0),
@@ -710,14 +738,39 @@ pub struct WindowState {
     pub topk: TopKState,
 }
 
+impl WindowState {
+    /// The item encoding of a record made of these parts, every entry
+    /// written by `entry` — for states a caller only borrows, published
+    /// under another header (the broker's upstream-0 snapshots).
+    pub fn encode_parts(
+        upstream: u64,
+        start: f64,
+        length: f64,
+        topk: &TopKState,
+        entry: impl FnMut(&TopKEntry, &mut Vec<u8>),
+        out: &mut Vec<u8>,
+    ) {
+        write_varint(upstream, out);
+        write_f64(start, out);
+        write_f64(length, out);
+        topk.encode_with(out, entry);
+    }
+
+    /// The item encoding in a buffer of its own: what a seal path makes
+    /// once per record and every byte sink then frames.
+    pub fn item_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode(&mut out);
+        out
+    }
+}
+
 impl FeedItem for WindowState {
     const ITEM_VERSION: u8 = 1;
 
     fn encode(&self, out: &mut Vec<u8>) {
-        write_varint(self.upstream, out);
-        write_f64(self.start, out);
-        write_f64(self.length, out);
-        self.topk.encode(out);
+        let (upstream, start, length) = (self.upstream, self.start, self.length);
+        WindowState::encode_parts(upstream, start, length, &self.topk, TopKEntry::encode, out);
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<WindowState, FeedError> {
@@ -755,7 +808,7 @@ pub enum StateError {
     /// capacity, histogram layout, source cap).
     LayoutMismatch(&'static str),
     /// Chunk reassembly conflict (duplicate index, header disagreement,
-    /// overlapping keys, or merging an unassembled chunk).
+    /// overlapping or repeated keys, or merging an unassembled chunk).
     ChunkMismatch(&'static str),
 }
 

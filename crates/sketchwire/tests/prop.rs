@@ -11,12 +11,18 @@
 //!   and associative, so an aggregation tree produces the same global
 //!   state regardless of arrival order or tree shape; the stated error
 //!   bound is the sum of the inputs' and no entry's error exceeds it.
+//!   The one merge walk (`merge_topk_into`, which `merge_topk` wraps)
+//!   equals the keyed-map form of the law, and `assemble_chunks` equals
+//!   `merge_chunks`, errors included.
+
+use std::collections::BTreeMap;
 
 use feed::{ByteReader, FeedItem};
 use proptest::prelude::*;
 use sketchwire::{
-    merge_chunks, merge_features, merge_topk, read_all, write_record, FeatureState, HistogramState,
-    HllState, TopKEntry, TopKState, TopValuesState, WindowState,
+    assemble_chunks, merge_chunks, merge_features, merge_topk, merge_topk_into, read_all,
+    write_record, FeatureState, HistogramState, HllState, StateError, TopKEntry, TopKState,
+    TopValuesState, WindowState,
 };
 
 // ---------------------------------------------------------------------
@@ -189,6 +195,59 @@ fn roundtrip(ws: &WindowState) -> WindowState {
     back
 }
 
+/// The Space-Saving merge law over a keyed map: the reference the merge
+/// walk must equal, errors included.
+fn reference_merge_topk(a: &TopKState, b: &TopKState) -> Result<TopKState, StateError> {
+    if a.dataset != b.dataset {
+        return Err(StateError::DatasetMismatch);
+    }
+    if a.chunks != 1 || b.chunks != 1 {
+        return Err(StateError::ChunkMismatch("merging unassembled chunk"));
+    }
+    let mut keys: BTreeMap<&str, (Option<&TopKEntry>, Option<&TopKEntry>)> = BTreeMap::new();
+    for e in &a.entries {
+        keys.entry(&e.key).or_default().0 = Some(e);
+    }
+    for e in &b.entries {
+        keys.entry(&e.key).or_default().1 = Some(e);
+    }
+    let absent_from = |x: &TopKEntry, min: u64| TopKEntry {
+        count: x.count + min,
+        error: x.error + min,
+        ..x.clone()
+    };
+    let mut entries = Vec::with_capacity(keys.len());
+    for pair in keys.into_values() {
+        entries.push(match pair {
+            (Some(x), Some(y)) => TopKEntry {
+                key: x.key.clone(),
+                count: x.count + y.count,
+                error: x.error + y.error,
+                inserted_at: x.inserted_at.min(y.inserted_at),
+                features: merge_features(&x.features, &y.features)?,
+            },
+            (Some(x), None) => absent_from(x, b.min_count),
+            (None, Some(y)) => absent_from(y, a.min_count),
+            (None, None) => unreachable!("key came from one of the inputs"),
+        });
+    }
+    Ok(TopKState {
+        dataset: a.dataset.clone(),
+        capacity: a.capacity.min(b.capacity),
+        observed: a.observed + b.observed,
+        min_count: a.min_count + b.min_count,
+        error_bound: a.error_bound + b.error_bound,
+        evictions: a.evictions + b.evictions,
+        kept: a.kept + b.kept,
+        dropped: a.dropped + b.dropped,
+        filtered: a.filtered + b.filtered,
+        chunk: 0,
+        chunks: 1,
+        entries,
+        gate: None,
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -306,7 +365,55 @@ proptest! {
         prop_assert_eq!(left, right);
     }
 
+    #[test]
+    fn merge_walk_equals_the_keyed_reference(
+        a in arb_topk(),
+        b in arb_topk(),
+        sorted in any::<bool>(),
+        clash in 0u8..3,
+    ) {
+        let (mut a, mut b) = (a, b);
+        if sorted {
+            a.entries.sort_by(|x, y| x.key.cmp(&y.key));
+            b.entries.sort_by(|x, y| x.key.cmp(&y.key));
+        }
+        match clash {
+            1 => b.dataset = "qtype".to_string(),
+            // A layout conflict on whichever key both sides share.
+            2 => b.entries.iter_mut().for_each(|e| e.features.adds.push(1)),
+            _ => {}
+        }
+        let want = reference_merge_topk(&a, &b);
+        prop_assert_eq!(merge_topk(&a, &b), want.clone());
+        let mut merged = a.clone();
+        match merge_topk_into(&mut merged, b) {
+            Ok(()) => prop_assert_eq!(Ok(merged), want),
+            Err(e) => {
+                // Up to the order of its entries.
+                for t in [&mut merged, &mut a] {
+                    t.entries.sort_by(|x, y| x.key.cmp(&y.key));
+                }
+                prop_assert_eq!(merged, a, "a conflict leaves the first input as it was");
+                prop_assert_eq!(Err(e), want);
+            }
+        }
+    }
+
     // --- chunking ------------------------------------------------------
+
+    #[test]
+    fn assembling_by_move_equals_merge_chunks(
+        topk in arb_topk(),
+        max in 1usize..4,
+        lose_one in any::<bool>(),
+    ) {
+        let mut chunks = topk.into_chunks(max);
+        chunks.reverse();
+        if lose_one && chunks.len() > 1 {
+            chunks.pop();
+        }
+        prop_assert_eq!(assemble_chunks(chunks.clone()), merge_chunks(&chunks));
+    }
 
     #[test]
     fn chunks_reassemble_losslessly(topk in arb_topk(), max in 1usize..4) {

@@ -12,7 +12,8 @@
 
 use crate::store::Store;
 use crate::StoreError;
-use sketchwire::{merge_chunks, merge_topk, StateError, TopKState, WindowState};
+use sketchwire::{merge_chunks, merge_topk_into, StateError, TopKState, WindowState};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Query-planner accounting: what was pruned where. `dnsobs query`
@@ -89,13 +90,14 @@ pub fn fold_states(states: &[WindowState]) -> Result<BTreeMap<String, TopKState>
     }
     let mut folded: BTreeMap<String, TopKState> = BTreeMap::new();
     for ((dataset, _, _), group) in groups {
-        let parts: Vec<TopKState> = group.iter().map(|ws| ws.topk.clone()).collect();
+        let parts: Vec<&TopKState> = group.iter().map(|ws| &ws.topk).collect();
         let assembled = merge_chunks(&parts)?;
-        let merged = match folded.remove(&dataset) {
-            Some(acc) => merge_topk(&acc, &assembled)?,
-            None => assembled,
-        };
-        folded.insert(dataset, merged);
+        match folded.entry(dataset) {
+            Entry::Vacant(slot) => {
+                slot.insert(assembled);
+            }
+            Entry::Occupied(mut acc) => merge_topk_into(acc.get_mut(), assembled)?,
+        }
     }
     Ok(folded)
 }

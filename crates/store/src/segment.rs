@@ -25,6 +25,7 @@ use crate::bloom::KeyBloom;
 use crate::StoreError;
 use feed::crc32::crc32;
 use sketchwire::{RecordReader, WindowState};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 /// Segment header magic.
@@ -77,19 +78,26 @@ pub struct SegmentFooter {
 /// the footer's time range and window count are derived from the states
 /// themselves, so the index can never disagree with the body.
 pub fn encode_segment(level: u8, states: &[WindowState]) -> (Vec<u8>, SegmentFooter) {
-    assert!(!states.is_empty(), "a segment holds at least one record");
-    let mut out = Vec::new();
-    out.extend_from_slice(&SEGMENT_MAGIC);
-    out.push(SEGMENT_VERSION);
-    out.push(level);
-    out.extend_from_slice(&[0u8, 0u8]);
+    let items: Vec<Vec<u8>> = states.iter().map(WindowState::item_bytes).collect();
+    encode_segment_items(level, states, &items)
+}
 
+/// [`encode_segment`] for states whose item bytes the caller already
+/// made (`items[i]` is `states[i].item_bytes()`): each record frames its
+/// item, and the footer comes from the states.
+pub fn encode_segment_items<S: Borrow<WindowState>, I: AsRef<[u8]>>(
+    level: u8,
+    states: &[S],
+    items: &[I],
+) -> (Vec<u8>, SegmentFooter) {
+    assert!(!states.is_empty(), "a segment holds at least one record");
+    assert_eq!(states.len(), items.len(), "one item per state");
+    let states = || states.iter().map(Borrow::borrow);
     let mut windows = BTreeSet::new();
     let mut datasets = BTreeSet::new();
     let mut nkeys = 0usize;
     let (mut start_us, mut end_us) = (u64::MAX, 0u64);
-    for ws in states {
-        sketchwire::write_record(ws, &mut out);
+    for ws in states() {
         windows.insert(window_us(ws.start));
         datasets.insert(ws.topk.dataset.clone());
         nkeys += ws.topk.entries.len();
@@ -97,7 +105,7 @@ pub fn encode_segment(level: u8, states: &[WindowState]) -> (Vec<u8>, SegmentFoo
         end_us = end_us.max(window_us(ws.start + ws.length));
     }
     let mut bloom = KeyBloom::with_keys(nkeys);
-    for ws in states {
+    for ws in states() {
         for e in &ws.topk.entries {
             bloom.insert(e.key.as_bytes());
         }
@@ -106,12 +114,24 @@ pub fn encode_segment(level: u8, states: &[WindowState]) -> (Vec<u8>, SegmentFoo
         level,
         start_us,
         end_us,
-        records: states.len() as u32,
+        records: states().count() as u32,
         windows: windows.len() as u32,
         datasets: datasets.into_iter().collect(),
         bloom,
     };
     let frame = encode_footer(&footer);
+
+    // Each `SKW1` record adds its magic, version, length and CRC (13
+    // bytes) around the item.
+    let records_len: usize = items.iter().map(|i| i.as_ref().len() + 13).sum();
+    let mut out = Vec::with_capacity(HEADER_LEN + records_len + frame.len() + TRAILER_LEN);
+    out.extend_from_slice(&SEGMENT_MAGIC);
+    out.push(SEGMENT_VERSION);
+    out.push(level);
+    out.extend_from_slice(&[0u8, 0u8]);
+    for item in items {
+        sketchwire::write_record_bytes(item.as_ref(), &mut out);
+    }
     out.extend_from_slice(&frame);
     out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
     out.extend_from_slice(&END_MAGIC);

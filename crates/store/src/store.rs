@@ -20,6 +20,7 @@ use crate::manifest::{valid_segment_name, Manifest, SegmentMeta, MANIFEST_NAME};
 use crate::segment::{self, window_us, SegmentFooter};
 use crate::StoreError;
 use sketchwire::WindowState;
+use std::borrow::Borrow;
 use std::path::{Path, PathBuf};
 use telemetry::trace::{TraceEvent, TraceKind, TraceRing};
 use telemetry::{Counter, Registry};
@@ -229,6 +230,19 @@ impl Store {
         self.append_with(states, &mut CrashFs::durable())
     }
 
+    /// [`Store::append`] for states whose item bytes the caller already
+    /// made (`items[i]` is `states[i].item_bytes()`): the segment frames
+    /// those bytes instead of encoding the states again. Same file.
+    pub fn append_encoded<S: Borrow<WindowState>, I: AsRef<[u8]>>(
+        &mut self,
+        states: &[S],
+        items: &[I],
+    ) -> Result<SegmentMeta, StoreError> {
+        refuse_empty(states.len())?;
+        let image = segment::encode_segment_items(0, states, items);
+        self.commit_append(image, &mut CrashFs::durable())
+    }
+
     /// [`Store::append`] with every filesystem mutation routed through
     /// `fs`, so the chaos suite can crash the append at any syscall.
     pub fn append_with(
@@ -236,12 +250,17 @@ impl Store {
         states: &[WindowState],
         fs: &mut CrashFs,
     ) -> Result<SegmentMeta, StoreError> {
-        if states.is_empty() {
-            return Err(StoreError::Manifest {
-                what: "refusing to append an empty batch".into(),
-            });
-        }
-        let meta = self.write_segment(0, states, fs)?;
+        refuse_empty(states.len())?;
+        self.commit_append(segment::encode_segment(0, states), fs)
+    }
+
+    /// Write a level-0 segment image, then commit it to the manifest.
+    fn commit_append(
+        &mut self,
+        image: (Vec<u8>, SegmentFooter),
+        fs: &mut CrashFs,
+    ) -> Result<SegmentMeta, StoreError> {
+        let meta = self.write_image(image, fs)?;
         let mut next = self.manifest.clone();
         next.generation += 1;
         next.segments.push(meta.clone());
@@ -309,7 +328,16 @@ impl Store {
         states: &[WindowState],
         fs: &mut CrashFs,
     ) -> Result<SegmentMeta, StoreError> {
-        let (bytes, footer) = segment::encode_segment(level, states);
+        self.write_image(segment::encode_segment(level, states), fs)
+    }
+
+    /// [`Store::write_segment`] of an encoded segment image.
+    fn write_image(
+        &mut self,
+        (bytes, footer): (Vec<u8>, SegmentFooter),
+        fs: &mut CrashFs,
+    ) -> Result<SegmentMeta, StoreError> {
+        let level = footer.level;
         let name = format!(
             "L{level}-{:016}-g{:06}.seg",
             footer.start_us,
@@ -321,7 +349,7 @@ impl Store {
         fs.rename(&tmp, &self.dir.join(&name))?;
         if let Some(m) = &self.metrics {
             m.segments_written.inc(1);
-            m.records_written.inc(states.len() as u64);
+            m.records_written.inc(footer.records as u64);
         }
         Ok(SegmentMeta {
             name,
@@ -415,6 +443,15 @@ impl Store {
         });
         let start = last.first().map(|ws| ws.start).unwrap_or_default();
         Ok(Some((start, last)))
+    }
+}
+
+fn refuse_empty(records: usize) -> Result<(), StoreError> {
+    match records {
+        0 => Err(StoreError::Manifest {
+            what: "refusing to append an empty batch".into(),
+        }),
+        _ => Ok(()),
     }
 }
 
