@@ -1,10 +1,10 @@
 //! End-to-end pipeline benchmarks: transactions/second through
-//! summarization and tracking, single-threaded vs the stage-ring pipeline
-//! — the numbers that decide whether the platform keeps up with the
-//! paper's 200 k transactions/second feed.
+//! summarization and the Observatory fold — the numbers that decide
+//! whether the platform keeps up with the paper's 200 k
+//! transactions/second feed.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use dns_observatory::{Dataset, Observatory, ObservatoryConfig, ThreadedPipeline, TxSummary};
+use dns_observatory::{Dataset, Observatory, ObservatoryConfig, TxSummary};
 use psl::Psl;
 use simnet::{SimConfig, Simulation, Transaction};
 
@@ -75,12 +75,6 @@ fn bench_ingest(c: &mut Criterion) {
                 obs.ingest(tx);
             }
             black_box(obs.finish().windows().len())
-        })
-    });
-    group.bench_function("threaded_pipeline_4_workers", |b| {
-        b.iter(|| {
-            let pipeline = ThreadedPipeline::new(obs_config(), 4);
-            black_box(pipeline.run(txs.clone()).windows().len())
         })
     });
     group.finish();

@@ -1,21 +1,13 @@
-//! Pipeline throughput sweep: single-threaded Observatory vs the sharded
-//! ThreadedPipeline across a workers × shards grid, on one fixed
-//! pre-generated transaction stream.
+//! Fold throughput: the single-threaded Observatory (summarize and fold)
+//! on one fixed pre-generated transaction stream. The throughput figure
+//! is an ungated measuring tool: the repository's benchmark is
+//! `obsbench/run.sh`.
 //!
-//! Prints the table. `--scaling` adds machine-parseable `scaling_*`
-//! facts (single-thread fold, best parallel config, speedup,
-//! monotonicity verdict). `--trace-overhead` measures one config with
-//! and without a flight recorder attached and prints `trace_*` facts
-//! (the tracing tax). An ungated measuring tool: the repository's
-//! benchmark is `obsbench/run.sh`.
-//!
-//! Steady-state tracker allocations are measured when built with
-//! `--features count-allocs` (a counting global allocator); without the
-//! feature they are not measured.
+//! Built with `--features count-allocs` (a counting global allocator) it
+//! also measures steady-state tracker allocations and asserts the
+//! allocation gate; without the feature they are not measured.
 
-use dns_observatory::{
-    Dataset, Observatory, ObservatoryConfig, ThreadedPipeline, TopKTracker, TxSummary,
-};
+use dns_observatory::{Dataset, Observatory, ObservatoryConfig, TopKTracker, TxSummary};
 use simnet::{SimConfig, Simulation, Transaction};
 use std::time::Instant;
 
@@ -67,51 +59,12 @@ fn bench_cfg() -> ObservatoryConfig {
     }
 }
 
-/// The fixed grid point the tracing tax is measured on.
-const TRACED_WORKERS: usize = 2;
-const TRACED_SHARDS: usize = 2;
-
 fn generate(sim_secs: f64) -> Vec<Transaction> {
     let mut sim = Simulation::from_config(SimConfig::small());
     sim.collect(sim_secs)
 }
 
-/// Best-of-`reps` transactions per second for one pipeline configuration.
-fn measure_threaded(txs: &[Transaction], workers: usize, shards: usize, reps: usize) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..reps {
-        let pipeline = ThreadedPipeline::with_shards(bench_cfg(), workers, shards);
-        let t0 = Instant::now();
-        let store = pipeline.run(txs.iter().cloned());
-        let secs = t0.elapsed().as_secs_f64();
-        assert!(!store.windows().is_empty());
-        best = best.max(txs.len() as f64 / secs);
-    }
-    best
-}
-
-/// Same measurement with provenance tracing on: a flight recorder is
-/// attached, so every stage records span events. The ratio against the
-/// untraced run is the tracing tax.
-fn measure_traced(txs: &[Transaction], workers: usize, shards: usize, reps: usize) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..reps {
-        let recorder = telemetry::FlightRecorder::new();
-        let pipeline = ThreadedPipeline::with_shards(bench_cfg(), workers, shards)
-            .with_flight_recorder(recorder.clone());
-        let t0 = Instant::now();
-        let store = pipeline.run(txs.iter().cloned());
-        let secs = t0.elapsed().as_secs_f64();
-        assert!(!store.windows().is_empty());
-        assert!(
-            recorder.ring("pipeline/seal").recorded() > 0,
-            "tracing was supposed to be on"
-        );
-        best = best.max(txs.len() as f64 / secs);
-    }
-    best
-}
-
+/// Best-of-`reps` transactions per second through one `Observatory`.
 fn measure_single(txs: &[Transaction], reps: usize) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..reps {
@@ -206,94 +159,13 @@ fn measure_allocs(_txs: &[Transaction]) -> Option<AllocFacts> {
     None
 }
 
-/// Each grid point's predecessor for the monotone-scaling check: adding
-/// cores along this chain must never reduce throughput (with 10 %
-/// measurement tolerance). `(1,1)` has no predecessor.
-fn predecessor(workers: usize, shards: usize) -> Option<(usize, usize)> {
-    match (workers, shards) {
-        (2, 1) => Some((1, 1)),
-        (4, 1) => Some((2, 1)),
-        (2, 2) => Some((2, 1)),
-        (4, 2) => Some((2, 2)),
-        (4, 4) => Some((4, 2)),
-        _ => None,
-    }
-}
-
-/// The scaling-shape facts: best parallel config, speedup, monotonicity.
-fn print_scaling_facts(cores: usize, single: f64, results: &[(usize, usize, f64)]) {
-    println!("scaling_cores={cores}");
-    println!("scaling_single_tx_per_sec={single:.1}");
-    for &(w, s, tps) in results {
-        println!("scaling_point workers={w} shards={s} tx_per_sec={tps:.1}");
-    }
-    let (bw, bs, best) = results
-        .iter()
-        .filter(|&&(w, _, _)| w > 1)
-        .max_by(|a, b| a.2.total_cmp(&b.2))
-        .copied()
-        .expect("grid has workers>1 points");
-    println!("scaling_best_parallel workers={bw} shards={bs} tx_per_sec={best:.1}");
-    println!("scaling_speedup={:.3}", best / single);
-    let mut violations = Vec::new();
-    for &(w, s, tps) in results {
-        if let Some((pw, ps)) = predecessor(w, s) {
-            let pred = results
-                .iter()
-                .find(|&&(rw, rs, _)| (rw, rs) == (pw, ps))
-                .map(|&(_, _, t)| t)
-                .expect("predecessor is in the grid");
-            if tps < 0.9 * pred {
-                violations.push(format!("({w},{s})={tps:.0}<0.9*({pw},{ps})={pred:.0}"));
-            }
-        }
-    }
-    if violations.is_empty() {
-        println!("scaling_monotone=ok");
-    } else {
-        println!("scaling_monotone=violation {}", violations.join(" "));
-    }
-}
-
 fn main() {
-    let scaling = std::env::args().any(|a| a == "--scaling");
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    if std::env::args().any(|a| a == "--trace-overhead") {
-        // Interleaved best-of-3 per mode on one config: the
-        // tracing tax is the ratio of the two bests, which cancels the
-        // shared machine noise better than back-to-back blocks.
-        let txs = generate(4.0);
-        let mut off = 0.0f64;
-        let mut on = 0.0f64;
-        for _ in 0..3 {
-            off = off.max(measure_threaded(&txs, TRACED_WORKERS, TRACED_SHARDS, 1));
-            on = on.max(measure_traced(&txs, TRACED_WORKERS, TRACED_SHARDS, 1));
-        }
-        println!("trace_off_tx_per_sec={off:.1}");
-        println!("trace_on_tx_per_sec={on:.1}");
-        println!("trace_overhead_ratio={:.4}", on / off);
-        return;
-    }
-
     eprintln!("generating workload...");
     let txs = generate(12.0);
-    eprintln!("generated {} transactions; cores={cores}", txs.len());
+    eprintln!("generated {} transactions", txs.len());
 
-    let reps = 2;
-    let single = measure_single(&txs, reps);
+    let single = measure_single(&txs, 2);
     println!("single-threaded Observatory: {single:>10.0} tx/s");
-
-    let grid = [(1, 1), (2, 1), (4, 1), (2, 2), (4, 2), (4, 4)];
-    let mut results = Vec::new();
-    for &(workers, shards) in &grid {
-        let tps = measure_threaded(&txs, workers, shards, reps);
-        println!(
-            "workers={workers} shards={shards}: {tps:>10.0} tx/s  ({:.2}x single)",
-            tps / single
-        );
-        results.push((workers, shards, tps));
-    }
 
     match measure_allocs(&txs) {
         Some(facts) => {
@@ -325,9 +197,5 @@ fn main() {
             assert_eq!(facts.dump, 0, "a dump resets feature state in place");
         }
         None => println!("steady-state allocs: not measured (build with --features count-allocs)"),
-    }
-
-    if scaling {
-        print_scaling_facts(cores, single, &results);
     }
 }

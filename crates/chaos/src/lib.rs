@@ -7,7 +7,7 @@
 //! (sensor drop tallies, collector sequence gaps, late-item counts).
 //! This crate turns that promise into a machine-checked property.
 //!
-//! Four pieces, all sans-io and fully deterministic:
+//! Five pieces, all sans-io and fully deterministic:
 //!
 //! * **Virtual time** ([`clock`]) — a microsecond clock plus an event
 //!   queue; reconnect/backoff schedules that take wall-clock seconds in
@@ -23,10 +23,6 @@
 //!   rejects any divergence that is not covered by an explicit loss
 //!   ledger entry. A failing seed is shrunk by the built-in
 //!   delta-debugger ([`minimize`]) into a one-screen repro.
-//! * **Slow-shard axis** ([`slowshard`]) — seeded stall schedules for
-//!   one tracker shard of the threaded pipeline, used to check that the
-//!   per-shard watermark frontier protocol neither loses nor
-//!   double-counts a window when a shard lags.
 //! * **Store-crash axis** ([`storecrash`]) — seeded kill points for the
 //!   historical store's compactor (after segment write, before manifest
 //!   swap, mid-footer torn writes); a recovery differential checks the
@@ -50,7 +46,6 @@ pub mod harness;
 pub mod item;
 pub mod minimize;
 pub mod oracle;
-pub mod slowshard;
 pub mod storecrash;
 pub mod subscriber;
 
@@ -63,6 +58,5 @@ pub use harness::{
 pub use item::{probe_stream, ChaosItem};
 pub use minimize::{describe_plans, minimize_plans};
 pub use oracle::{check, predicted_delivery, Divergence, OracleSummary};
-pub use slowshard::{StallInjector, StallPlan};
 pub use storecrash::{StoreCrashOutcome, StoreDivergence};
 pub use subscriber::{ClientProfile, SubscriberDivergence, SubscriberOutcome};

@@ -61,10 +61,10 @@ pub enum StoreDivergence {
     /// drawn from the learned op range, so the axis injected nothing.
     NeverFired,
     /// The watermark frontier moved across crash + recovery.
-    FrontierMoved {
-        /// Frontier before the crash, µs.
+    WatermarkMoved {
+        /// Watermark before the crash, µs.
         before: Option<u64>,
-        /// Frontier after recovery, µs.
+        /// Watermark after recovery, µs.
         after: Option<u64>,
     },
     /// The recovered store's fold differs from the fold of the raw
@@ -82,7 +82,7 @@ impl std::fmt::Display for StoreDivergence {
         match self {
             StoreDivergence::Store(e) => write!(f, "store error: {e}"),
             StoreDivergence::NeverFired => write!(f, "planned crash never fired"),
-            StoreDivergence::FrontierMoved { before, after } => {
+            StoreDivergence::WatermarkMoved { before, after } => {
                 write!(f, "frontier moved across recovery: {before:?} -> {after:?}")
             }
             StoreDivergence::FoldDiverged { when, dataset } => {
@@ -244,7 +244,7 @@ pub fn run_seed(
 
     let (mut recovered, report) = Store::open(scratch)?;
     if recovered.frontier_us() != frontier_before {
-        return Err(StoreDivergence::FrontierMoved {
+        return Err(StoreDivergence::WatermarkMoved {
             before: frontier_before,
             after: recovered.frontier_us(),
         });

@@ -12,7 +12,7 @@
 //!   with every divergence from golden accounted by the drop ledger.
 
 use chaos::{check, plans_for, run as chaos_run, FaultProfile, SensorInput, SensorPlan};
-use dns_observatory::{tsv, Dataset, ObservatoryConfig, ThreadedPipeline, TxSummary};
+use dns_observatory::{tsv, Dataset, Observatory, ObservatoryConfig, TxSummary};
 use feed::SensorConfig;
 use psl::Psl;
 use simnet::{SimConfig, Simulation};
@@ -54,11 +54,17 @@ fn datasets() -> Vec<Dataset> {
     obs_config().datasets.iter().map(|&(ds, _)| ds).collect()
 }
 
+/// The Observatory folding `summaries`, rendered to TSV.
+fn fold_tsv(summaries: impl IntoIterator<Item = TxSummary>) -> Vec<(String, Vec<u8>)> {
+    let mut obs = Observatory::new(obs_config());
+    summaries.into_iter().for_each(|s| obs.ingest_summary(s));
+    tsv::render_store(&obs.finish(), &datasets())
+}
+
 /// Golden reference: the Observatory ingesting the raw stream in one
 /// process, rendered to TSV.
 fn golden(all: &[TxSummary]) -> Vec<(String, Vec<u8>)> {
-    let store = ThreadedPipeline::new(obs_config(), 1).run_summaries(all.iter().cloned());
-    tsv::render_store(&store, &datasets())
+    fold_tsv(all.iter().cloned())
 }
 
 /// Run the deployment through the chaos transport under `plans`, audit
@@ -89,9 +95,7 @@ fn chaos_tsv(
     check(&outcome).unwrap_or_else(|d| {
         panic!("pipeline chaos run diverged (seed={seed}): {d}");
     });
-    let store =
-        ThreadedPipeline::new(obs_config(), 1).run_summaries(outcome.delivered.iter().cloned());
-    (tsv::render_store(&store, &datasets()), outcome)
+    (fold_tsv(outcome.delivered.iter().cloned()), outcome)
 }
 
 fn assert_same_tsv(a: &[(String, Vec<u8>)], b: &[(String, Vec<u8>)], what: &str) {
@@ -140,8 +144,7 @@ fn lossy_chaos_matches_predicted_survivors() {
             let plans = plans_for(seed, SENSORS as u64, &profile);
             let (chaotic, outcome) = chaos_tsv(seed, &slices, plans);
             let predicted = chaos::predicted_delivery(&outcome);
-            let store = ThreadedPipeline::new(obs_config(), 1).run_summaries(predicted);
-            let replayed = tsv::render_store(&store, &datasets());
+            let replayed = fold_tsv(predicted);
             assert_same_tsv(
                 &replayed,
                 &chaotic,

@@ -7,10 +7,9 @@ use crate::flags::{self, Parsed};
 use crate::session::Session;
 use crate::sinks::{meta_reporter, Sinks, TsvDir};
 use crate::{fail, Done};
-use dns_observatory::{ObservatoryConfig, StateExporter, ThreadedPipeline, TxSummary};
+use dns_observatory::{Observatory, ObservatoryConfig, StateExporter, TxSummary};
 use feed::{Collector, CollectorConfig};
-use std::sync::Mutex;
-use telemetry::SystemClock;
+use telemetry::{Registry, SystemClock};
 
 /// Entries per exported state record: chunks big trackers so every record
 /// stays comfortably under the feed's frame cap at the default 10k caps.
@@ -62,43 +61,49 @@ pub fn print_feed_report(report: &feed::CollectorReport) {
     }
 }
 
-/// The local path: the threaded pipeline over the merged feed, the same
-/// TSV layout as `simulate`, each window written as it closes.
+/// The local path: one `Observatory` folds the merged feed on this
+/// thread, the same TSV layout as `simulate`, each window written as it
+/// closes.
 fn render_locally(
     p: &Parsed,
     session: &mut Session,
     feed: impl Iterator<Item = TxSummary>,
     cfg: ObservatoryConfig,
 ) -> Done {
-    // Shared by the feeder (meta reports, this thread) and the pipeline's
-    // merge stage (data windows); each takes it once per window.
-    let out = Mutex::new(TsvDir::create(p.opt(&flags::OUT))?);
-    let tsv = || out.lock().expect("a TSV write panicked");
+    let mut out = TsvDir::create(p.opt(&flags::OUT))?;
     // Meta self-reports ride on the merged feed's stream time, one per
     // data window.
     let mut meta = meta_reporter(cfg.window_secs);
-    let mut pipeline = ThreadedPipeline::new(cfg, 1);
-    if let Some(recorder) = session.recorder() {
-        // The pipeline stages record span events into the same recorder
-        // the feed io edges already write to.
-        pipeline = pipeline.with_flight_recorder(recorder);
-    }
+    let mut obs = Observatory::new(cfg)
+        .with_registry(Registry::global())
+        .with_trace(session.ring("pipeline"));
+    let clock = SystemClock::new();
     let mut last_us = 0u64;
     let mut written = Ok(());
-    pipeline.run_summaries_into(
-        feed.inspect(|s| {
-            last_us = (s.time.max(0.0) * 1e6) as u64;
-            if let Some(bytes) = meta.tick(last_us) {
-                tsv().write_meta(&bytes);
-            }
-        }),
-        |dump| written = written.and_then(|()| tsv().write_window(dump)),
-    );
-    session.feed_ended();
-    if let Some(bytes) = meta.finish(last_us) {
-        tsv().write_meta(&bytes);
+    for summary in feed {
+        if session.tracing() {
+            obs.set_now_us(telemetry::Clock::now_us(&clock));
+        }
+        last_us = (summary.time.max(0.0) * 1e6) as u64;
+        if let Some(bytes) = meta.tick(last_us) {
+            out.write_meta(&bytes);
+        }
+        obs.ingest_summary(summary);
+        for dump in obs.take_windows() {
+            written = written.and_then(|()| out.write_window(dump));
+        }
     }
-    tsv().report();
+    session.feed_ended();
+    if session.tracing() {
+        obs.set_now_us(telemetry::Clock::now_us(&clock));
+    }
+    for dump in obs.finish().take_windows() {
+        written = written.and_then(|()| out.write_window(dump));
+    }
+    if let Some(bytes) = meta.finish(last_us) {
+        out.write_meta(&bytes);
+    }
+    out.report();
     written
 }
 

@@ -47,17 +47,12 @@ impl Session {
         self.trace_out.is_some()
     }
 
-    /// The global recorder, for stages that take it whole, when tracing.
-    pub fn recorder(&self) -> Option<FlightRecorder> {
-        self.tracing().then(FlightRecorder::global)
-    }
-
     /// The recorder ring of `subsystem` when tracing, else a ring that
     /// records nothing (what every stage starts with).
     pub fn ring(&self, subsystem: &str) -> TraceRing {
-        match self.recorder() {
-            Some(recorder) => recorder.ring(subsystem),
-            None => TraceRing::disabled(),
+        match self.tracing() {
+            true => FlightRecorder::global().ring(subsystem),
+            false => TraceRing::disabled(),
         }
     }
 

@@ -56,8 +56,8 @@ pub mod tsv;
 pub use features::{FeatureConfig, FeatureRow, FeatureSet, FoldDigest};
 pub use federate::{render_global, render_state, write_global, StateExporter};
 pub use keys::{Dataset, Key, KeyBuf};
-pub use metrics::{MetaReporter, SequencerMetrics, ShardMetrics, TrackerMetrics};
-pub use pipeline::{Observatory, ObservatoryConfig, StallHook, ThreadedPipeline};
+pub use metrics::MetaReporter;
+pub use pipeline::{Observatory, ObservatoryConfig, ThreadedPipeline};
 pub use summarize::{Outcome, TxSummary};
 pub use timeseries::{TimeSeriesStore, WindowDump};
 pub use topk::TopKTracker;

@@ -6,7 +6,7 @@
 //! carry — the window's start time in µs, the same keying the
 //! federation wire uses — which turns N per-stage rings into one
 //! chronological story per window: opened where, ingested how much,
-//! closed by which shard, sealed (or dropped, or conflicted) when.
+//! closed by which stage, sealed (or dropped, or conflicted) when.
 //!
 //! A window with ingests but no terminal event is flagged `open`: either
 //! the dump was taken mid-flight (normal) or a window leaked (the bug
@@ -178,31 +178,17 @@ mod tests {
     #[test]
     fn windows_group_and_sort_across_subsystems() {
         let rows = vec![
-            row("pipeline/seal", 0, 900, "seal", TraceKind::Seal, 2_000_000),
             row(
-                "pipeline/sequencer",
+                "aggregator",
                 0,
-                100,
-                "sequencer",
-                TraceKind::Open,
+                900,
+                "aggregator",
+                TraceKind::Seal,
                 2_000_000,
             ),
-            row(
-                "pipeline/sequencer",
-                1,
-                500,
-                "sequencer",
-                TraceKind::Close,
-                2_000_000,
-            ),
-            row(
-                "pipeline/sequencer",
-                2,
-                500,
-                "sequencer",
-                TraceKind::Open,
-                3_000_000,
-            ),
+            row("pipeline", 0, 100, "fold", TraceKind::Open, 2_000_000),
+            row("pipeline", 1, 500, "fold", TraceKind::Close, 2_000_000),
+            row("pipeline", 2, 500, "fold", TraceKind::Open, 3_000_000),
         ];
         let text = render_trace(&rows, None);
         assert!(text.contains("4 event(s) in 2 subsystem(s); 2 window(s): 1 sealed"));
@@ -210,8 +196,8 @@ mod tests {
         assert!(text.contains("window 2.000s  [sealed]  3 event(s)"));
         assert!(text.contains("window 3.000s  [open]  1 event(s)"));
         // Events come out in at_us order within the window.
-        let open_at = text.find("sequencer open").expect("open line");
-        let seal_at = text.find("pipeline/seal/seal").expect("seal line");
+        let open_at = text.find("pipeline/fold").expect("open line");
+        let seal_at = text.find("aggregator/aggregator").expect("seal line");
         assert!(open_at < seal_at);
     }
 
@@ -262,10 +248,10 @@ mod tests {
     #[test]
     fn renders_a_real_recorder_dump() {
         let fr = FlightRecorder::with_capacity(16);
-        fr.ring("pipeline/sequencer")
-            .record(TraceEvent::new(100, "sequencer", TraceKind::Open).window(60_000_000));
-        fr.ring("pipeline/seal").record(
-            TraceEvent::new(900, "seal", TraceKind::Seal)
+        fr.ring("pipeline")
+            .record(TraceEvent::new(100, "fold", TraceKind::Open).window(60_000_000));
+        fr.ring("pipeline").record(
+            TraceEvent::new(900, "fold", TraceKind::Seal)
                 .window(60_000_000)
                 .value(42),
         );

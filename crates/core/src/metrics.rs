@@ -1,84 +1,70 @@
-//! Pipeline observability: telemetry handles for every Observatory stage
+//! Pipeline observability: telemetry handles for the Observatory fold
 //! plus the periodic `meta` self-report (paper §2.4 stores the platform's
 //! own collection statistics next to the data; this module generalizes
 //! that to a full metric snapshot on the same TSV path).
 //!
 //! All handles come from a [`telemetry::Registry`] so tests can use a
-//! fresh registry per run; production code defaults to the global one.
-//! Registration happens once per pipeline run (cold path); the hot path
-//! touches only sharded atomic counters, gauges, and histograms.
+//! fresh registry per run; `collect` passes the global one.
+//! Registration happens once per fold (cold path); the hot path touches
+//! only sharded atomic counters, gauges, and histograms.
 
 use crate::keys::Dataset;
 use crate::topk::TopKTracker;
 use telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
-/// Handles owned by the sequencer stage (one per pipeline run).
-#[derive(Debug, Clone)]
-pub struct SequencerMetrics {
-    /// `pipeline_ingested_total`: summaries routed to shards.
+/// Handles an [`crate::Observatory`] reports into once it has a registry.
+#[derive(Debug)]
+pub(crate) struct FoldMetrics {
+    /// `pipeline_ingested_total`: summaries folded, bumped after each
+    /// fold — a loop closed on it is held to the trackers' pace.
     pub ingested: Counter,
-    /// `pipeline_batches_total`: ordered batches processed.
-    pub batches: Counter,
-    /// `pipeline_windows_total`: watermark broadcasts (window closes).
+    /// `pipeline_windows_total`: windows closed.
     pub windows: Counter,
-    /// `pipeline_watermark_lag_seconds`: stream time accumulated past the
-    /// closing window's start when its watermark fired.
-    pub watermark_lag_seconds: Gauge,
-    /// `pipeline_queue_depth{shard=..}`: in-flight messages per shard
-    /// ring. The sequencer adds on send; the shard subtracts on
-    /// receive (so the gauge reflects unconsumed work, not ring slots).
-    pub queue_depth: Vec<Gauge>,
-    /// `pipeline_batch_size`: the adaptive feeder's current batch size in
-    /// transactions — grows under backlog, shrinks when the stage rings
-    /// run idle.
-    pub batch_size: Gauge,
-    /// `pipeline_window_seconds{stage="sequencer"}`: wall residency of
-    /// each window from open to frontier close at the sequencer — the
-    /// stage-latency leg of a sealed window's lineage.
+    /// `pipeline_window_seconds{stage="fold"}`: wall residency of each
+    /// window from open to close — the fold's leg of a sealed window's
+    /// lineage.
     pub window_seconds: Histogram,
+    /// Per-dataset tracker handles, in config order.
+    pub trackers: Vec<TrackerMetrics>,
 }
 
-impl SequencerMetrics {
-    /// Register (or re-attach to) the sequencer-side handles.
-    pub fn register(registry: &Registry, shards: usize) -> SequencerMetrics {
-        SequencerMetrics {
+impl FoldMetrics {
+    /// Register (or re-attach to) the fold's handles for `datasets`.
+    pub fn register(registry: &Registry, datasets: &[Dataset]) -> FoldMetrics {
+        FoldMetrics {
             ingested: registry.counter("pipeline_ingested_total"),
-            batches: registry.counter("pipeline_batches_total"),
             windows: registry.counter("pipeline_windows_total"),
-            watermark_lag_seconds: registry.gauge("pipeline_watermark_lag_seconds"),
-            queue_depth: (0..shards)
-                .map(|sh| {
-                    registry.gauge_with("pipeline_queue_depth", &[("shard", &sh.to_string())])
-                })
-                .collect(),
-            batch_size: registry.gauge("pipeline_batch_size"),
             window_seconds: registry.histogram_with(
                 "pipeline_window_seconds",
-                &[("stage", "sequencer")],
+                &[("stage", "fold")],
                 Histogram::seconds_layout(),
             ),
+            trackers: datasets
+                .iter()
+                .map(|&ds| TrackerMetrics::register(registry, ds))
+                .collect(),
         }
     }
 }
 
-/// Handles for one `(dataset, shard)` tracker, flushed at watermarks so
-/// the observe path stays allocation- and atomic-free.
+/// Handles for one dataset's tracker, flushed at window closes so the
+/// observe path stays allocation- and atomic-free.
 #[derive(Debug, Clone)]
-pub struct TrackerMetrics {
-    /// `pipeline_kept_total{dataset,shard}`.
+pub(crate) struct TrackerMetrics {
+    /// `pipeline_kept_total{dataset}`.
     pub kept: Counter,
-    /// `pipeline_dropped_total{dataset,shard}`.
+    /// `pipeline_dropped_total{dataset}`.
     pub dropped: Counter,
-    /// `pipeline_filtered_total{dataset,shard}`.
+    /// `pipeline_filtered_total{dataset}`.
     pub filtered: Counter,
-    /// `topk_evictions_total{dataset,shard}`: Space-Saving displacements.
+    /// `topk_evictions_total{dataset}`: Space-Saving displacements.
     pub evictions: Counter,
-    /// `topk_monitored{dataset,shard}`: objects currently in the cache.
+    /// `topk_monitored{dataset}`: objects currently in the cache.
     pub monitored: Gauge,
-    /// `topk_min_count{dataset,shard}`: smallest monitored count — the
-    /// per-partition Space-Saving error bound actually in force.
+    /// `topk_min_count{dataset}`: smallest monitored count — the
+    /// Space-Saving error bound actually in force.
     pub min_count: Gauge,
-    /// `topk_error_bound{dataset,shard}`: worst-case over-count
+    /// `topk_error_bound{dataset}`: worst-case over-count
     /// (observed / capacity).
     pub error_bound: Gauge,
     /// Eviction total at the previous flush (for delta computation).
@@ -86,9 +72,8 @@ pub struct TrackerMetrics {
 }
 
 impl TrackerMetrics {
-    fn register(registry: &Registry, dataset: Dataset, shard: usize) -> TrackerMetrics {
-        let sh = shard.to_string();
-        let labels: &[(&str, &str)] = &[("dataset", dataset.name()), ("shard", &sh)];
+    fn register(registry: &Registry, dataset: Dataset) -> TrackerMetrics {
+        let labels: &[(&str, &str)] = &[("dataset", dataset.name())];
         TrackerMetrics {
             kept: registry.counter_with("pipeline_kept_total", labels),
             dropped: registry.counter_with("pipeline_dropped_total", labels),
@@ -101,10 +86,9 @@ impl TrackerMetrics {
         }
     }
 
-    /// Flush one watermark's deltas for this tracker. `stat_delta` is the
-    /// window's `(kept, dropped, filtered)` — already computed by the
-    /// shard loop for the window dump, so telemetry and TSV totals agree
-    /// by construction.
+    /// Flush one window's deltas for this tracker. `stat_delta` is the
+    /// window's `(kept, dropped, filtered)` — already computed for the
+    /// window dump, so telemetry and TSV totals agree by construction.
     pub fn flush(&mut self, tracker: &TopKTracker, stat_delta: (u64, u64, u64)) {
         let (k, d, f) = stat_delta;
         self.kept.inc(k);
@@ -116,34 +100,6 @@ impl TrackerMetrics {
         self.monitored.set(tracker.len() as f64);
         self.min_count.set(tracker.min_count() as f64);
         self.error_bound.set(tracker.error_bound() as f64);
-    }
-}
-
-/// Handles owned by one tracker shard thread.
-#[derive(Debug)]
-pub struct ShardMetrics {
-    /// This shard's slice of `pipeline_queue_depth{shard=..}`.
-    pub queue_depth: Gauge,
-    /// `pipeline_batch_seconds`: per-batch tracking latency, shared by
-    /// all shards.
-    pub batch_seconds: Histogram,
-    /// Per-dataset tracker handles, in config order.
-    pub trackers: Vec<TrackerMetrics>,
-}
-
-impl ShardMetrics {
-    /// Register this shard's handles for the configured datasets.
-    pub fn register(registry: &Registry, shard: usize, datasets: &[Dataset]) -> ShardMetrics {
-        ShardMetrics {
-            queue_depth: registry
-                .gauge_with("pipeline_queue_depth", &[("shard", &shard.to_string())]),
-            batch_seconds: registry
-                .histogram("pipeline_batch_seconds", Histogram::seconds_layout()),
-            trackers: datasets
-                .iter()
-                .map(|&ds| TrackerMetrics::register(registry, ds, shard))
-                .collect(),
-        }
     }
 }
 
@@ -231,25 +187,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sequencer_metrics_register_per_shard_gauges() {
+    fn fold_metrics_register_one_tracker_handle_per_dataset() {
         let r = Registry::new();
-        let m = SequencerMetrics::register(&r, 3);
-        assert_eq!(m.queue_depth.len(), 3);
-        m.queue_depth[2].add(5.0);
+        let m = FoldMetrics::register(&r, &[Dataset::SrvIp, Dataset::Qtype]);
+        assert_eq!(m.trackers.len(), 2);
+        m.ingested.inc(5);
+        m.trackers[1].kept.inc(3);
         let snap = r.snapshot(0);
-        assert_eq!(snap.gauge("pipeline_queue_depth{shard=\"2\"}"), 5.0);
+        assert_eq!(snap.counter("pipeline_ingested_total"), 5);
+        assert_eq!(snap.counter("pipeline_kept_total{dataset=\"qtype\"}"), 3);
+        assert!(snap
+            .histogram("pipeline_window_seconds{stage=\"fold\"}")
+            .is_some());
     }
 
     #[test]
     fn tracker_metrics_flush_is_delta_based() {
         use crate::features::FeatureConfig;
         let r = Registry::new();
-        let mut shard = ShardMetrics::register(&r, 0, &[Dataset::Qtype]);
+        let mut fold = FoldMetrics::register(&r, &[Dataset::Qtype]);
         let tracker = TopKTracker::new(Dataset::Qtype, 8, FeatureConfig::default(), false);
-        shard.trackers[0].flush(&tracker, (10, 2, 1));
-        shard.trackers[0].flush(&tracker, (5, 0, 0));
+        fold.trackers[0].flush(&tracker, (10, 2, 1));
+        fold.trackers[0].flush(&tracker, (5, 0, 0));
         let snap = r.snapshot(0);
-        let labels = "{dataset=\"qtype\",shard=\"0\"}";
+        let labels = "{dataset=\"qtype\"}";
         assert_eq!(snap.counter(&format!("pipeline_kept_total{labels}")), 15);
         assert_eq!(snap.counter(&format!("pipeline_dropped_total{labels}")), 2);
         assert_eq!(snap.counter(&format!("topk_evictions_total{labels}")), 0);

@@ -22,7 +22,7 @@ fn sum(samples: &Samples, base: &str) -> Option<f64> {
     seen.then_some(total)
 }
 
-/// Every `(label-set, value)` of `base`, for per-shard/per-sensor lines.
+/// Every `(label-set, value)` of `base`, for per-sensor/per-upstream lines.
 fn series<'a>(samples: &'a Samples, base: &str) -> Vec<(&'a str, f64)> {
     let prefix = format!("{base}{{");
     samples
@@ -61,30 +61,6 @@ pub fn render_status(samples: &Samples) -> String {
         push_line(&mut out, "ingested", fmt_count(ingested));
         if let Some(w) = sum(samples, "pipeline_windows_total") {
             push_line(&mut out, "windows closed", fmt_count(w));
-        }
-        if let Some(lag) = sum(samples, "pipeline_watermark_lag_seconds") {
-            push_line(&mut out, "watermark lag (s)", format!("{lag:.3}"));
-        }
-        let depths = series(samples, "pipeline_queue_depth");
-        if !depths.is_empty() {
-            let total: f64 = depths.iter().map(|(_, v)| v).sum();
-            push_line(
-                &mut out,
-                "queued batches",
-                format!("{} across {} shard(s)", fmt_count(total), depths.len()),
-            );
-        }
-        if let (Some(c), Some(s)) = (
-            sum(samples, "pipeline_batch_seconds_count"),
-            sum(samples, "pipeline_batch_seconds_sum"),
-        ) {
-            if c > 0.0 {
-                push_line(
-                    &mut out,
-                    "batch latency mean (ms)",
-                    format!("{:.3} over {} batches", 1e3 * s / c, fmt_count(c)),
-                );
-            }
         }
         if let (Some(c), Some(s)) = (
             sum(samples, "pipeline_window_seconds_count"),
@@ -365,17 +341,15 @@ mod tests {
         let s = samples(&[
             ("pipeline_ingested_total", 1000.0),
             ("pipeline_windows_total", 4.0),
-            ("pipeline_queue_depth{shard=\"0\"}", 2.0),
-            ("pipeline_queue_depth{shard=\"1\"}", 3.0),
-            ("pipeline_kept_total{dataset=\"srvip\",shard=\"0\"}", 700.0),
-            ("pipeline_kept_total{dataset=\"srvip\",shard=\"1\"}", 300.0),
-            ("pipeline_dropped_total{dataset=\"srvip\",shard=\"0\"}", 5.0),
+            ("pipeline_kept_total{dataset=\"srvip\"}", 700.0),
+            ("pipeline_kept_total{dataset=\"qtype\"}", 300.0),
+            ("pipeline_dropped_total{dataset=\"srvip\"}", 5.0),
         ]);
         let text = render_status(&s);
         assert!(text.contains("pipeline\n"));
         assert!(text.contains("ingested"));
         assert!(text.contains("1000"));
-        assert!(text.contains("5 across 2 shard(s)"));
+        assert!(text.contains("windows closed"));
         assert!(text.contains("1000 / 5 / 0"));
     }
 
@@ -497,8 +471,8 @@ mod tests {
     fn stage_latency_means_render_from_histogram_sums() {
         let s = samples(&[
             ("pipeline_ingested_total", 10.0),
-            ("pipeline_window_seconds_sum{stage=\"sequencer\"}", 3.0),
-            ("pipeline_window_seconds_count{stage=\"sequencer\"}", 6.0),
+            ("pipeline_window_seconds_sum{stage=\"fold\"}", 3.0),
+            ("pipeline_window_seconds_count{stage=\"fold\"}", 6.0),
             ("agg_records_total", 4.0),
             ("agg_window_seal_seconds_sum", 1.0),
             ("agg_window_seal_seconds_count", 4.0),

@@ -427,7 +427,7 @@ mod tests {
     fn meta_window_roundtrips() {
         let rows = vec![
             ("pipeline_ingested_total".to_string(), 12_345.0),
-            ("pipeline_watermark_lag_seconds".to_string(), 0.125),
+            ("pipeline_window_seconds_sum".to_string(), 0.125),
         ];
         let mut buf = Vec::new();
         write_meta_window(&mut buf, 60.0, 60.0, &rows).unwrap();

@@ -367,12 +367,14 @@ fn forwarding_collect_leaves_no_output_directory() {
 }
 
 /// `collect --out` writes a window when it closes, not when the feed
-/// ends: a sensor sends two windows and falls silent, and the first
-/// window's files are there while the feed is still open. After BYE the
-/// tree is, byte for byte, the reference fold of the same summaries.
+/// ends: a sensor sends a dozen windows and falls silent, and the first
+/// window's files and the first `10win-` rollup are there while the feed
+/// is still open. After BYE the tree is, byte for byte, the reference
+/// fold of the same summaries and the rollup of its first ten windows.
 #[test]
 fn collect_writes_each_window_as_it_closes() {
-    use dns_observatory::{Dataset, Observatory, ObservatoryConfig, TxSummary};
+    use dns_observatory::aggregate::rollup;
+    use dns_observatory::{tsv, Dataset, Observatory, ObservatoryConfig, TxSummary, WindowDump};
 
     let dir = temp_dir("streaming");
     let out = dir.join("out");
@@ -395,7 +397,7 @@ fn collect_writes_each_window_as_it_closes() {
     let psl = psl::Psl::embedded();
     let mut sim = simnet::Simulation::from_config(simnet::SimConfig::small());
     let summaries: Vec<TxSummary> = sim
-        .collect(2.0)
+        .collect(12.0)
         .iter()
         .map(|tx| TxSummary::from_transaction(tx, &psl))
         .collect();
@@ -413,12 +415,17 @@ fn collect_writes_each_window_as_it_closes() {
         (Dataset::Rcode, 16),
     ];
     let first_start = summaries[0].time as u64;
-    let first_window = |ds: Dataset| out.join(format!("{}-{first_start:05}.tsv", ds.name()));
+    let written = |ds: Dataset| {
+        ["", "10win-"].iter().all(|level| {
+            out.join(format!("{}-{level}{first_start:05}.tsv", ds.name()))
+                .exists()
+        })
+    };
     let deadline = Instant::now() + Duration::from_secs(60);
-    while !datasets.iter().all(|&(ds, _)| first_window(ds).exists()) {
+    while !datasets.iter().all(|&(ds, _)| written(ds)) {
         assert!(
             Instant::now() < deadline,
-            "the first window was not written while the feed was open"
+            "the first window and its rollup were not written while the feed was open"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -434,8 +441,20 @@ fn collect_writes_each_window_as_it_closes() {
         reference.ingest_summary(s);
     }
     let kinds: Vec<Dataset> = datasets.iter().map(|&(ds, _)| ds).collect();
-    let want = dns_observatory::tsv::render_store(&reference.finish(), &kinds);
-    assert_eq!(want.len(), 2 * datasets.len(), "two windows were sent");
+    let store = reference.finish();
+    let mut want = tsv::render_store(&store, &kinds);
+    assert!(want.len() >= 11 * datasets.len(), "past ten windows");
+    for &ds in &kinds {
+        let first_ten: Vec<WindowDump> =
+            store.dataset(ds)[..10].iter().map(|&w| w.clone()).collect();
+        let rolled = rollup(&first_ten);
+        let mut bytes = Vec::new();
+        tsv::write_window(&mut bytes, &rolled).unwrap();
+        want.push((
+            format!("{}-10win-{:05}", ds.name(), rolled.start as u64),
+            bytes,
+        ));
+    }
     for (name, bytes) in &want {
         let got = std::fs::read(out.join(format!("{name}.tsv"))).expect(name);
         assert!(got == *bytes, "{name}.tsv differs from the reference fold");
@@ -448,6 +467,52 @@ fn collect_writes_each_window_as_it_closes() {
         })
         .count();
     assert_eq!(data_files, want.len(), "and nothing else");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `collect --out D --trace-out T` leaves a flight-recorder dump in which
+/// `dnsobs trace` finds every data window sealed and none left open.
+#[test]
+fn traced_collect_seals_every_window() {
+    let dir = temp_dir("trace");
+    let (out, trace) = (dir.join("out"), dir.join("flight.tsv"));
+    let addr = free_addr();
+    let collect = Proc::spawn(
+        &dir,
+        &[
+            "collect",
+            "--listen",
+            &addr,
+            "--window",
+            "1",
+            "--topk",
+            "300",
+            "--out",
+            out.to_str().unwrap(),
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ],
+    );
+    sensor(&dir, &addr).join();
+    collect.join();
+
+    let windows = std::fs::read_dir(&out)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            let name = name.to_string_lossy();
+            name.starts_with("rcode-") && !name.contains("10win")
+        })
+        .count();
+    assert!(windows >= 3, "{windows} data windows");
+    let shown = dnsobs()
+        .args(["trace", trace.to_str().unwrap()])
+        .output()
+        .expect("spawn trace");
+    assert!(shown.status.success());
+    let text = String::from_utf8_lossy(&shown.stdout);
+    let summary = format!("{windows} window(s): {windows} sealed, 0 conflict, 0 dropped, 0 open");
+    assert!(text.contains(&summary), "want `{summary}` in:\n{text}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

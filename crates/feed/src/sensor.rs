@@ -561,14 +561,15 @@ fn writer_loop<T: FeedItem>(
 }
 
 /// Sleep `delay` but wake early on abort; returns true when aborting.
+/// `closing` does not cut the sleep short: with frames still queued the
+/// writer keeps trying to deliver them, on the backoff schedule, and
+/// only a hard abort stops it mid-backoff.
 fn sleep_or_abort<T>(shared: &Shared<T>, delay: Duration) -> bool {
     let q = shared.queue.lock().unwrap();
     let (q, _timeout) = shared
         .cond
-        .wait_timeout_while(q, delay, |q| !q.abort && !q.closing)
+        .wait_timeout_while(q, delay, |q| !q.abort)
         .unwrap();
-    // `closing` with frames still queued must keep trying to deliver
-    // them; only a hard abort stops the writer mid-backoff.
     q.abort
 }
 
@@ -756,6 +757,50 @@ mod tests {
         assert!(frames
             .iter()
             .any(|f| matches!(f, Frame::Batch { seq: 0, .. })));
+    }
+
+    /// A closing sensor whose peer never listens backs off between
+    /// connects like an open one: `finish` must not turn the retry loop
+    /// into a busy spin.
+    #[test]
+    fn finishing_sensor_keeps_its_backoff() {
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = probe.local_addr().unwrap();
+        drop(probe);
+
+        let registry = Registry::new();
+        let failures =
+            registry.counter_with("feed_sensor_connect_failures_total", &[("sensor", "4")]);
+        let mut config = SensorConfig::new(4);
+        config.backoff = BackoffConfig {
+            base_ms: 40,
+            max_ms: 40,
+            seed: 4,
+        };
+        let sensor = Sensor::<TestItem>::connect_with_registry(addr.to_string(), config, &registry);
+        sensor.send(TestItem::new(1));
+        let started = std::time::Instant::now();
+        let finishing = std::thread::spawn(move || sensor.finish());
+        std::thread::sleep(Duration::from_millis(300));
+        let (elapsed, failed) = (started.elapsed(), failures.value());
+        // Every delay is at least half of 40 ms: one failure to start
+        // with, then at most one per 20 ms.
+        let allowed = 2 + elapsed.as_millis() as u64 / 20;
+        assert!(failed >= 1, "the sensor never tried to connect");
+        assert!(
+            failed <= allowed,
+            "{failed} connect failures in {elapsed:?}: the closing writer spins"
+        );
+
+        let listener = TcpListener::bind(addr).unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_frames(&mut stream)
+        });
+        let report = finishing.join().unwrap();
+        assert_eq!(report.sent_items, 1);
+        let frames = server.join().unwrap();
+        assert!(matches!(frames.last(), Some(Frame::Bye { .. })));
     }
 
     #[test]

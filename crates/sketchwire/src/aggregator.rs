@@ -298,7 +298,7 @@ impl AggregatorCore {
         let window_us = (ws.start * US).round() as u64;
         let length_us = ((ws.length * US).round() as u64).max(1);
 
-        // Frontier advances on every record, accepted or not — the
+        // The frontier advances on every record, accepted or not — the
         // upstream demonstrably reached this window.
         let end = ws.start + ws.length;
         let ledger = self.ledger(upstream);

@@ -1,17 +1,14 @@
-//! `spsc` — lock-free single-producer/single-consumer stage rings and
-//! bounded buffer pools for the pipeline hot path.
+//! `spsc` — a lock-free single-producer/single-consumer ring for
+//! hand-offs between two threads.
 //!
-//! The threaded Observatory pipeline is a chain of stages (feeder →
-//! summarizer workers → sequencer → tracker shards) where every edge has
-//! exactly one producer and one consumer. That topology admits the
-//! cheapest possible hand-off: a fixed-capacity ring where the producer
+//! A hand-off with exactly one producer and one consumer (the broker's
+//! ingest ring in `pubsub`: the seal path → the broker thread) admits the
+//! cheapest possible queue: a fixed-capacity ring where the producer
 //! owns the tail index, the consumer owns the head index, and a transfer
 //! costs one slot write plus one release store — no locks, no CAS, no
 //! syscalls in the steady state. The workspace's `crossbeam-channel`
 //! stand-in (a `Mutex` + `Condvar` MPMC queue, see `stubs/README.md`)
-//! takes a lock and often a futex wake *per message*; measured on the
-//! `pipeline_throughput` grid that overhead inverted the
-//! scaling curve (workers=2 ran at half the single-threaded rate).
+//! takes a lock and often a futex wake *per message*.
 //!
 //! Blocking is handled with a spin → yield → timed-park ladder
 //! ([`Backoff`]): a few pipeline-friendly spins for the
@@ -359,96 +356,6 @@ impl<T> Drop for Consumer<T> {
     }
 }
 
-/// A bounded pool of reusable `Vec<T>` buffers.
-///
-/// Stage code `get`s an empty buffer, fills and ships it, and the final
-/// owner `put`s it back; the steady state allocates no batch storage.
-/// The pool is bounded so a stalled stage cannot accumulate idle
-/// buffers without limit — an over-capacity `put` simply drops the
-/// buffer (allocation pressure, never memory growth).
-pub struct Pool<T> {
-    inner: Arc<PoolInner<T>>,
-}
-
-struct PoolInner<T> {
-    stack: Mutex<Vec<Vec<T>>>,
-    cap: usize,
-}
-
-impl<T> Clone for Pool<T> {
-    fn clone(&self) -> Self {
-        Pool {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl<T> Pool<T> {
-    /// A pool retaining at most `cap` idle buffers.
-    pub fn new(cap: usize) -> Pool<T> {
-        Pool {
-            inner: Arc::new(PoolInner {
-                stack: Mutex::new(Vec::with_capacity(cap.min(1_024))),
-                cap: cap.max(1),
-            }),
-        }
-    }
-
-    /// Take an empty buffer (recycled if one is idle, fresh otherwise).
-    pub fn get(&self) -> Vec<T> {
-        self.inner.stack.lock().unwrap().pop().unwrap_or_default()
-    }
-
-    /// Return a buffer. It is cleared here; dropped if the pool is full.
-    pub fn put(&self, mut buf: Vec<T>) {
-        buf.clear();
-        if buf.capacity() == 0 {
-            return; // nothing worth retaining
-        }
-        let mut stack = self.inner.stack.lock().unwrap();
-        if stack.len() < self.inner.cap {
-            stack.push(buf);
-        }
-    }
-
-    /// Idle buffers currently retained (tests and gauges).
-    pub fn idle(&self) -> usize {
-        self.inner.stack.lock().unwrap().len()
-    }
-
-    /// Wrap a filled buffer so that dropping it returns the storage to
-    /// this pool — for buffers whose last owner is dynamic (e.g. shared
-    /// behind an `Arc` across tracker shards).
-    pub fn wrap(&self, buf: Vec<T>) -> Recycled<T> {
-        Recycled {
-            buf: Some(buf),
-            pool: self.clone(),
-        }
-    }
-}
-
-/// A `Vec<T>` that returns its storage to a [`Pool`] on drop.
-pub struct Recycled<T> {
-    buf: Option<Vec<T>>,
-    pool: Pool<T>,
-}
-
-impl<T> std::ops::Deref for Recycled<T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        self.buf.as_deref().expect("buffer present until drop")
-    }
-}
-
-impl<T> Drop for Recycled<T> {
-    fn drop(&mut self) {
-        if let Some(buf) = self.buf.take() {
-            self.pool.put(buf);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,38 +463,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_recycles_and_bounds() {
-        let pool = Pool::<u32>::new(2);
-        let mut a = pool.get();
-        a.extend([1, 2, 3]);
-        let cap_a = a.capacity();
-        pool.put(a);
-        assert_eq!(pool.idle(), 1);
-        let b = pool.get();
-        assert!(b.is_empty(), "recycled buffers come back cleared");
-        assert_eq!(b.capacity(), cap_a, "storage was actually reused");
-        // Over-capacity puts are dropped, not retained.
-        pool.put(Vec::with_capacity(8));
-        pool.put(Vec::with_capacity(8));
-        pool.put(Vec::with_capacity(8));
-        assert_eq!(pool.idle(), 2);
-    }
-
-    #[test]
-    fn recycled_returns_storage_on_drop() {
-        let pool = Pool::<u32>::new(4);
-        let mut v = pool.get();
-        v.extend([5, 6]);
-        let wrapped = pool.wrap(v);
-        assert_eq!(&*wrapped, &[5, 6]);
-        drop(wrapped);
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
     fn ping_pong_through_two_rings() {
         // A miniature two-stage pipeline: values go out, doubled values
-        // and the recycled buffers come back.
+        // come back.
         let (mut task_tx, mut task_rx) = ring::<Vec<u32>>(2);
         let (mut done_tx, mut done_rx) = ring::<Vec<u32>>(2);
         std::thread::scope(|scope| {

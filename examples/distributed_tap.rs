@@ -3,14 +3,14 @@
 //! Three sensor threads each simulate the same global traffic, keep the
 //! slice their vantage point would see, and stream summaries over real
 //! TCP to one collector, which merges the streams back into time order
-//! and feeds the tracking pipeline. The demo then runs the identical
+//! and feeds the Observatory fold. The demo then runs the identical
 //! traffic through a single in-process Observatory and asserts the two
 //! paths produce the same windows — the transport is invisible to the
 //! science.
 //!
 //! Run with: `cargo run --release --example distributed_tap`
 
-use dns_observatory::{Dataset, Observatory, ObservatoryConfig, ThreadedPipeline, TxSummary};
+use dns_observatory::{Dataset, Observatory, ObservatoryConfig, TxSummary};
 use feed::{Collector, CollectorConfig, Sensor, SensorConfig};
 use psl::Psl;
 use simnet::{SimConfig, Simulation};
@@ -63,7 +63,9 @@ fn main() {
         .collect();
 
     let output = collector.take_output();
-    let distributed = ThreadedPipeline::new(config(), 1).run_summaries(output.iter());
+    let mut obs = Observatory::new(config());
+    output.iter().for_each(|s| obs.ingest_summary(s));
+    let distributed = obs.finish();
     let sensor_reports: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     let report = collector.finish();
 

@@ -10,9 +10,7 @@
 //! they are race-free and finish in microseconds of real time.
 
 use chaos::VirtualClock;
-use dns_observatory::{
-    tsv, Dataset, Observatory, ObservatoryConfig, ThreadedPipeline, TimeSeriesStore, TxSummary,
-};
+use dns_observatory::{tsv, Dataset, Observatory, ObservatoryConfig, TimeSeriesStore, TxSummary};
 use feed::{
     Backoff, BackoffConfig, Collector, CollectorConfig, CollectorCore, FrameReader, Sensor,
     SensorConfig, SensorMachine, SensorOp,
@@ -49,7 +47,7 @@ fn single_process(seed: u64) -> TimeSeriesStore {
 
 /// Distributed run: K sensor threads each simulate the deployment's
 /// traffic, keep their own vantage slice, and stream summaries over TCP
-/// to a collector that feeds the pipeline.
+/// to a collector whose merged feed one Observatory folds.
 fn distributed(
     seed: u64,
 ) -> (
@@ -83,7 +81,9 @@ fn distributed(
         .collect();
 
     let output = collector.take_output();
-    let store = ThreadedPipeline::new(obs_config(1.0), 1).run_summaries(output.iter());
+    let mut obs = Observatory::new(obs_config(1.0));
+    output.iter().for_each(|s| obs.ingest_summary(s));
+    let store = obs.finish();
     let sensor_reports: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     let report = collector.finish();
     (store, report, sensor_reports)

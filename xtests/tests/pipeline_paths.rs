@@ -1,10 +1,8 @@
 //! Pipeline-path equivalence and robustness: raw packets vs structured
-//! ingest, the threaded pipeline, TSV round-trips of real dumps, and
-//! fault injection on the wire.
+//! ingest, windows taken as they close vs at the end, TSV round-trips of
+//! real dumps, and fault injection on the wire.
 
-use dns_observatory::{
-    tsv, Dataset, Observatory, ObservatoryConfig, ThreadedPipeline, TimeSeriesStore,
-};
+use dns_observatory::{tsv, Dataset, Observatory, ObservatoryConfig, TimeSeriesStore};
 use simnet::{SimConfig, Simulation};
 
 fn obs_cfg() -> ObservatoryConfig {
@@ -55,16 +53,33 @@ fn packet_and_structured_paths_agree_at_scale() {
     stores_equal(&structured.finish(), &packets.finish());
 }
 
+/// `simulate` and `collect --out` take each window as it closes; what
+/// they write must be what a fold that keeps every window until the end
+/// returns.
 #[test]
-fn threaded_pipeline_equals_single_threaded_at_scale() {
+fn streamed_windows_equal_the_finished_store_at_scale() {
     let mut sim = Simulation::from_config(SimConfig::small());
     let txs = sim.collect(6.0);
-    let mut single = Observatory::new(obs_cfg());
+    let mut whole = Observatory::new(obs_cfg());
+    let mut streamed = Observatory::new(obs_cfg());
+    let mut taken = TimeSeriesStore::new();
     for tx in &txs {
-        single.ingest(tx);
+        whole.ingest(tx);
+        streamed.ingest(tx);
+        streamed
+            .take_windows()
+            .into_iter()
+            .for_each(|w| taken.push(w));
+        assert!(streamed.store().windows().is_empty());
     }
-    let threaded = ThreadedPipeline::new(obs_cfg(), 8).run(txs);
-    stores_equal(&single.finish(), &threaded);
+    streamed
+        .finish()
+        .take_windows()
+        .into_iter()
+        .for_each(|w| taken.push(w));
+    let whole = whole.finish();
+    assert!(whole.dataset(Dataset::Qtype).len() >= 3);
+    stores_equal(&whole, &taken);
 }
 
 #[test]
