@@ -1,15 +1,16 @@
 //! `collect`: accept N sensors, merge their streams in time order, and
-//! fold the merged feed — into TSV windows like `simulate`, or, when a
-//! state sink is asked for, into per-window sketch state for the
-//! federated tier.
+//! fold the merged feed in the one fold core. `collect` picks the
+//! rendering from the sinks asked for: TSV rows like `simulate` when
+//! `--out` is the only sink, per-window sketch state for the federated
+//! tier when any state sink is on.
 
 use crate::flags::{self, Parsed};
 use crate::session::Session;
-use crate::sinks::{meta_reporter, Sinks, TsvDir};
+use crate::sinks::{Sinks, DEFAULT_OUT};
 use crate::{fail, Done};
 use dns_observatory::{Observatory, ObservatoryConfig, StateExporter, TxSummary};
 use feed::{Collector, CollectorConfig};
-use telemetry::{Registry, SystemClock};
+use telemetry::{Clock, Registry, SystemClock};
 
 /// Entries per exported state record: chunks big trackers so every record
 /// stays comfortably under the feed's frame cap at the default 10k caps.
@@ -25,18 +26,24 @@ pub fn collect(p: &Parsed) -> Done {
     let mut session = Session::start(p)?;
     let mut collector = Collector::<TxSummary>::bind(&listen, CollectorConfig::new(sensors))
         .map_err(|e| fail(format_args!("cannot listen on {listen}: {e}")))?;
-    eprintln!(
-        "collecting from {sensors} sensor(s) on {}, windows of {}s",
-        collector.local_addr(),
-        cfg.window_secs
-    );
+    let (on, window) = (collector.local_addr(), cfg.window_secs);
+    eprintln!("collecting from {sensors} sensor(s) on {on}, windows of {window}s");
     session.watch_feed(p.req(&flags::STALL_THRESHOLD));
 
+    // Rows always go to a directory; states render TSVs only into an
+    // `--out` that was given.
+    let out = p.opt(&flags::OUT);
+    let out = out.or_else(|| (!exports_state).then(|| DEFAULT_OUT.into()));
+    let sinks = Sinks::from_flags(p, &session, out)?;
     let feed = collector.take_output();
     let done = if exports_state {
-        export_state(p, &mut session, feed.iter(), cfg)
+        let exporter = exporter(p, &sinks, cfg).with_registry(Registry::global());
+        let exporter = exporter.with_trace(session.ring("exporter"));
+        run(&mut session, sinks, feed.iter(), exporter)
     } else {
-        render_locally(p, &mut session, feed.iter(), cfg)
+        let obs = Observatory::new(cfg).with_registry(Registry::global());
+        let obs = obs.with_trace(session.ring("pipeline"));
+        run(&mut session, sinks, feed.iter(), obs)
     };
     print_feed_report(&collector.finish());
     done
@@ -61,99 +68,84 @@ pub fn print_feed_report(report: &feed::CollectorReport) {
     }
 }
 
-/// The local path: one `Observatory` folds the merged feed on this
-/// thread, the same TSV layout as `simulate`, each window written as it
-/// closes.
-fn render_locally(
-    p: &Parsed,
-    session: &mut Session,
-    feed: impl Iterator<Item = TxSummary>,
-    cfg: ObservatoryConfig,
-) -> Done {
-    let mut out = TsvDir::create(p.opt(&flags::OUT))?;
-    // Meta self-reports ride on the merged feed's stream time, one per
-    // data window.
-    let mut meta = meta_reporter(cfg.window_secs);
-    let mut obs = Observatory::new(cfg)
-        .with_registry(Registry::global())
-        .with_trace(session.ring("pipeline"));
-    let clock = SystemClock::new();
-    let mut last_us = 0u64;
-    let mut written = Ok(());
-    for summary in feed {
-        if session.tracing() {
-            obs.set_now_us(telemetry::Clock::now_us(&clock));
-        }
-        last_us = (summary.time.max(0.0) * 1e6) as u64;
-        if let Some(bytes) = meta.tick(last_us) {
-            out.write_meta(&bytes);
-        }
-        obs.ingest_summary(summary);
-        for dump in obs.take_windows() {
-            written = written.and_then(|()| out.write_window(dump));
+/// The state rendering for `--upstream`. With a store, a restart resumes
+/// the watermark frontier from the last durable window instead of
+/// re-counting from zero: exports carry the admission gate's bloom and the
+/// eviction order, so resumed trackers continue exactly where the durable
+/// ones stood.
+fn exporter(p: &Parsed, sinks: &Sinks, cfg: ObservatoryConfig) -> StateExporter {
+    let upstream: u64 = p.req(&flags::UPSTREAM);
+    if let Some((start, states)) = sinks.resume_point() {
+        match StateExporter::resume(cfg.clone(), upstream, CHUNK_ENTRIES, *start, states) {
+            Ok(exporter) => {
+                eprintln!("store: resumed watermark frontier after window t={start}s");
+                return exporter;
+            }
+            Err(e) => eprintln!("store: cannot resume from last window ({e}); starting fresh"),
         }
     }
-    session.feed_ended();
-    if session.tracing() {
-        obs.set_now_us(telemetry::Clock::now_us(&clock));
-    }
-    for dump in obs.finish().take_windows() {
-        written = written.and_then(|()| out.write_window(dump));
-    }
-    if let Some(bytes) = meta.finish(last_us) {
-        out.write_meta(&bytes);
-    }
-    out.report();
-    written
+    StateExporter::new(cfg, upstream, CHUNK_ENTRIES)
 }
 
-/// The federated path: fold the merged feed into per-window sketch state
-/// and hand every closed window to the sinks. With a store, a restart
-/// resumes the watermark frontier from the last durable window instead
-/// of re-counting from zero.
-fn export_state(
-    p: &Parsed,
+/// The one feed loop: stamp the trace clock, tick the meta self-report on
+/// the feed's stream time, fold, and hand closed windows on.
+fn run(
     session: &mut Session,
+    mut sinks: Sinks,
     feed: impl Iterator<Item = TxSummary>,
-    cfg: ObservatoryConfig,
+    mut fold: impl Rendering,
 ) -> Done {
-    let upstream: u64 = p.req(&flags::UPSTREAM);
-    let mut sinks = Sinks::from_flags(p, session, p.opt(&flags::OUT))?;
-    // Exports carry the admission gate's bloom and the eviction order, so
-    // resumed trackers continue exactly where the durable ones stood.
-    let resumed = sinks.resume_point().map(|(start, states)| {
-        let exporter = StateExporter::resume(cfg.clone(), upstream, CHUNK_ENTRIES, *start, states);
-        (*start, exporter)
-    });
-    let exporter = match resumed {
-        Some((start, Ok(exporter))) => {
-            eprintln!("store: resumed watermark frontier after window t={start}s");
-            exporter
-        }
-        Some((_, Err(e))) => {
-            eprintln!("store: cannot resume from last window ({e}); starting fresh");
-            StateExporter::new(cfg, upstream, CHUNK_ENTRIES)
-        }
-        None => StateExporter::new(cfg, upstream, CHUNK_ENTRIES),
-    };
-    let mut exporter = exporter.with_trace(session.ring("exporter"));
-    let clock = SystemClock::new();
-    let mut states = Vec::new();
+    let (clock, tracing) = (SystemClock::new(), session.tracing());
+    let now_us = || if tracing { clock.now_us() } else { 0 };
     for summary in feed {
-        if session.tracing() {
-            exporter.set_now_us(telemetry::Clock::now_us(&clock));
-        }
+        fold.set_now_us(now_us());
         sinks.tick_meta((summary.time.max(0.0) * 1e6) as u64);
-        exporter.ingest_summary(summary, &mut states);
-        sinks.seal(std::mem::take(&mut states))?;
+        fold.fold(summary, &mut sinks)?;
     }
     session.feed_ended();
-    let skipped = exporter.resumed_skipped();
-    let ingested = exporter.finish(&mut states);
-    sinks.seal(states)?;
-    if skipped > 0 {
-        eprintln!("store: skipped {skipped} summaries already covered by durable windows");
-    }
-    eprintln!("upstream {upstream}: ingested {ingested} summaries");
+    fold.set_now_us(now_us());
+    fold.close(&mut sinks)?;
     sinks.finish()
+}
+
+/// A rendering of the fold, as the feed loop drives it.
+trait Rendering {
+    fn set_now_us(&mut self, now_us: u64);
+    /// Fold one summary and hand the windows it closed to `sinks`.
+    fn fold(&mut self, summary: TxSummary, sinks: &mut Sinks) -> Done;
+    /// Hand on the last window.
+    fn close(self, sinks: &mut Sinks) -> Done;
+}
+
+impl Rendering for Observatory {
+    fn set_now_us(&mut self, now_us: u64) {
+        Observatory::set_now_us(self, now_us);
+    }
+    fn fold(&mut self, summary: TxSummary, sinks: &mut Sinks) -> Done {
+        self.ingest_summary(summary);
+        sinks.write_windows(self.take_windows())
+    }
+    fn close(self, sinks: &mut Sinks) -> Done {
+        sinks.write_windows(self.finish().take_windows())
+    }
+}
+
+impl Rendering for StateExporter {
+    fn set_now_us(&mut self, now_us: u64) {
+        StateExporter::set_now_us(self, now_us);
+    }
+    fn fold(&mut self, summary: TxSummary, sinks: &mut Sinks) -> Done {
+        let mut states = Vec::new();
+        self.ingest_summary(summary, &mut states);
+        sinks.seal(states)
+    }
+    fn close(self, sinks: &mut Sinks) -> Done {
+        let skipped = self.resumed_skipped();
+        if skipped > 0 {
+            eprintln!("store: skipped {skipped} summaries already covered by durable windows");
+        }
+        let mut states = Vec::new();
+        self.finish(&mut states);
+        sinks.seal(states)
+    }
 }

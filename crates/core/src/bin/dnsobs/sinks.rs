@@ -163,8 +163,8 @@ pub fn retain_span_us(p: &Parsed) -> Option<u64> {
     (days > 0.0).then(|| (days * 86_400.0 * 1e6).round() as u64)
 }
 
-/// Every sink a state-exporting writer was asked for, and the one order
-/// sealed windows go through them.
+/// Every sink a writer was asked for, and the one order sealed windows
+/// go through them.
 pub struct Sinks {
     tsv: Option<TsvDir>,
     store: Option<Store>,
@@ -173,8 +173,9 @@ pub struct Sinks {
     state_out: Option<(PathBuf, Vec<u8>)>,
     forward: Option<Sensor<WindowState>>,
     serve: Option<(Server, ServerHandle)>,
-    /// Live subscribers get the platform's own meta self-reports next to
-    /// the data, one per window of stream time.
+    /// The platform's own meta self-reports, one per window of stream
+    /// time, go next to the data: into the TSV directory and to live
+    /// subscribers.
     meta: Option<MetaReporter>,
     /// The newest durable window (start seconds + its states), read when
     /// the store was opened.
@@ -212,8 +213,8 @@ impl Sinks {
             None => None,
         };
         // Only a `collect` has a --window, and the stream time to tick with.
-        let meta = match (&serve, p.opt::<f64>(&flags::WINDOW)) {
-            (Some(_), Some(window)) => Some(meta_reporter(window)),
+        let meta = match p.opt::<f64>(&flags::WINDOW) {
+            Some(window) if tsv.is_some() || serve.is_some() => Some(meta_reporter(window)),
             _ => None,
         };
         let upstream: u64 = p.opt(&flags::UPSTREAM).unwrap_or(0);
@@ -249,10 +250,24 @@ impl Sinks {
     }
 
     fn publish_meta(&mut self, bytes: Vec<u8>) {
+        if let Some(tsv) = &mut self.tsv {
+            tsv.write_meta(&bytes);
+        }
         if let (Some((_, handle)), Ok((start, _, _))) =
             (&mut self.serve, tsv::read_meta_window(bytes.as_slice()))
         {
             handle.publish_meta((start.max(0.0) * 1e6) as u64, bytes);
+        }
+    }
+
+    /// Write closed windows of TSV rows as they arrive (every tenth of a
+    /// dataset completes a `10win-` rollup).
+    pub fn write_windows(&mut self, dumps: Vec<WindowDump>) -> Done {
+        match &mut self.tsv {
+            Some(tsv) => dumps
+                .into_iter()
+                .try_for_each(|dump| tsv.write_window(dump)),
+            None => Ok(()),
         }
     }
 
@@ -339,7 +354,9 @@ impl Sinks {
                 report.departures.iter().filter(|d| gave_up(&d.reason)).count()
             );
         }
-        eprintln!("exported {} window-state record(s)", self.exported);
+        if self.exported > 0 {
+            eprintln!("exported {} window-state record(s)", self.exported);
+        }
         if let Some(store) = &self.store {
             let frontier = store.frontier_us();
             eprintln!(

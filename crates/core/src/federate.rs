@@ -8,56 +8,40 @@
 //! (`sketchwire::AggregatorCore`) merges N such streams into one global
 //! view whose error bound is the sum of the per-collector bounds.
 //!
-//! Two things differ deliberately from the local pipeline:
-//!
-//! * **Windows are floor-aligned** (`⌊t/w⌋·w`), not anchored at the
-//!   first summary seen. Collectors start at slightly different stream
-//!   times; anchoring would misalign their windows and make cross-stream
-//!   merging meaningless. The local pipeline keeps its historical
-//!   anchoring; this exporter owns alignment.
-//! * **One tracker per dataset** (no sharding). Shards partition the key
-//!   space and carry *per-shard* `min_count`s; the cross-collector
-//!   absent-key merge law is only valid against a whole tracker's
-//!   `min_count`, so the forwarding path keeps trackers whole.
+//! [`StateExporter`] is the state rendering of the one fold in
+//! [`crate::pipeline`]: the same trackers, cut by the same
+//! [`crate::WindowClock`], so a collector's windows are the rows
+//! rendering's windows, and collectors that start at different stream
+//! times still agree on every window's identity. Each tracker is exported
+//! whole: the cross-collector absent-key merge law is only valid against
+//! a whole tracker's `min_count`.
 
-use crate::features::{FeatureSet, FoldDigest};
-use crate::pipeline::{window_id_us, ObservatoryConfig};
+use crate::features::FeatureSet;
+use crate::metrics::FoldMetrics;
+use crate::pipeline::{Fold, ObservatoryConfig};
 use crate::summarize::TxSummary;
-use crate::timeseries::WindowDump;
+use crate::timeseries::{reported, sort_rows, WindowDump};
 use crate::topk::TopKTracker;
 use crate::tsv;
-use psl::Psl;
 use simnet::Transaction;
 use sketchwire::{merge_chunks, GlobalWindow, StateError, TopKState, WindowState};
-use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use telemetry::trace::{TraceEvent, TraceKind, TraceRing};
-
-/// Trace stage name for exporter span events.
-const STAGE: &str = "exporter";
+use telemetry::trace::{TraceKind, TraceRing};
+use telemetry::Registry;
 
 /// Turns a summary stream into per-window [`WindowState`] items — the
-/// collector half of the federated tier.
+/// collector half of the federated tier. Each window leaves an Open and
+/// a Close (value: its chunks) in stage `exporter`, the upstream id as
+/// their source.
 pub struct StateExporter {
-    cfg: ObservatoryConfig,
-    upstream: u64,
+    fold: Fold,
     chunk_entries: usize,
-    psl: Psl,
-    trackers: Vec<TopKTracker>,
-    /// Stats captured at the previous window boundary, per tracker.
-    prev_stats: Vec<(u64, u64, u64)>,
-    window_start: Option<f64>,
-    ingested: u64,
-    /// Summaries at or before this aligned window start are already in
-    /// the durable store and are skipped on a resumed run.
-    resume_before: f64,
+    /// Summaries in this window or earlier are already in the durable
+    /// store and are skipped on a resumed run.
+    resume_through: Option<i64>,
     /// Summaries skipped by the resume frontier.
     resumed_skipped: u64,
-    trace: TraceRing,
-    now_us: u64,
-    /// The current summary's digest, shared by every tracker.
-    digest: FoldDigest,
 }
 
 impl StateExporter {
@@ -66,30 +50,11 @@ impl StateExporter {
     /// are split with `TopKState::into_chunks` so every record stays
     /// under the transport frame cap.
     pub fn new(cfg: ObservatoryConfig, upstream: u64, chunk_entries: usize) -> StateExporter {
-        let trackers = cfg
-            .datasets
-            .iter()
-            .map(|&(ds, k)| TopKTracker::new(ds, k, cfg.feature_cfg, cfg.bloom_gate))
-            .collect::<Vec<_>>();
-        let prev_stats = vec![(0, 0, 0); trackers.len()];
         StateExporter {
-            cfg,
-            upstream,
-            chunk_entries: if chunk_entries == 0 {
-                usize::MAX
-            } else {
-                chunk_entries
-            },
-            psl: Psl::embedded(),
-            trackers,
-            prev_stats,
-            window_start: None,
-            ingested: 0,
-            resume_before: f64::NEG_INFINITY,
+            fold: Fold::new(cfg, "exporter", upstream),
+            chunk_entries: Some(chunk_entries).filter(|&n| n > 0).unwrap_or(usize::MAX),
+            resume_through: None,
             resumed_skipped: 0,
-            trace: TraceRing::disabled(),
-            now_us: 0,
-            digest: FoldDigest::default(),
         }
     }
 
@@ -97,14 +62,14 @@ impl StateExporter {
     /// the crash-recovery path of `collect --store`.
     ///
     /// `states` are that window's records (every dataset, chunked or
-    /// not) and `last_window_start` its aligned start. Each tracker is
+    /// not) and `last_window_start` its start. Each tracker is
     /// restored from its serialized state (see [`TopKTracker::restore`]
     /// for why the rebuilt tracker equals the post-export one), and the
     /// resume frontier is set so replayed summaries belonging to the
     /// durable window — or anything earlier — are skipped, not
     /// double-counted. The per-tracker `kept`/`dropped`/`filtered`
-    /// counters and `prev_stats` both restart at zero, so the *deltas*
-    /// exported per window are unaffected by the restart.
+    /// counters and the fold's boundary snapshot both restart at zero, so
+    /// the *deltas* exported per window are unaffected by the restart.
     pub fn resume(
         cfg: ObservatoryConfig,
         upstream: u64,
@@ -113,53 +78,51 @@ impl StateExporter {
         states: &[WindowState],
     ) -> Result<StateExporter, StateError> {
         let mut exporter = StateExporter::new(cfg, upstream, chunk_entries);
-        let mut by_dataset: BTreeMap<String, Vec<TopKState>> = BTreeMap::new();
-        for ws in states {
-            by_dataset
-                .entry(ws.topk.dataset.clone())
-                .or_default()
-                .push(ws.topk.clone());
+        let fold = &mut exporter.fold;
+        let datasets = &fold.cfg.datasets;
+        if (states.iter()).any(|ws| datasets.iter().all(|(ds, _)| ds.name() != ws.topk.dataset)) {
+            return Err(StateError::LayoutMismatch(
+                "resume state has a dataset the config lacks",
+            ));
         }
-        for (i, tracker) in exporter.trackers.iter_mut().enumerate() {
-            let (ds, k) = exporter.cfg.datasets[i];
-            let parts = by_dataset
-                .remove(ds.name())
-                .ok_or(StateError::LayoutMismatch("resume state missing a dataset"))?;
+        for (tracker, &(ds, k)) in fold.trackers.iter_mut().zip(datasets) {
+            let parts: Vec<&TopKState> = (states.iter())
+                .filter(|ws| ws.topk.dataset == ds.name())
+                .map(|ws| &ws.topk)
+                .collect();
+            if parts.is_empty() {
+                return Err(StateError::LayoutMismatch("resume state missing a dataset"));
+            }
             let whole = merge_chunks(&parts)?;
             if whole.capacity != k as u64 {
                 return Err(StateError::LayoutMismatch(
                     "resume capacity differs from configured k",
                 ));
             }
-            *tracker =
-                TopKTracker::restore(&whole, exporter.cfg.feature_cfg, exporter.cfg.bloom_gate)?;
+            *tracker = TopKTracker::restore(&whole, fold.cfg.feature_cfg, fold.cfg.bloom_gate)?;
         }
-        if !by_dataset.is_empty() {
-            return Err(StateError::LayoutMismatch(
-                "resume state has a dataset the config lacks",
-            ));
-        }
-        exporter.resume_before = last_window_start + exporter.cfg.window_secs;
+        exporter.resume_through = Some(exporter.fold.clock.index(last_window_start));
         Ok(exporter)
     }
 
-    /// Attach a trace ring; each exported window records a `close` span
-    /// event keyed by the same window id the aggregator uses on the
-    /// wire, with the chunk count as its value. Sans-io: pair with
-    /// [`StateExporter::set_now_us`] to timestamp events.
+    /// Report what the fold does into `registry`, as
+    /// `Observatory::with_registry` does.
+    pub fn with_registry(mut self, registry: Registry) -> StateExporter {
+        self.fold.metrics = Some(FoldMetrics::register(&registry, &self.fold.cfg.datasets));
+        self
+    }
+
+    /// Attach a trace ring; window ids are the ones the aggregator uses
+    /// on the wire. Sans-io: pair with [`StateExporter::set_now_us`] to
+    /// timestamp events.
     pub fn with_trace(mut self, ring: TraceRing) -> StateExporter {
-        self.trace = ring;
+        self.fold.trace = ring;
         self
     }
 
     /// Advance the exporter's notion of time for trace timestamps.
     pub fn set_now_us(&mut self, now_us: u64) {
-        self.now_us = now_us;
-    }
-
-    /// Total transactions ingested.
-    pub fn ingested(&self) -> u64 {
-        self.ingested
+        self.fold.now_us = now_us;
     }
 
     /// Transactions skipped because they predate the resume frontier.
@@ -170,7 +133,7 @@ impl StateExporter {
     /// Ingest one simulator transaction; completed windows are appended
     /// to `out`.
     pub fn ingest(&mut self, tx: &Transaction, out: &mut Vec<WindowState>) {
-        let summary = TxSummary::from_transaction(tx, &self.psl);
+        let summary = TxSummary::from_transaction(tx, &self.fold.psl);
         self.ingest_summary(summary, out);
     }
 
@@ -178,100 +141,68 @@ impl StateExporter {
     /// `out`. Input must be time-ordered (the feed collector's merge
     /// guarantees this).
     pub fn ingest_summary(&mut self, summary: TxSummary, out: &mut Vec<WindowState>) {
-        let w = self.cfg.window_secs;
-        let aligned = (summary.time / w).floor() * w;
         // Resumed runs replay the feed from before the crash; anything
         // already folded into the durable store is skipped (and counted),
         // never double-aggregated.
-        if aligned < self.resume_before {
+        let window = self.fold.clock.index(summary.time);
+        if self.resume_through.is_some_and(|through| window <= through) {
             self.resumed_skipped += 1;
             return;
         }
-        match self.window_start {
-            None => {
-                self.window_start = Some(aligned);
-                self.trace_open(aligned);
-            }
-            Some(start) if aligned > start => {
-                // A jump of more than one window leaves a gap the
-                // aggregator's per-upstream ledger will count.
-                self.export_window(start, out);
-                self.window_start = Some(aligned);
-                self.trace_open(aligned);
-            }
-            _ => {}
-        }
-        self.ingested += 1;
-        self.digest.load(&summary);
-        for t in &mut self.trackers {
-            t.observe_digest(&summary, &self.digest);
-        }
+        let (fold, chunks) = (&mut self.fold, self.chunk_entries);
+        fold.ingest(&summary, |fold, start| {
+            export_window(fold, chunks, start, out)
+        });
     }
 
     /// Flush the final partial window and return how many transactions
     /// were ingested in total.
     pub fn finish(mut self, out: &mut Vec<WindowState>) -> u64 {
-        if let Some(start) = self.window_start {
-            if self.ingested > 0 {
-                self.export_window(start, out);
-            }
-        }
-        self.ingested
-    }
-
-    fn trace_open(&self, start: f64) {
-        if self.trace.is_enabled() {
-            self.trace.record(
-                TraceEvent::new(self.now_us, STAGE, TraceKind::Open)
-                    .window(window_id_us(start))
-                    .source(self.upstream),
-            );
-        }
-    }
-
-    fn export_window(&mut self, start: f64, out: &mut Vec<WindowState>) {
-        let before = out.len();
-        for (i, t) in self.trackers.iter_mut().enumerate() {
-            let (kept, dropped, filtered) = t.stats();
-            let (pk, pd, pf) = self.prev_stats[i];
-            self.prev_stats[i] = (kept, dropped, filtered);
-            let state = t.export_state(kept - pk, dropped - pd, filtered - pf);
-            for chunk in state.into_chunks(self.chunk_entries) {
-                out.push(WindowState {
-                    upstream: self.upstream,
-                    start,
-                    length: self.cfg.window_secs,
-                    topk: chunk,
-                });
-            }
-        }
-        if self.trace.is_enabled() {
-            self.trace.record(
-                TraceEvent::new(self.now_us, STAGE, TraceKind::Close)
-                    .window(window_id_us(start))
-                    .source(self.upstream)
-                    .value((out.len() - before) as u64),
-            );
-        }
+        let (fold, chunks) = (&mut self.fold, self.chunk_entries);
+        fold.finish(|fold, start| export_window(fold, chunks, start, out));
+        self.fold.ingested
     }
 }
 
+/// Export closing window `start` into `out`: every tracker's state with
+/// its window's deltas, split into chunks of `chunk_entries` keys. A jump
+/// of more than one window leaves a gap the aggregator's per-upstream
+/// ledger counts.
+fn export_window(fold: &mut Fold, chunk_entries: usize, start: f64, out: &mut Vec<WindowState>) {
+    let (before, upstream, length) = (out.len(), fold.source, fold.cfg.window_secs);
+    fold.close(|t, (kept, dropped, filtered)| {
+        for topk in t
+            .export_state(kept, dropped, filtered)
+            .into_chunks(chunk_entries)
+        {
+            out.push(WindowState {
+                upstream,
+                start,
+                length,
+                topk,
+            });
+        }
+    });
+    fold.record(TraceKind::Close, start, (out.len() - before) as u64);
+}
+
 /// Render one merged sketch state into the [`WindowDump`] shape the
-/// local pipeline produces — residency rule, hit filter, hits-descending
-/// order, and the capacity cap re-applied. Shared by the aggregator's
-/// global render and the historical store's query path (which renders
-/// windows of any compaction level through exactly this function).
+/// rows rendering produces — the same residency rule and row order, and
+/// the capacity cap re-applied. Shared by the
+/// aggregator's global render and the historical store's query path
+/// (which renders windows of any compaction level through exactly this
+/// function).
 pub fn render_state(state: &TopKState, start: f64, length: f64) -> Result<WindowDump, StateError> {
     let mut rows = Vec::new();
     for e in &state.entries {
         // adds[0] is `hits` in the layout contract: per-window
         // traffic, not the cumulative Space-Saving count.
         let hits = e.features.adds.first().copied().unwrap_or(0);
-        if e.inserted_at <= start && hits > 0 {
+        if reported(e.inserted_at, hits, start) {
             rows.push((e.key.clone(), FeatureSet::from_state(&e.features)?.row()));
         }
     }
-    rows.sort_by(|a, b| b.1.hits.cmp(&a.1.hits).then_with(|| a.0.cmp(&b.0)));
+    sort_rows(&mut rows);
     rows.truncate(state.capacity as usize);
     Ok(WindowDump {
         dataset: state.dataset.clone(),
@@ -284,28 +215,19 @@ pub fn render_state(state: &TopKState, start: f64, length: f64) -> Result<Window
     })
 }
 
-/// Render one merged global window into per-dataset [`WindowDump`]s —
-/// a drop-in for every downstream consumer (TSV writer, rollups,
-/// analysis).
-pub fn render_global(gw: &GlobalWindow) -> Result<Vec<WindowDump>, StateError> {
-    gw.datasets
-        .iter()
-        .map(|state| render_state(state, gw.start, gw.length))
-        .collect()
-}
-
-/// Write one global window to `dir` using the same file naming as the
-/// local pipeline (`{dataset}-{start:05}.tsv`); returns the file count.
-/// A state that cannot be rendered maps to [`io::ErrorKind::InvalidData`].
+/// Write one merged global window to `dir`, one [`render_state`] per
+/// dataset, using the same file naming as the rows rendering
+/// (`{dataset}-{start:05}.tsv`); returns the file count. A state that
+/// cannot be rendered maps to [`io::ErrorKind::InvalidData`].
 pub fn write_global(dir: &Path, gw: &GlobalWindow) -> io::Result<usize> {
-    let dumps =
-        render_global(gw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    for dump in &dumps {
+    for state in &gw.datasets {
+        let dump = render_state(state, gw.start, gw.length)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let path = dir.join(format!("{}-{:05}.tsv", dump.dataset, dump.start as u64));
         let mut w = io::BufWriter::new(std::fs::File::create(path)?);
-        tsv::write_window(&mut w, dump)?;
+        tsv::write_window(&mut w, &dump)?;
     }
-    Ok(dumps.len())
+    Ok(gw.datasets.len())
 }
 
 #[cfg(test)]
@@ -313,9 +235,13 @@ mod tests {
     use super::*;
     use crate::keys::Dataset;
     use crate::pipeline::Observatory;
+    use psl::Psl;
+    use pubsub::window_id_us;
     use simnet::{SimConfig, Simulation};
     use sketchwire::{merge_chunks, merge_topk, AggregatorConfig, AggregatorCore};
     use std::collections::BTreeMap;
+    use telemetry::trace::TraceEvent;
+    use telemetry::Registry;
 
     fn cfg(window: f64) -> ObservatoryConfig {
         ObservatoryConfig {
@@ -326,24 +252,26 @@ mod tests {
         }
     }
 
-    /// One collector's exported state, rendered back, matches the local
-    /// pipeline's dump — *given* the same (floor-aligned) window starts.
+    /// One collector's exported state, rendered back, is the rows
+    /// rendering's dump, window for window: `dump` ≡ `render_state ∘
+    /// export_state`, with the admission gate on and a feed whose first
+    /// summary is not on a window boundary.
     #[test]
     fn single_exporter_roundtrips_to_local_dump() {
         let psl = Psl::embedded();
         let mut summaries = Vec::new();
         let mut sim = Simulation::from_config(SimConfig::small());
         sim.run(2.5, &mut |tx| {
-            summaries.push(TxSummary::from_transaction(tx, &psl));
+            let mut s = TxSummary::from_transaction(tx, &psl);
+            s.time += 0.37;
+            summaries.push(s);
         });
-        // The local pipeline anchors windows at the first summary time;
-        // the exporter floor-aligns. Snapping the first summary to a
-        // window boundary makes the two schemes coincide, so the dumps
-        // must then agree exactly.
-        summaries[0].time = summaries[0].time.floor();
-
-        let mut exporter = StateExporter::new(cfg(1.0), 7, 0);
-        let mut obs = Observatory::new(cfg(1.0));
+        let gated = ObservatoryConfig {
+            bloom_gate: true,
+            ..cfg(1.0)
+        };
+        let mut exporter = StateExporter::new(gated.clone(), 7, 0);
+        let mut obs = Observatory::new(gated);
         let mut states = Vec::new();
         for s in summaries {
             obs.ingest_summary(s.clone());
@@ -353,8 +281,6 @@ mod tests {
         let store = obs.finish();
         assert!(!states.is_empty());
 
-        // The sim starts at t≈0, so the local anchored windows coincide
-        // with the floor-aligned ones and the dumps must agree exactly.
         let mut core = AggregatorCore::new(&AggregatorConfig::new(1));
         for ws in states {
             core.on_state(ws).expect("valid state");
@@ -363,8 +289,16 @@ mod tests {
         core.finish(&mut sealed);
         let mut rendered: Vec<WindowDump> = Vec::new();
         for gw in &sealed {
-            rendered.extend(render_global(gw).expect("render"));
+            for state in &gw.datasets {
+                rendered.push(render_state(state, gw.start, gw.length).expect("render"));
+            }
         }
+        assert_eq!(rendered.len(), store.windows().len(), "the same windows");
+        assert_eq!(
+            store.windows()[0].start,
+            0.0,
+            "the first window is cut short"
+        );
         for want in store.windows() {
             let got = rendered
                 .iter()
@@ -382,6 +316,43 @@ mod tests {
             };
             assert_eq!(bytes(got), bytes(want), "{}@{}", want.dataset, want.start);
         }
+    }
+
+    /// The state rendering reports into a registry as the rows rendering
+    /// does: one close per exported window, and each dataset's counters
+    /// equal the summed `kept/dropped/filtered` of its exported records.
+    #[test]
+    fn telemetry_reconciles_with_exported_states() {
+        let registry = Registry::new();
+        let mut exporter = StateExporter::new(cfg(1.0), 2, 0).with_registry(registry.clone());
+        let mut states = Vec::new();
+        let mut sim = Simulation::from_config(SimConfig::small());
+        sim.run(2.5, &mut |tx| exporter.ingest(tx, &mut states));
+        let total = exporter.finish(&mut states);
+        let snap = registry.snapshot(0);
+        assert_eq!(snap.counter("pipeline_ingested_total"), total);
+        let windows: std::collections::BTreeSet<u64> =
+            states.iter().map(|ws| window_id_us(ws.start)).collect();
+        assert!(windows.len() >= 3, "{windows:?}");
+        assert_eq!(snap.counter("pipeline_windows_total"), windows.len() as u64);
+        for ds in [Dataset::SrvIp, Dataset::Qtype] {
+            let exported = (states.iter())
+                .filter(|ws| ws.topk.dataset == ds.name())
+                .fold((0, 0, 0), |(k, d, f), ws| {
+                    (k + ws.topk.kept, d + ws.topk.dropped, f + ws.topk.filtered)
+                });
+            let sel = |what: &str| {
+                let labels = format!("{{dataset=\"{}\"}}", ds.name());
+                snap.counter(&format!("pipeline_{what}_total{labels}"))
+            };
+            assert_eq!(
+                (sel("kept"), sel("dropped"), sel("filtered")),
+                exported,
+                "{} counters must mirror the exported records",
+                ds.name()
+            );
+        }
+        assert!(snap.gauge("topk_monitored{dataset=\"srvip\"}") > 0.0);
     }
 
     /// Chunked export merges back to exactly the unchunked state.

@@ -54,10 +54,10 @@ pub mod topk;
 pub mod tsv;
 
 pub use features::{FeatureConfig, FeatureRow, FeatureSet, FoldDigest};
-pub use federate::{render_global, render_state, write_global, StateExporter};
+pub use federate::{render_state, write_global, StateExporter};
 pub use keys::{Dataset, Key, KeyBuf};
 pub use metrics::MetaReporter;
-pub use pipeline::{Observatory, ObservatoryConfig, ThreadedPipeline};
+pub use pipeline::{Observatory, ObservatoryConfig, ThreadedPipeline, WindowClock};
 pub use summarize::{Outcome, TxSummary};
 pub use timeseries::{TimeSeriesStore, WindowDump};
 pub use topk::TopKTracker;

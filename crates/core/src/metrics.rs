@@ -12,7 +12,8 @@ use crate::keys::Dataset;
 use crate::topk::TopKTracker;
 use telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 
-/// Handles an [`crate::Observatory`] reports into once it has a registry.
+/// Handles the fold reports into once it has a registry, on either
+/// rendering ([`crate::Observatory`] or [`crate::StateExporter`]).
 #[derive(Debug)]
 pub(crate) struct FoldMetrics {
     /// `pipeline_ingested_total`: summaries folded, bumped after each
@@ -29,8 +30,9 @@ pub(crate) struct FoldMetrics {
 }
 
 impl FoldMetrics {
-    /// Register (or re-attach to) the fold's handles for `datasets`.
-    pub fn register(registry: &Registry, datasets: &[Dataset]) -> FoldMetrics {
+    /// Register (or re-attach to) the fold's handles for its configured
+    /// `(dataset, capacity)` list.
+    pub fn register(registry: &Registry, datasets: &[(Dataset, usize)]) -> FoldMetrics {
         FoldMetrics {
             ingested: registry.counter("pipeline_ingested_total"),
             windows: registry.counter("pipeline_windows_total"),
@@ -41,7 +43,7 @@ impl FoldMetrics {
             ),
             trackers: datasets
                 .iter()
-                .map(|&ds| TrackerMetrics::register(registry, ds))
+                .map(|&(ds, _)| TrackerMetrics::register(registry, ds))
                 .collect(),
         }
     }
@@ -189,7 +191,7 @@ mod tests {
     #[test]
     fn fold_metrics_register_one_tracker_handle_per_dataset() {
         let r = Registry::new();
-        let m = FoldMetrics::register(&r, &[Dataset::SrvIp, Dataset::Qtype]);
+        let m = FoldMetrics::register(&r, &[(Dataset::SrvIp, 8), (Dataset::Qtype, 8)]);
         assert_eq!(m.trackers.len(), 2);
         m.ingested.inc(5);
         m.trackers[1].kept.inc(3);
@@ -205,7 +207,7 @@ mod tests {
     fn tracker_metrics_flush_is_delta_based() {
         use crate::features::FeatureConfig;
         let r = Registry::new();
-        let mut fold = FoldMetrics::register(&r, &[Dataset::Qtype]);
+        let mut fold = FoldMetrics::register(&r, &[(Dataset::Qtype, 8)]);
         let tracker = TopKTracker::new(Dataset::Qtype, 8, FeatureConfig::default(), false);
         fold.trackers[0].flush(&tracker, (10, 2, 1));
         fold.trackers[0].flush(&tracker, (5, 0, 0));

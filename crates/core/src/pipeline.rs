@@ -1,13 +1,15 @@
 //! The assembled Observatory (steps B–F of the paper's Figure 1): one
 //! single-threaded fold, summarize → track → window-dump.
 //!
-//! [`Observatory`] is the workspace's one fold core for TSV windows:
-//! `simulate` and `collect --out` run it on their own thread and write
-//! each window as it closes, and every byte-equivalence oracle compares
-//! against it. Attach a [`Registry`] ([`Observatory::with_registry`]) and
-//! it reports what it folded; attach a [`TraceRing`]
-//! ([`Observatory::with_trace`]) and each window leaves an Open, a Close
-//! and a Seal event keyed by its start.
+//! The fold is written once, in `Fold`: the trackers, the digest they
+//! share, the per-window `kept/dropped/filtered` deltas, telemetry, the
+//! trace ring, and the one [`WindowClock`]. It has two renderings.
+//! [`Observatory`] dumps each closed window as TSV rows; `simulate` and
+//! `collect --out` run it, and every byte oracle compares against it.
+//! [`crate::StateExporter`] exports each closed window as sketch state for
+//! the federated tier. Attach a [`Registry`] (`with_registry`) and either
+//! reports what it folded; attach a [`TraceRing`] (`with_trace`) and each
+//! window leaves events keyed by its start.
 
 use crate::features::{FeatureConfig, FoldDigest};
 use crate::keys::Dataset;
@@ -16,13 +18,11 @@ use crate::summarize::TxSummary;
 use crate::timeseries::{TimeSeriesStore, WindowDump};
 use crate::topk::TopKTracker;
 use psl::Psl;
+use pubsub::window_id_us;
 use simnet::Transaction;
 use std::time::Instant;
-use telemetry::trace::{TraceEvent, TraceKind, TraceRing};
+use telemetry::trace::{TraceEvent, TraceKind, TraceRing, NO_SOURCE};
 use telemetry::Registry;
-
-/// Stage name on the fold's trace events.
-const STAGE: &str = "fold";
 
 /// Observatory configuration.
 #[derive(Debug, Clone)]
@@ -48,47 +48,166 @@ impl Default for ObservatoryConfig {
     }
 }
 
-/// The single-threaded stream processor: summarize → track → window-dump.
-pub struct Observatory {
-    cfg: ObservatoryConfig,
-    psl: Psl,
-    trackers: Vec<TopKTracker>,
-    store: TimeSeriesStore,
-    window_start: Option<f64>,
-    /// Stats captured at the previous window boundary, per tracker.
-    prev_stats: Vec<(u64, u64, u64)>,
-    ingested: u64,
-    /// `ingested` when the open window opened, and the wall instant.
-    opened: (u64, Instant),
+/// Cuts stream time into windows that start at multiples of the window
+/// length, like the paper's minute files: every sensor, collector and
+/// rendering agrees on a window without coordinating. The fold compares
+/// windows by integer index, so a closed window can never re-open.
+#[derive(Debug, Clone, Copy)]
+pub struct WindowClock(
+    /// Window length, seconds.
+    pub f64,
+);
+
+impl WindowClock {
+    /// Index of the window holding `t`: the `k` with `start(k) ≤ t <
+    /// start(k + 1)`. The workspace's one time-to-window formula.
+    pub fn index(&self, t: f64) -> i64 {
+        let k = (t / self.0).floor() as i64;
+        // `t / w` can round across a boundary: settle on the window whose
+        // span holds `t`.
+        match (self.start(k) > t, self.start(k.saturating_add(1)) <= t) {
+            (true, _) => k.saturating_sub(1),
+            (_, true) => k.saturating_add(1),
+            _ => k,
+        }
+    }
+
+    /// Start of window `index`, in seconds.
+    pub fn start(&self, index: i64) -> f64 {
+        index as f64 * self.0
+    }
+}
+
+/// The fold both renderings share: summarize → track, cut by one
+/// [`WindowClock`]. A rendering passes a `close` callback that turns the
+/// closing window into its output while the trackers still hold it.
+pub(crate) struct Fold {
+    pub(crate) cfg: ObservatoryConfig,
+    pub(crate) psl: Psl,
+    pub(crate) trackers: Vec<TopKTracker>,
     /// The current summary's digest, shared by every tracker.
     digest: FoldDigest,
-    metrics: Option<FoldMetrics>,
-    trace: TraceRing,
-    now_us: u64,
+    /// Stats captured at the previous window boundary, per tracker.
+    prev_stats: Vec<(u64, u64, u64)>,
+    pub(crate) clock: WindowClock,
+    /// Index of the open window. It only grows: a summary at or before it
+    /// folds into it.
+    open: Option<i64>,
+    pub(crate) ingested: u64,
+    /// `ingested` when the open window opened, and the wall instant.
+    opened: (u64, Instant),
+    /// Telemetry, once a registry is attached (see [`FoldMetrics`]).
+    pub(crate) metrics: Option<FoldMetrics>,
+    pub(crate) trace: TraceRing,
+    pub(crate) now_us: u64,
+    /// Stage of this rendering's trace events.
+    stage: &'static str,
+    /// Source id on its trace events: the upstream id of a state
+    /// rendering, [`NO_SOURCE`] for rows.
+    pub(crate) source: u64,
+}
+
+impl Fold {
+    pub(crate) fn new(cfg: ObservatoryConfig, stage: &'static str, source: u64) -> Fold {
+        Fold {
+            psl: Psl::embedded(),
+            trackers: (cfg.datasets.iter())
+                .map(|&(ds, k)| TopKTracker::new(ds, k, cfg.feature_cfg, cfg.bloom_gate))
+                .collect(),
+            digest: FoldDigest::default(),
+            prev_stats: vec![(0, 0, 0); cfg.datasets.len()],
+            clock: WindowClock(cfg.window_secs),
+            open: None,
+            cfg,
+            ingested: 0,
+            opened: (0, Instant::now()),
+            metrics: None,
+            trace: TraceRing::disabled(),
+            now_us: 0,
+            stage,
+            source,
+        }
+    }
+
+    /// Fold one summary into the window holding its time. When that
+    /// opens a new window, `close` first renders the one it closes.
+    pub(crate) fn ingest(&mut self, summary: &TxSummary, close: impl FnOnce(&mut Fold, f64)) {
+        let k = self.clock.index(summary.time);
+        if self.open.is_none_or(|open| k > open) {
+            if let Some(closed) = self.open.replace(k) {
+                close(self, self.clock.start(closed));
+            }
+            self.opened = (self.ingested, Instant::now());
+            self.record(TraceKind::Open, self.clock.start(k), 0);
+        }
+        self.ingested += 1;
+        self.digest.load(summary);
+        for t in &mut self.trackers {
+            t.observe_digest(summary, &self.digest);
+        }
+        if let Some(m) = &self.metrics {
+            m.ingested.inc(1);
+        }
+    }
+
+    /// The feed is over: `close` renders the open window, if any.
+    pub(crate) fn finish(&mut self, close: impl FnOnce(&mut Fold, f64)) {
+        if let Some(open) = self.open {
+            close(self, self.clock.start(open));
+        }
+    }
+
+    /// Close the open window: each tracker, with its window's
+    /// `(kept, dropped, filtered)` delta, goes to telemetry and to
+    /// `render`, which resets its features. Returns the window's summaries.
+    pub(crate) fn close(
+        &mut self,
+        mut render: impl FnMut(&mut TopKTracker, (u64, u64, u64)),
+    ) -> u64 {
+        for (i, t) in self.trackers.iter_mut().enumerate() {
+            let (kept, dropped, filtered) = t.stats();
+            let (pk, pd, pf) = std::mem::replace(&mut self.prev_stats[i], t.stats());
+            let delta = (kept - pk, dropped - pd, filtered - pf);
+            if let Some(m) = &mut self.metrics {
+                m.trackers[i].flush(t, delta);
+            }
+            render(t, delta);
+        }
+        if let Some(m) = &self.metrics {
+            m.windows.inc(1);
+            m.window_seconds
+                .record(self.opened.1.elapsed().as_secs_f64());
+        }
+        self.ingested - self.opened.0
+    }
+
+    /// Record one trace event of window `start`, keyed by the window id
+    /// the federation wire uses, so a window's provenance can be followed
+    /// from the fold through the federation tier with one id.
+    pub(crate) fn record(&self, kind: TraceKind, start: f64, value: u64) {
+        self.trace.record(
+            TraceEvent::new(self.now_us, self.stage, kind)
+                .window(window_id_us(start))
+                .source(self.source)
+                .value(value),
+        );
+    }
+}
+
+/// The rows rendering of the fold: each closed window becomes one
+/// [`WindowDump`] per dataset and leaves an Open, a Close (value: its
+/// summaries) and a Seal (value: its rows) in stage `fold`.
+pub struct Observatory {
+    fold: Fold,
+    store: TimeSeriesStore,
 }
 
 impl Observatory {
     /// Build from config.
     pub fn new(cfg: ObservatoryConfig) -> Observatory {
-        let trackers = cfg
-            .datasets
-            .iter()
-            .map(|&(ds, k)| TopKTracker::new(ds, k, cfg.feature_cfg, cfg.bloom_gate))
-            .collect::<Vec<_>>();
-        let prev_stats = vec![(0, 0, 0); trackers.len()];
         Observatory {
-            cfg,
-            psl: Psl::embedded(),
-            trackers,
+            fold: Fold::new(cfg, "fold", NO_SOURCE),
             store: TimeSeriesStore::new(),
-            window_start: None,
-            prev_stats,
-            ingested: 0,
-            opened: (0, Instant::now()),
-            digest: FoldDigest::default(),
-            metrics: None,
-            trace: TraceRing::disabled(),
-            now_us: 0,
         }
     }
 
@@ -97,33 +216,31 @@ impl Observatory {
     /// `pipeline_window_seconds`, `pipeline_{kept,dropped,filtered}_total`
     /// and the `topk_*` tracker gauges.
     pub fn with_registry(mut self, registry: Registry) -> Observatory {
-        let datasets: Vec<Dataset> = self.cfg.datasets.iter().map(|&(ds, _)| ds).collect();
-        self.metrics = Some(FoldMetrics::register(&registry, &datasets));
+        self.fold.metrics = Some(FoldMetrics::register(&registry, &self.fold.cfg.datasets));
         self
     }
 
-    /// Attach a trace ring: each window records an Open, a Close (value:
-    /// its summaries) and a Seal (value: its rows), keyed by the window
-    /// start in µs as on the federation wire. Sans-io: pair with
+    /// Attach a trace ring; window ids are the window start in µs, as on
+    /// the federation wire. Sans-io: pair with
     /// [`Observatory::set_now_us`] to timestamp events.
     pub fn with_trace(mut self, ring: TraceRing) -> Observatory {
-        self.trace = ring;
+        self.fold.trace = ring;
         self
     }
 
     /// Advance the fold's notion of time for trace timestamps.
     pub fn set_now_us(&mut self, now_us: u64) {
-        self.now_us = now_us;
+        self.fold.now_us = now_us;
     }
 
     /// Total transactions ingested.
     pub fn ingested(&self) -> u64 {
-        self.ingested
+        self.fold.ingested
     }
 
     /// Ingest one simulator transaction (structured fast path).
     pub fn ingest(&mut self, tx: &Transaction) {
-        let summary = TxSummary::from_transaction(tx, &self.psl);
+        let summary = TxSummary::from_transaction(tx, &self.fold.psl);
         self.ingest_summary(summary);
     }
 
@@ -137,96 +254,25 @@ impl Observatory {
         contributor: u16,
         delay_ms: f64,
     ) {
-        if let Some(summary) = TxSummary::from_packets(
-            query_pkt,
-            response_pkt,
-            time,
-            contributor,
-            delay_ms,
-            &self.psl,
-        ) {
+        let psl = &self.fold.psl;
+        if let Some(summary) =
+            TxSummary::from_packets(query_pkt, response_pkt, time, contributor, delay_ms, psl)
+        {
             self.ingest_summary(summary);
         }
     }
 
     /// Ingest a pre-built summary.
     pub fn ingest_summary(&mut self, summary: TxSummary) {
-        match self.window_start {
-            None => self.open_window(summary.time),
-            Some(start) if summary.time >= start + self.cfg.window_secs => {
-                self.dump_window(start);
-                self.open_window(next_window_start(start, summary.time, self.cfg.window_secs));
-            }
-            Some(_) => {}
-        }
-        self.ingested += 1;
-        self.digest.load(&summary);
-        for t in &mut self.trackers {
-            t.observe_digest(&summary, &self.digest);
-        }
-        if let Some(m) = &self.metrics {
-            m.ingested.inc(1);
-        }
-    }
-
-    fn open_window(&mut self, start: f64) {
-        self.window_start = Some(start);
-        self.opened = (self.ingested, Instant::now());
-        self.record(TraceKind::Open, start, 0);
-    }
-
-    fn dump_window(&mut self, start: f64) {
-        let mut rows = 0;
-        for (i, t) in self.trackers.iter_mut().enumerate() {
-            let dumped = t.dump(start);
-            let (kept, dropped, filtered) = t.stats();
-            let (pk, pd, pf) = self.prev_stats[i];
-            self.prev_stats[i] = (kept, dropped, filtered);
-            let delta = (kept - pk, dropped - pd, filtered - pf);
-            if let Some(m) = &mut self.metrics {
-                m.trackers[i].flush(t, delta);
-            }
-            rows += dumped.len() as u64;
-            self.store.push(WindowDump {
-                dataset: t.dataset().name().to_string(),
-                start,
-                length: self.cfg.window_secs,
-                rows: dumped,
-                kept: delta.0,
-                dropped: delta.1,
-                filtered: delta.2,
-            });
-        }
-        if let Some(m) = &self.metrics {
-            m.windows.inc(1);
-            m.window_seconds
-                .record(self.opened.1.elapsed().as_secs_f64());
-        }
-        self.record(TraceKind::Close, start, self.ingested - self.opened.0);
-        self.record(TraceKind::Seal, start, rows);
-    }
-
-    fn record(&self, kind: TraceKind, start: f64, value: u64) {
-        if self.trace.is_enabled() {
-            self.trace.record(
-                TraceEvent::new(self.now_us, STAGE, kind)
-                    .window(window_id_us(start))
-                    .value(value),
-            );
-        }
+        let (fold, store) = (&mut self.fold, &mut self.store);
+        fold.ingest(&summary, |fold, start| dump_window(fold, store, start));
     }
 
     /// Flush the final partial window and return the collected store.
     pub fn finish(mut self) -> TimeSeriesStore {
-        if let Some(start) = self.window_start {
-            self.dump_window(start);
-        }
+        let (fold, store) = (&mut self.fold, &mut self.store);
+        fold.finish(|fold, start| dump_window(fold, store, start));
         self.store
-    }
-
-    /// Borrow the store collected so far (completed windows only).
-    pub fn store(&self) -> &TimeSeriesStore {
-        &self.store
     }
 
     /// Take the windows completed since the last call, leaving the store
@@ -237,38 +283,41 @@ impl Observatory {
     }
 }
 
-/// Start of the window containing `t`, given that the window opened at
-/// `start` has just closed (`t >= start + w`). Always advances at least
-/// one window: `(t - start) / w` can round below 1 while `t >= start + w`
-/// holds, and re-opening the closed window would dump it twice.
-fn next_window_start(start: f64, t: f64, w: f64) -> f64 {
-    start + ((t - start) / w).floor().max(1.0) * w
-}
-
-/// Window ids on the trace: the window start in integer microseconds,
-/// the same keying `sketchwire::AggregatorCore` uses for windows on the
-/// wire — so a window's provenance can be followed from the fold
-/// through the federation tier with one id.
-pub(crate) fn window_id_us(start: f64) -> u64 {
-    (start * 1e6).round() as u64
+/// Dump closing window `start` into `store`, one [`WindowDump`] per
+/// tracker.
+fn dump_window(fold: &mut Fold, store: &mut TimeSeriesStore, start: f64) {
+    let (length, mut rows) = (fold.cfg.window_secs, 0);
+    let summaries = fold.close(|t, (kept, dropped, filtered)| {
+        let dumped = t.dump(start);
+        rows += dumped.len() as u64;
+        store.push(WindowDump {
+            dataset: t.dataset().name().to_string(),
+            start,
+            length,
+            rows: dumped,
+            kept,
+            dropped,
+            filtered,
+        });
+    });
+    fold.record(TraceKind::Close, start, summaries);
+    fold.record(TraceKind::Seal, start, rows);
 }
 
 /// What is left of the threaded pipeline: the entry point obsbench's
 /// per-layer `core.pipeline_tx_per_s` row calls. It is one
 /// [`Observatory`] fold; `workers` is ignored.
-pub struct ThreadedPipeline {
-    cfg: ObservatoryConfig,
-}
+pub struct ThreadedPipeline(ObservatoryConfig);
 
 impl ThreadedPipeline {
     /// A fold over `cfg`.
     pub fn new(cfg: ObservatoryConfig, _workers: usize) -> ThreadedPipeline {
-        ThreadedPipeline { cfg }
+        ThreadedPipeline(cfg)
     }
 
     /// Fold `summaries` and return every window.
     pub fn run_summaries(&self, summaries: impl IntoIterator<Item = TxSummary>) -> TimeSeriesStore {
-        let mut obs = Observatory::new(self.cfg.clone());
+        let mut obs = Observatory::new(self.0.clone());
         summaries.into_iter().for_each(|s| obs.ingest_summary(s));
         obs.finish()
     }
@@ -385,10 +434,11 @@ mod tests {
         }
     }
 
-    /// A summary exactly one window after the first, at a start where
-    /// `(t - start) / w` rounds below 1 (`(0.3 + 2.0) - 0.3 < 2.0` in
-    /// f64), must open the *next* window — never re-open and re-dump the
-    /// one just closed.
+    /// A summary exactly one window after the first, where `(t1 - t0) /
+    /// w` rounds below 1 in f64 (`(0.3 + 2.0) - 0.3 < 2.0`, the trap of
+    /// the clock that anchored windows at the first summary), opens the
+    /// next window: both renderings close the first window once, each
+    /// window at its own multiple of `w`.
     #[test]
     fn boundary_summary_never_reopens_the_closed_window() {
         let (t0, w) = (0.3_f64, 2.0_f64);
@@ -400,22 +450,43 @@ mod tests {
         let mut summaries: Vec<TxSummary> = summaries(0.2).into_iter().take(2).collect();
         summaries[0].time = t0;
         summaries[1].time = t1;
-        let mut obs = Observatory::new(ObservatoryConfig {
+        let cfg = ObservatoryConfig {
             window_secs: w,
             ..small_cfg()
-        });
+        };
+        let mut obs = Observatory::new(cfg.clone());
+        let mut exporter = crate::StateExporter::new(cfg, 0, 0);
+        let mut states = Vec::new();
         for s in summaries {
-            obs.ingest_summary(s);
+            obs.ingest_summary(s.clone());
+            exporter.ingest_summary(s, &mut states);
         }
+        exporter.finish(&mut states);
         let store = obs.finish();
-        let windows = store.dataset(Dataset::Qtype);
-        let starts: Vec<f64> = windows.iter().map(|w| w.start).collect();
-        assert_eq!(starts, [t0, t1], "one dump per window, each its own start");
-        let seen: Vec<u64> = windows
-            .iter()
-            .map(|w| w.kept + w.dropped + w.filtered)
+        let rows: Vec<(f64, u64)> = (store.dataset(Dataset::Qtype).iter())
+            .map(|w| (w.start, w.kept + w.dropped + w.filtered))
             .collect();
-        assert_eq!(seen, [1, 1]);
+        assert_eq!(rows, [(0.0, 1), (2.0, 1)], "one dump per window");
+        let exported: Vec<(f64, u64)> = (states.iter())
+            .filter(|ws| ws.topk.dataset == "qtype")
+            .map(|ws| (ws.start, ws.topk.kept + ws.topk.dropped + ws.topk.filtered))
+            .collect();
+        assert_eq!(exported, rows, "one export per window");
+    }
+
+    /// Every window's start lies in that window and the float just below
+    /// it in the previous one, even where `t / w` rounds across the
+    /// boundary (`w` = 0.1, 0.3, 1/3 are not exact in binary).
+    #[test]
+    fn window_clock_puts_each_start_in_its_own_window() {
+        for w in [0.1, 0.3, 1.0 / 3.0, 1.0, 3.0, 60.0] {
+            let clock = WindowClock(w);
+            for k in -50..5_000 {
+                let start = clock.start(k);
+                assert_eq!(clock.index(start), k, "start of {k} at w={w}");
+                assert_eq!(clock.index(start.next_down()), k - 1, "below {k} at w={w}");
+            }
+        }
     }
 
     /// `pipeline_ingested_total` is bumped after the fold, so a load

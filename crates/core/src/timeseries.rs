@@ -36,6 +36,20 @@ impl WindowDump {
     }
 }
 
+/// Paper §2.4's residency rule, for both renderings (`TopKTracker::dump`
+/// and `render_state`): an object is reported for the window starting at
+/// `start` only if it was in the cache when the window opened, and was
+/// hit in it.
+pub(crate) fn reported(inserted_at: f64, hits: u64, start: f64) -> bool {
+    inserted_at <= start && hits > 0
+}
+
+/// The one order of a window's rows, for both renderings: hits
+/// descending, then key ascending.
+pub(crate) fn sort_rows(rows: &mut [(String, FeatureRow)]) {
+    rows.sort_by(|a, b| b.1.hits.cmp(&a.1.hits).then_with(|| a.0.cmp(&b.0)));
+}
+
 /// In-memory store of all window dumps produced by a run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TimeSeriesStore {
@@ -98,7 +112,7 @@ impl TimeSeriesStore {
                 (key, row)
             })
             .collect();
-        out.sort_by(|a, b| b.1.hits.cmp(&a.1.hits).then_with(|| a.0.cmp(&b.0)));
+        sort_rows(&mut out);
         out
     }
 }

@@ -4,6 +4,7 @@
 use crate::features::{FeatureConfig, FeatureSet, FoldDigest};
 use crate::keys::{Dataset, Key, KeyBuf};
 use crate::summarize::TxSummary;
+use crate::timeseries::{reported, sort_rows};
 use sketches::{BloomFilter, SpaceSaving};
 
 /// Half-life of the per-object rate estimate, seconds.
@@ -280,7 +281,7 @@ impl TopKTracker {
         // cloned into a side set, as the old two-pass version did).
         self.ss
             .for_each_value(|key, _count, _rate, inserted_at, fs| {
-                if inserted_at <= window_start && fs.hits() > 0 {
+                if reported(inserted_at, fs.hits(), window_start) {
                     if rows.is_empty() {
                         // Sized on the first row, so a window without
                         // traffic allocates nothing at all.
@@ -290,8 +291,7 @@ impl TopKTracker {
                 }
                 fs.reset();
             });
-        // Deterministic output order: by hits desc, then key.
-        rows.sort_by(|a, b| b.1.hits.cmp(&a.1.hits).then_with(|| a.0.cmp(&b.0)));
+        sort_rows(&mut rows);
         rows
     }
 }

@@ -268,7 +268,8 @@ fn sensor(cwd: &Path, connect: &str) -> Proc {
 }
 
 /// `collect --out D --store S` is on the state path and still renders:
-/// one TSV per stored window and dataset, conserving every transaction.
+/// one TSV per stored window and dataset, conserving every transaction,
+/// and the meta self-reports next to them.
 #[test]
 fn collect_renders_every_stored_window() {
     let dir = temp_dir("out-store");
@@ -315,12 +316,122 @@ fn collect_renders_every_stored_window() {
         accounted += dump.kept + dump.dropped + dump.filtered;
     }
     assert_eq!(accounted, summarized, "rcode windows vs the sensor's count");
-    let rendered = std::fs::read_dir(&out).unwrap().count();
-    assert_eq!(rendered, starts.len() * 5, "a file per window and dataset");
+    let names: Vec<String> = std::fs::read_dir(&out)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    let meta = names.iter().filter(|n| n.starts_with("meta-")).count();
+    assert!(meta > 0, "no meta self-report in {names:?}");
+    assert_eq!(
+        names.len() - meta,
+        starts.len() * 5,
+        "a file per window and dataset"
+    );
     assert!(
         !dir.join("dnsobs-data").exists(),
         "--out given: no default directory"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The data TSVs of a window directory by name: no `meta-*` self-report,
+/// no `*-10win-*` rollup.
+fn data_tsvs(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|path| {
+            let name = path.file_name().unwrap().to_string_lossy();
+            name.ends_with(".tsv") && !name.starts_with("meta-") && !name.contains("-10win-")
+        })
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
+}
+
+/// One window clock: the same feed, whose first summary is not on a
+/// whole second, renders the same data TSVs byte for byte on each route
+/// one collector has — rows (`collect --out`), states rendered locally
+/// (`collect --out --store`) and states merged upstream (`collect
+/// --forward` → `aggregate --out`). Every window starts at a multiple of
+/// `--window`, and the admission gate is on.
+#[test]
+fn one_collector_cuts_the_same_windows_on_every_route() {
+    use dns_observatory::TxSummary;
+
+    let dir = temp_dir("three-way");
+    let psl = psl::Psl::embedded();
+    let mut sim = simnet::Simulation::from_config(simnet::SimConfig::small());
+    let summaries: Vec<TxSummary> = (sim.collect(6.0).iter())
+        .map(|tx| {
+            let mut s = TxSummary::from_transaction(tx, &psl);
+            s.time += 0.37;
+            s
+        })
+        .collect();
+    assert!(
+        summaries[0].time.fract() > 0.3,
+        "the feed starts mid-window"
+    );
+    let route = |sinks: &[&str]| {
+        let addr = free_addr();
+        let mut args = vec![
+            "collect", "--listen", &addr, "--window", "1", "--topk", "300",
+        ];
+        args.extend(sinks);
+        let collect = Proc::spawn(&dir, &args);
+        let client = feed::Sensor::<TxSummary>::connect(addr.clone(), feed::SensorConfig::new(0));
+        for s in &summaries {
+            client.send(s);
+        }
+        client.finish();
+        collect.join();
+    };
+    let rows = dir.join("rows");
+    route(&["--out", rows.to_str().unwrap()]);
+    let (stored, store) = (dir.join("stored"), dir.join("store"));
+    let sinks = [
+        "--out",
+        stored.to_str().unwrap(),
+        "--store",
+        store.to_str().unwrap(),
+    ];
+    route(&sinks);
+    let (global, agg_addr) = (dir.join("global"), free_addr());
+    let agg_args = [
+        "aggregate",
+        "--listen",
+        &agg_addr,
+        "--out",
+        global.to_str().unwrap(),
+    ];
+    let aggregate = Proc::spawn(&dir, &agg_args);
+    route(&["--forward", &agg_addr]);
+    aggregate.join();
+
+    let want = data_tsvs(&rows);
+    assert!(want.len() >= 6 * 5, "{} data files", want.len());
+    let first = String::from_utf8(want["rcode-00000.tsv"].clone()).unwrap();
+    assert!(
+        first.contains("\tstart=0\t"),
+        "window 0 starts at 0:\n{first}"
+    );
+    for (route, got) in [("--out --store", &stored), ("--forward", &global)] {
+        let got = data_tsvs(got);
+        assert_eq!(
+            got.keys().collect::<Vec<_>>(),
+            want.keys().collect::<Vec<_>>(),
+            "{route}: the same windows"
+        );
+        for (name, bytes) in &want {
+            assert!(
+                got[name] == *bytes,
+                "{route}: {name} differs from collect --out"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -347,3 +347,86 @@ proptest! {
         prop_assert!(tracker.evictions() > 0, "premise: the cache saturated");
     }
 }
+
+/// A few real summaries whose times the clock property overwrites.
+fn template_summaries() -> &'static [TxSummary] {
+    static TEMPLATE: std::sync::OnceLock<Vec<TxSummary>> = std::sync::OnceLock::new();
+    TEMPLATE.get_or_init(|| {
+        let psl = psl::Psl::embedded();
+        let mut sim = simnet::Simulation::from_config(simnet::SimConfig::small());
+        let txs = sim.collect(0.5);
+        txs.iter()
+            .take(64)
+            .map(|tx| TxSummary::from_transaction(tx, &psl))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One window clock: over time-ordered feeds with gaps of whole
+    /// windows and summaries exactly on window boundaries, the rows and
+    /// the state rendering cut the same windows; their starts strictly
+    /// increase; every summary lies in `[start, start + w)` of the window
+    /// that counted it; and every window closes once.
+    #[test]
+    fn both_renderings_cut_the_same_windows(
+        w in prop_oneof![Just(0.25f64), Just(0.5), Just(1.0), Just(2.0), Just(3.0), Just(60.0)],
+        t0 in 0.0f64..200.0,
+        steps in prop::collection::vec((0u8..3, 0.0f64..1.0), 1..60),
+    ) {
+        use dns_observatory::{Observatory, ObservatoryConfig, StateExporter};
+        use telemetry::trace::{TraceKind, TraceRing};
+
+        let mut times = vec![t0];
+        for (kind, frac) in steps {
+            let t = *times.last().unwrap();
+            times.push(match kind {
+                0 => t + frac * w / 2.0,
+                1 => t + (1.0 + (frac * 5.0).floor()) * w + frac,
+                _ => ((t / w).floor() + 1.0) * w,
+            });
+        }
+        let template = template_summaries();
+        let summaries: Vec<TxSummary> = (times.iter().enumerate())
+            .map(|(i, &t)| TxSummary { time: t, ..template[i % template.len()].clone() })
+            .collect();
+        let cfg = ObservatoryConfig {
+            datasets: vec![(Dataset::SrvIp, 64), (Dataset::Qtype, 16)],
+            window_secs: w,
+            ..ObservatoryConfig::default()
+        };
+        let ring = TraceRing::new(1 << 12);
+        let mut obs = Observatory::new(cfg.clone()).with_trace(ring.clone());
+        let mut exporter = StateExporter::new(cfg, 0, 0);
+        let mut states = Vec::new();
+        for s in summaries {
+            obs.ingest_summary(s.clone());
+            exporter.ingest_summary(s, &mut states);
+        }
+        exporter.finish(&mut states);
+        let store = obs.finish();
+
+        let rows: Vec<(f64, u64)> = (store.dataset(Dataset::SrvIp).iter())
+            .map(|d| (d.start, d.kept + d.dropped + d.filtered))
+            .collect();
+        let exported: Vec<(f64, u64)> = (states.iter())
+            .filter(|ws| ws.topk.dataset == "srvip")
+            .map(|ws| (ws.start, ws.topk.kept + ws.topk.dropped + ws.topk.filtered))
+            .collect();
+        prop_assert_eq!(&rows, &exported);
+        prop_assert!(rows.windows(2).all(|p| p[0].0 < p[1].0), "starts increase: {:?}", rows);
+        for &(start, counted) in &rows {
+            let inside = times.iter().filter(|&&t| start <= t && t < start + w).count();
+            prop_assert_eq!(counted, inside as u64, "window at {}", start);
+        }
+        prop_assert_eq!(rows.iter().map(|r| r.1).sum::<u64>(), times.len() as u64);
+        let closes: Vec<u64> = (ring.events().into_iter())
+            .filter(|(_, e)| e.kind == TraceKind::Close)
+            .map(|(_, e)| e.window_us)
+            .collect();
+        let starts: Vec<u64> = rows.iter().map(|r| pubsub::window_id_us(r.0)).collect();
+        prop_assert_eq!(closes, starts, "one close per window");
+    }
+}
