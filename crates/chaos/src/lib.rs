@@ -7,7 +7,7 @@
 //! (sensor drop tallies, collector sequence gaps, late-item counts).
 //! This crate turns that promise into a machine-checked property.
 //!
-//! Five pieces, all sans-io and fully deterministic:
+//! Six pieces, all sans-io and fully deterministic:
 //!
 //! * **Virtual time** ([`clock`]) — a microsecond clock plus an event
 //!   queue; reconnect/backoff schedules that take wall-clock seconds in
@@ -23,6 +23,11 @@
 //!   rejects any divergence that is not covered by an explicit loss
 //!   ledger entry. A failing seed is shrunk by the built-in
 //!   delta-debugger ([`minimize`]) into a one-screen repro.
+//! * **Aggregation axis** ([`aggregate`]) — forwarding collectors'
+//!   uplink streams, records and "closed through" watermarks (lost,
+//!   duplicated, reordered), through the faulty transport into the real
+//!   `AggregatorCore` sealing live; its windows must equal a reference
+//!   fold of the survivors, except records it ledgered late.
 //! * **Store-crash axis** ([`storecrash`]) — seeded kill points for the
 //!   historical store's compactor (after segment write, before manifest
 //!   swap, mid-footer torn writes); a recovery differential checks the
@@ -40,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod aggregate;
 pub mod clock;
 pub mod fault;
 pub mod harness;
@@ -49,6 +55,9 @@ pub mod oracle;
 pub mod storecrash;
 pub mod subscriber;
 
+pub use aggregate::{
+    perturb_watermarks, run_aggregate, uplink_inputs, uplink_stream, AggregateRun,
+};
 pub use clock::{EventQueue, VirtualClock};
 pub use fault::{plan_for, plans_for, FaultOp, FaultProfile, Rng, SensorPlan};
 pub use harness::{

@@ -18,7 +18,9 @@
 //! 3. **Value replay** — from the ground truth alone the oracle predicts
 //!    the exact merged output (survivor items of accepted frames, merged
 //!    by `(time, sensor)`), and requires the collector's delivered stream
-//!    to match it element for element.
+//!    to match it element for element. An arrival-ordered item type
+//!    ([`MergeOrder::Arrival`]) has no merged order to predict: there each
+//!    sensor's share of the delivery must equal its predicted stream.
 //! 4. **Ledger self-consistency** — gaps are sorted, disjoint, and sum
 //!    to `gap_frames`; duplicate/hello/bye counters match the observed
 //!    frame outcomes; the merged total matches `items_merged`.
@@ -30,7 +32,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use feed::{FeedItem, SensorStats};
+use feed::{FeedItem, MergeOrder, SensorStats};
 
 use crate::harness::{ChaosOutcome, SensorRun};
 
@@ -353,16 +355,17 @@ fn check_sensor<T: FeedItem + Clone>(
     Ok(())
 }
 
-/// Predict the exact merged output from ground truth: survivor items of
-/// accepted frames (each frame loses its `late` leading items), merged
-/// by `(time, sensor, per-sensor order)`.
+/// Predict, per sensor, the exact items the collector releases from it:
+/// survivor items of accepted frames (each frame loses its `late` leading
+/// items), in the frames' arrival order.
 ///
-/// Per-sensor order follows the collector's *arrival* order, not the
-/// sensor's sequence order: when a gap is backfilled by retransmission,
-/// the later-seq frame that jumped the gap was merged first, and items
-/// sharing a timestamp (e.g. chunks of one window) keep that order.
-pub fn predicted_delivery<T: FeedItem + Clone>(outcome: &ChaosOutcome<T>) -> Vec<T> {
-    let mut keyed: Vec<(f64, u64, u64, T)> = Vec::new();
+/// Arrival order, not the sensor's sequence order: when a gap is
+/// backfilled by retransmission, the later-seq frame that jumped the gap
+/// was released first.
+pub(crate) fn predicted_streams<T: FeedItem + Clone>(
+    outcome: &ChaosOutcome<T>,
+) -> BTreeMap<u64, Vec<T>> {
+    let mut streams = BTreeMap::new();
     for run in &outcome.sensors {
         // Walk sealed frames in sequence order to slice the pushed
         // stream, then replay the slices in arrival order.
@@ -375,17 +378,65 @@ pub fn predicted_delivery<T: FeedItem + Clone>(outcome: &ChaosOutcome<T>) -> Vec
             slices.insert(seal.seq, (cursor, end));
             cursor = end;
         }
-        let mut order = 0u64;
+        let mut items = Vec::new();
         for frame in &run.accepted {
             let (start, end) = slices[&frame.seq];
-            for item in &run.pushed[start + frame.late as usize..end] {
-                keyed.push((item.order_time(), run.sensor_id, order, item.clone()));
-                order += 1;
-            }
+            items.extend_from_slice(&run.pushed[start + frame.late as usize..end]);
         }
+        streams.insert(run.sensor_id, items);
+    }
+    streams
+}
+
+/// Predict the exact merged output of a time-merged item type: the
+/// `predicted_streams` merged by `(time, sensor, per-sensor order)`, so
+/// items sharing a timestamp (e.g. chunks of one window) keep their
+/// arrival order.
+pub fn predicted_delivery<T: FeedItem + Clone>(outcome: &ChaosOutcome<T>) -> Vec<T> {
+    let mut keyed: Vec<(f64, u64, usize, T)> = Vec::new();
+    for (sensor, items) in predicted_streams(outcome) {
+        let timed = items.into_iter().enumerate();
+        keyed.extend(timed.map(|(order, item)| (item.order_time(), sensor, order, item)));
     }
     keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
     keyed.into_iter().map(|(_, _, _, item)| item).collect()
+}
+
+/// Value replay of an arrival-ordered delivery: walk it against the
+/// predicted streams, each delivered item being the next predicted item
+/// of some sensor, until every stream is used up. Items of different
+/// sensors carry their sensor, so at most one stream matches; the lowest
+/// id is taken if several do.
+fn check_arrival<T: PartialEq + fmt::Debug>(
+    delivered: &[T],
+    streams: &BTreeMap<u64, Vec<T>>,
+) -> Result<(), Divergence> {
+    let mut next: BTreeMap<u64, usize> = streams.keys().map(|&s| (s, 0)).collect();
+    for (position, got) in delivered.iter().enumerate() {
+        let sensor = (streams.iter()).find(|&(s, items)| items.get(next[s]) == Some(got));
+        match sensor {
+            Some((s, _)) => *next.get_mut(s).expect("every stream has a cursor") += 1,
+            None => {
+                return Err(Divergence::ValueMismatch {
+                    position,
+                    detail: format!("delivered {got:?}, no sensor's next predicted item"),
+                })
+            }
+        }
+    }
+    for (sensor, items) in streams {
+        if next[sensor] != items.len() {
+            return Err(Divergence::ValueMismatch {
+                position: delivered.len(),
+                detail: format!(
+                    "sensor {sensor}: predicted {} items, delivered {}",
+                    items.len(),
+                    next[sensor]
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Full audit of a chaos run. `Ok` carries the aggregate numbers; `Err`
@@ -429,6 +480,10 @@ pub fn check<T: FeedItem + Clone + PartialEq + fmt::Debug>(
     }
 
     // Value replay: the delivered stream must equal the prediction.
+    if T::MERGE == MergeOrder::Arrival {
+        check_arrival(&outcome.delivered, &predicted_streams(outcome))?;
+        return Ok(summary(outcome));
+    }
     let predicted = predicted_delivery(outcome);
     if predicted.len() != outcome.delivered.len() {
         return Err(Divergence::ValueMismatch {
@@ -463,7 +518,12 @@ pub fn check<T: FeedItem + Clone + PartialEq + fmt::Debug>(
         }
     }
 
-    Ok(OracleSummary {
+    Ok(summary(outcome))
+}
+
+/// The aggregate numbers of a run that passed.
+fn summary<T: FeedItem + Clone>(outcome: &ChaosOutcome<T>) -> OracleSummary {
+    OracleSummary {
         pushed: outcome.sensors.iter().map(|s| s.pushed.len() as u64).sum(),
         delivered: outcome.delivered.len() as u64,
         sensor_dropped: outcome.sensors.iter().map(|s| s.report.dropped_items).sum(),
@@ -489,5 +549,5 @@ pub fn check<T: FeedItem + Clone + PartialEq + fmt::Debug>(
             .sum(),
         crc_errors: outcome.report.sensors.values().map(|s| s.crc_errors).sum(),
         connects: outcome.sensors.iter().map(|s| s.report.connects).sum(),
-    })
+    }
 }

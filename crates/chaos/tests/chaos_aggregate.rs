@@ -1,26 +1,18 @@
 //! Differential oracle for the federated aggregation tier.
 //!
-//! Three virtual forwarding collectors export per-window sketch state
-//! (`sketchwire::WindowState`) and ship it through the seeded faulty
-//! transport. Whatever survives feeds the real `AggregatorCore`; the
-//! reference is an independent fold of the *predicted* survivor records
-//! with `merge_chunks`/`merge_topk` directly. The fault schedule plus
-//! ground truth fully determine the global view:
-//!
-//! * the aggregator's sealed windows equal the reference fold exactly;
-//! * every sealed dataset states its error bound as the sum of the
-//!   contributing upstreams' bounds, and no entry's error exceeds it;
-//! * chunk loss is accounted: each (upstream, window, dataset) group
-//!   with missing chunks is one merge conflict, never a silent merge.
+//! Three virtual forwarding collectors export per-window sketch state and
+//! a "closed through" watermark after each closed window
+//! (`sketchwire::Uplink`), with watermarks lost, duplicated and reordered
+//! on top of the wire faults, and ship it through the seeded faulty
+//! transport. Whatever survives feeds the real `AggregatorCore`, polled
+//! after every item; `chaos::run_aggregate` judges the result against an
+//! independent fold of the predicted survivor records (see
+//! `chaos::aggregate`).
 
-use chaos::{check, plans_for, predicted_delivery, run as chaos_run, FaultProfile, SensorInput};
+use chaos::{perturb_watermarks, run_aggregate, uplink_inputs, uplink_stream, FaultProfile};
 use dns_observatory::{Dataset, ObservatoryConfig, StateExporter};
-use feed::SensorConfig;
 use simnet::{SimConfig, Simulation};
-use sketchwire::{
-    merge_chunks, merge_topk, AggregatorConfig, AggregatorCore, TopKState, WindowState,
-};
-use std::collections::BTreeMap;
+use sketchwire::{AggregatorConfig, AggregatorCore, Uplink, WindowState};
 
 const UPSTREAMS: usize = 3;
 const WINDOW: f64 = 0.5;
@@ -38,211 +30,66 @@ fn cfg() -> ObservatoryConfig {
     }
 }
 
-/// Each upstream's exported window-state stream for a seeded world,
-/// sliced by sensor vantage like a real federated deployment.
-fn upstream_states(seed: u64) -> Vec<Vec<WindowState>> {
+/// Each upstream's uplink stream for a seeded world, sliced by sensor
+/// vantage like a real federated deployment: records of each window its
+/// fold closes, then the watermark through the window it has open.
+fn upstream_uplinks(seed: u64) -> Vec<Vec<Uplink>> {
     let mut exporters: Vec<StateExporter> = (0..UPSTREAMS)
         .map(|u| StateExporter::new(cfg(), u as u64, CHUNK_ENTRIES))
         .collect();
-    let mut outs: Vec<Vec<WindowState>> = vec![Vec::new(); UPSTREAMS];
+    let mut batches: Vec<Vec<(Vec<WindowState>, f64)>> = vec![Vec::new(); UPSTREAMS];
     let mut sim = Simulation::from_config(SimConfig {
         seed,
         ..SimConfig::tiny()
     });
     sim.run(DURATION, &mut |tx| {
         let u = tx.sensor_index(UPSTREAMS);
-        exporters[u].ingest(tx, &mut outs[u]);
+        let mut out = Vec::new();
+        exporters[u].ingest(tx, &mut out);
+        if let Some(open) = exporters[u].open_window() {
+            batches[u].push((out, open));
+        }
     });
-    for (e, out) in exporters.into_iter().zip(&mut outs) {
-        e.finish(out);
+    for (e, batches) in exporters.into_iter().zip(&mut batches) {
+        let mut out = Vec::new();
+        e.finish(&mut out);
+        if let Some(last) = out.last() {
+            let end = last.start + last.length;
+            batches.push((out, end));
+        }
     }
-    outs
-}
-
-fn run_chaos(
-    seed: u64,
-    profile: &FaultProfile,
-    states: &[Vec<WindowState>],
-) -> chaos::ChaosOutcome<WindowState> {
-    let plans = plans_for(seed, UPSTREAMS as u64, profile);
-    let inputs = states
-        .iter()
-        .enumerate()
-        .map(|(u, items)| {
-            let mut config = SensorConfig::new(u as u64);
-            // One state record per frame: faults land on record
-            // boundaries, which is how the real feed ships them too.
-            // The buffer must ride out injected stalls (records burst at
-            // window boundaries), so loss comes from the *wire* faults —
-            // resets and corruption — not from a starved send queue.
-            config.batch_items = 1;
-            config.buffer_frames = 256;
-            config.backoff.seed = seed.wrapping_mul(31).wrapping_add(u as u64);
-            config.backoff.base_ms = 2;
-            config.backoff.max_ms = 40;
-            SensorInput {
-                config,
-                items: items.clone(),
-                plan: plans[u].clone(),
-            }
-        })
-        .collect();
-    let outcome = chaos_run(inputs);
-    check(&outcome).unwrap_or_else(|d| {
-        panic!(
-            "aggregate chaos run diverged (seed={seed}, profile={}): {d}",
-            profile.name
-        )
-    });
-    outcome
-}
-
-/// Reference global view: fold the survivor records with the sketchwire
-/// merge primitives directly, mirroring the aggregator's documented
-/// policy (chunks reassembled per upstream; a group with missing chunks
-/// is skipped and counted; upstreams merged in ascending id order).
-struct RefWindow {
-    start: f64,
-    upstreams: Vec<u64>,
-    datasets: Vec<TopKState>,
-    /// Per dataset, the sum of the contributing upstreams' error bounds
-    /// — what the sealed state must *state* as its bound.
-    bound_sums: BTreeMap<String, u64>,
-}
-
-fn reference_merge(survivors: &[WindowState]) -> (Vec<RefWindow>, u64) {
-    type Sources = BTreeMap<u64, BTreeMap<String, Vec<TopKState>>>;
-    let mut windows: BTreeMap<u64, (f64, Sources)> = BTreeMap::new();
-    for ws in survivors {
-        let us = (ws.start * 1e6).round() as u64;
-        let entry = windows.entry(us).or_insert((ws.start, BTreeMap::new()));
-        entry
-            .1
-            .entry(ws.upstream)
-            .or_default()
-            .entry(ws.topk.dataset.clone())
-            .or_default()
-            .push(ws.topk.clone());
-    }
-    let mut conflicts = 0u64;
-    let out = windows
-        .into_values()
-        .map(|(start, sources)| {
-            let mut by_dataset: BTreeMap<String, TopKState> = BTreeMap::new();
-            let mut bound_sums: BTreeMap<String, u64> = BTreeMap::new();
-            let mut upstreams = Vec::new();
-            for (upstream, datasets) in sources {
-                let mut contributed = false;
-                for (name, parts) in datasets {
-                    let Ok(assembled) = merge_chunks(&parts) else {
-                        conflicts += 1;
-                        continue;
-                    };
-                    *bound_sums.entry(name.clone()).or_default() += assembled.error_bound;
-                    let merged = match by_dataset.remove(&name) {
-                        None => assembled,
-                        Some(current) => {
-                            merge_topk(&current, &assembled).expect("identical layouts merge")
-                        }
-                    };
-                    by_dataset.insert(name, merged);
-                    contributed = true;
-                }
-                if contributed {
-                    upstreams.push(upstream);
-                }
-            }
-            RefWindow {
-                start,
-                upstreams,
-                datasets: by_dataset.into_values().collect(),
-                bound_sums,
-            }
-        })
-        .collect();
-    (out, conflicts)
+    (batches.into_iter().enumerate())
+        .map(|(u, b)| perturb_watermarks(seed + u as u64, uplink_stream(u as u64, b)))
+        .collect()
 }
 
 /// Seeded schedules over three virtual upstreams, all four fault
-/// profiles: the aggregator's output equals the predicted survivor
-/// merge, with the stated global error bound equal to the sum of the
-/// contributing per-upstream bounds (and covering every entry).
+/// profiles: the live aggregator's output equals the reference merge of
+/// the survivors it did not ledger late, with the stated global error
+/// bound equal to the sum of the contributing per-upstream bounds (and
+/// covering every entry).
 #[test]
 fn aggregator_equals_predicted_survivor_merge() {
-    let mut saw_loss = false;
-    let mut saw_chunk_conflict = false;
+    let (mut saw_loss, mut saw_chunk_conflict) = (false, false);
     for profile in FaultProfile::all() {
         for seed in [5u64, 17] {
-            let states = upstream_states(seed);
-            let total: usize = states.iter().map(Vec::len).sum();
+            let streams = upstream_uplinks(seed);
+            let run = run_aggregate(seed, &profile, &streams).unwrap_or_else(|why| {
+                panic!(
+                    "aggregate chaos run diverged (seed={seed}, profile={}): {why}",
+                    profile.name
+                )
+            });
             assert!(
-                total >= UPSTREAMS * 2 * 2,
-                "world too small: {total} records"
+                run.records >= (UPSTREAMS * 2 * 2) as u64,
+                "world too small: {run:?}"
             );
-            let outcome = run_chaos(seed, &profile, &states);
-
-            // The transport oracle's survivor prediction is the ground
-            // truth everything below is judged against.
-            let predicted = predicted_delivery(&outcome);
-            assert_eq!(
-                outcome.delivered, predicted,
-                "seed {seed} {}: delivery diverged from prediction",
-                profile.name
-            );
-
-            let mut core = AggregatorCore::new(&AggregatorConfig::new(UPSTREAMS));
-            for ws in outcome.delivered.iter().cloned() {
-                core.on_state(ws).expect("survivor record accepted");
-            }
-            let mut sealed = Vec::new();
-            let report = core.finish(&mut sealed);
-
-            let (want, want_conflicts) = reference_merge(&predicted);
-            assert_eq!(
-                sealed.len(),
-                want.len(),
-                "seed {seed} {}: window count",
-                profile.name
-            );
-            for (gw, rw) in sealed.iter().zip(&want) {
-                assert_eq!(gw.start, rw.start, "window start");
-                assert_eq!(
-                    gw.upstreams, rw.upstreams,
-                    "seed {seed} {}: contributors @{}",
-                    profile.name, rw.start
-                );
-                assert_eq!(
-                    gw.datasets, rw.datasets,
-                    "seed {seed} {}: merged state @{}",
-                    profile.name, rw.start
-                );
-                for state in &gw.datasets {
-                    assert_eq!(
-                        state.error_bound, rw.bound_sums[&state.dataset],
-                        "stated bound must be the sum of contributing bounds"
-                    );
-                    assert!(
-                        state.max_entry_error() <= state.error_bound,
-                        "entry error exceeds the stated bound"
-                    );
-                }
-            }
-            assert_eq!(
-                report.merge_conflicts, want_conflicts,
-                "seed {seed} {}: chunk-loss accounting",
-                profile.name
-            );
-
+            assert!(run.watermarks > 0, "no watermark crossed: {run:?}");
             if profile.name == "lossless" {
-                assert_eq!(
-                    outcome.delivered.len(),
-                    total,
-                    "lossless schedule lost records"
-                );
-                assert_eq!(report.merge_conflicts, 0);
+                assert_eq!(run.sealed_live, run.sealed, "every window sealed live");
             } else {
-                saw_loss |= outcome.delivered.len() < total;
-                saw_chunk_conflict |= want_conflicts > 0;
+                saw_loss |= run.delivered < run.records;
+                saw_chunk_conflict |= run.conflicts > 0;
             }
         }
     }
@@ -254,25 +101,32 @@ fn aggregator_equals_predicted_survivor_merge() {
 }
 
 /// Under a lossless schedule the transport is fully transparent: the
-/// aggregator over the chaos delivery equals the aggregator over the
-/// pristine inputs fed directly, upstream by upstream.
+/// aggregator sealing live over the chaos delivery equals the aggregator
+/// over the pristine records fed directly, upstream by upstream, with no
+/// watermark at all.
 #[test]
 fn lossless_transport_is_transparent_to_aggregation() {
     for seed in [3u64, 11] {
-        let states = upstream_states(seed);
-        let outcome = run_chaos(seed, &FaultProfile::lossless(), &states);
-
-        let aggregate = |records: Vec<WindowState>| {
+        let streams = upstream_uplinks(seed);
+        let aggregate = |items: Vec<Uplink>, live: bool| {
             let mut core = AggregatorCore::new(&AggregatorConfig::new(UPSTREAMS));
-            for ws in records {
-                core.on_state(ws).expect("record accepted");
-            }
             let mut sealed = Vec::new();
+            for item in items {
+                core.on_uplink(item).expect("record accepted");
+                if live {
+                    core.poll(&mut sealed);
+                }
+            }
             core.finish(&mut sealed);
             sealed
         };
-        let via_chaos = aggregate(outcome.delivered);
-        let direct = aggregate(states.into_iter().flatten().collect());
+        let outcome = chaos::run(uplink_inputs(seed, &FaultProfile::lossless(), &streams));
+        chaos::check(&outcome).expect("lossless delivery");
+        let via_chaos = aggregate(outcome.delivered, true);
+        let records = (streams.into_iter().flatten())
+            .filter(|item| matches!(item, Uplink::State(_)))
+            .collect();
+        let direct = aggregate(records, false);
         assert_eq!(via_chaos, direct, "seed {seed}: transport left a mark");
     }
 }

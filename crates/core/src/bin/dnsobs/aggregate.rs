@@ -8,8 +8,9 @@ use crate::session::Session;
 use crate::sinks::{Sinks, DEFAULT_OUT};
 use crate::{fail, misuse, Done};
 use feed::{Collector, CollectorConfig};
-use sketchwire::{AggregatorConfig, AggregatorCore, GlobalWindow, WindowState};
+use sketchwire::{AggregatorConfig, AggregatorCore, GlobalWindow, Uplink, WindowState};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use telemetry::{Registry, SystemClock};
 
 pub fn aggregate(p: &Parsed) -> Done {
@@ -19,13 +20,8 @@ pub fn aggregate(p: &Parsed) -> Done {
         let records = read_state_files(&inputs)?;
         let upstreams: BTreeSet<u64> = records.iter().map(|r| r.upstream).collect();
         // Files are folded whole: nothing in them can be late.
-        return fold(
-            p,
-            &session,
-            records.into_iter(),
-            upstreams.len().max(1),
-            false,
-        );
+        let items = records.into_iter().map(|ws| Uplink::State(Arc::new(ws)));
+        return fold(p, &session, items, upstreams.len().max(1), false);
     }
     let Some(listen) = p.opt::<String>(&flags::LISTEN) else {
         let (listen, input) = (flags::LISTEN.name, flags::INPUT.name);
@@ -35,7 +31,7 @@ pub fn aggregate(p: &Parsed) -> Done {
     };
     let upstreams: usize = p.req(&flags::UPSTREAMS);
     let config = CollectorConfig::new(upstreams as u64);
-    let mut collector = Collector::<WindowState>::bind(&listen, config)
+    let mut collector = Collector::<Uplink>::bind(&listen, config)
         .map_err(|e| fail(format_args!("cannot listen on {listen}: {e}")))?;
     let on = collector.local_addr();
     eprintln!("aggregating {upstreams} upstream(s) on {on}");
@@ -45,13 +41,13 @@ pub fn aggregate(p: &Parsed) -> Done {
     done
 }
 
-/// Fold `records` from `upstreams` sources into sealed global windows and
-/// hand each to the sinks; `live` seals as the frontiers move instead of
-/// only at the end.
+/// Fold the uplink `items` of `upstreams` sources into sealed global
+/// windows and hand each to the sinks; `live` seals each window as soon as
+/// every upstream has closed it instead of only at the end.
 fn fold(
     p: &Parsed,
     session: &Session,
-    records: impl Iterator<Item = WindowState>,
+    items: impl Iterator<Item = Uplink>,
     upstreams: usize,
     live: bool,
 ) -> Done {
@@ -72,9 +68,9 @@ fn fold(
     // even when span tracing is off.
     let clock = SystemClock::new();
     let mut sealed = Vec::new();
-    for ws in records {
+    for item in items {
         core.set_now_us(telemetry::Clock::now_us(&clock));
-        if let Err(e) = core.on_state(ws) {
+        if let Err(e) = core.on_uplink(item) {
             eprintln!("rejected window-state record: {e}");
         }
         if live {
@@ -113,7 +109,7 @@ fn seal_all(sinks: &mut Sinks, sealed: &mut Vec<GlobalWindow>) -> Done {
             length,
             topk,
         });
-        sinks.seal(records.collect())?;
+        sinks.seal(records.collect(), None)?;
     }
     Ok(())
 }

@@ -137,7 +137,7 @@ impl Rendering for StateExporter {
     fn fold(&mut self, summary: TxSummary, sinks: &mut Sinks) -> Done {
         let mut states = Vec::new();
         self.ingest_summary(summary, &mut states);
-        sinks.seal(states)
+        sinks.seal(states, self.open_window())
     }
     fn close(self, sinks: &mut Sinks) -> Done {
         let skipped = self.resumed_skipped();
@@ -146,6 +146,8 @@ impl Rendering for StateExporter {
         }
         let mut states = Vec::new();
         self.finish(&mut states);
-        sinks.seal(states)
+        // Nothing stays open: the last window is closed too.
+        let through = states.last().map(|ws| ws.start + ws.length);
+        sinks.seal(states, through)
     }
 }

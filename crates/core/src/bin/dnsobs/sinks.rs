@@ -8,7 +8,7 @@ use dns_observatory::aggregate::rollup;
 use dns_observatory::{render_state, tsv, MetaReporter, WindowDump};
 use feed::{Sensor, SensorConfig, SensorReport};
 use pubsub::{EvictReason, SealedRecord, ServeConfig, Server, ServerHandle};
-use sketchwire::{TopKState, WindowState};
+use sketchwire::{TopKState, Uplink, WindowState};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -171,7 +171,8 @@ pub struct Sinks {
     retain: Option<u64>,
     kill_after: Option<u64>,
     state_out: Option<(PathBuf, Vec<u8>)>,
-    forward: Option<Sensor<WindowState>>,
+    /// The uplink, and the upstream id its watermarks carry.
+    forward: Option<(Sensor<Uplink>, u64)>,
     serve: Option<(Server, ServerHandle)>,
     /// The platform's own meta self-reports, one per window of stream
     /// time, go next to the data: into the TSV directory and to live
@@ -226,7 +227,8 @@ impl Sinks {
             retain: retain_span_us(p),
             kill_after: p.opt(&flags::KILL_AFTER),
             state_out: state_out.map(|path| (path, Vec::new())),
-            forward: forward.map(|addr| Sensor::connect(addr, SensorConfig::new(upstream))),
+            forward: forward
+                .map(|addr| (Sensor::connect(addr, SensorConfig::new(upstream)), upstream)),
             serve,
             meta,
             resume,
@@ -278,17 +280,22 @@ impl Sinks {
     /// that a restart would not also have. Each record is encoded at most
     /// once: the store and `--state-out` frame the same item bytes, and the
     /// broker's snapshots too when they are there (otherwise the broker
-    /// encodes on its own thread). The uplink is flushed with the window,
-    /// so it never waits on later ones. Publishing comes before the TSV
-    /// render, so the broker thread encodes while this one renders; it
-    /// never blocks — a full broker ring drops the batch and counts it,
-    /// subscribers resync later.
-    pub fn seal(&mut self, batch: Vec<WindowState>) -> Done {
+    /// encodes on its own thread). The uplink gets the records and then,
+    /// when `closed_through` is given, the watermark saying every window
+    /// before it is closed, flushed as one frame: the aggregator can seal
+    /// the window without waiting on later ones. Publishing comes before
+    /// the TSV render, so the broker thread encodes while this one
+    /// renders; it never blocks — a full broker ring drops the batch and
+    /// counts it, subscribers resync later.
+    pub fn seal(&mut self, batch: Vec<WindowState>, closed_through: Option<f64>) -> Done {
         if batch.is_empty() {
             return Ok(());
         }
+        // The uplink, the broker and the render share the records
+        // instead of copying them.
+        let batch: Vec<Arc<WindowState>> = batch.into_iter().map(Arc::new).collect();
         let items: Vec<Vec<u8>> = match self.store.is_some() || self.state_out.is_some() {
-            true => batch.iter().map(WindowState::item_bytes).collect(),
+            true => batch.iter().map(|ws| ws.item_bytes()).collect(),
             false => Vec::new(),
         };
         if let Some(store) = &mut self.store {
@@ -312,13 +319,16 @@ impl Sinks {
                 .iter()
                 .for_each(|item| sketchwire::write_record_bytes(item, buf));
         }
-        if let Some(up) = &self.forward {
-            batch.iter().for_each(|ws| up.send(ws));
+        if let Some((up, upstream)) = &self.forward {
+            batch
+                .iter()
+                .for_each(|ws| up.send(Uplink::State(ws.clone())));
+            if let Some(through) = closed_through {
+                let upstream = *upstream;
+                up.send(Uplink::Closed { upstream, through });
+            }
             up.flush();
         }
-        // The broker and the render share the records instead of copying
-        // them.
-        let batch: Vec<Arc<WindowState>> = batch.into_iter().map(Arc::new).collect();
         if let Some((_, handle)) = &mut self.serve {
             let mut items = items.into_iter();
             let records = batch.iter().map(|state| SealedRecord {
@@ -373,7 +383,7 @@ impl Sinks {
                 .map_err(|e| fail(format_args!("failed writing {}: {e}", path.display())))?;
             eprintln!("wrote {} state bytes to {}", buf.len(), path.display());
         }
-        if let Some(up) = self.forward {
+        if let Some((up, _)) = self.forward {
             eprintln!("forwarded: {}", sent_ledger(&up.finish()));
         }
         Ok(())

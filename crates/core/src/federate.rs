@@ -15,6 +15,13 @@
 //! times still agree on every window's identity. Each tracker is exported
 //! whole: the cross-collector absent-key merge law is only valid against
 //! a whole tracker's `min_count`.
+//!
+//! A forwarding collector ships each closed window's records as
+//! [`sketchwire::Uplink::State`] items and then, in the same frame, a
+//! [`sketchwire::Uplink::Closed`] watermark through
+//! [`StateExporter::open_window`]: the aggregator seals a window the
+//! moment every upstream has closed it, not when the next window's first
+//! record arrives.
 
 use crate::features::FeatureSet;
 use crate::metrics::FoldMetrics;
@@ -123,6 +130,13 @@ impl StateExporter {
     /// Advance the exporter's notion of time for trace timestamps.
     pub fn set_now_us(&mut self, now_us: u64) {
         self.fold.now_us = now_us;
+    }
+
+    /// Start of the window the fold has open, if any: every window
+    /// before it is closed and exported. What a forwarding collector's
+    /// watermark says (`sketchwire::Uplink::Closed`).
+    pub fn open_window(&self) -> Option<f64> {
+        self.fold.open_start()
     }
 
     /// Transactions skipped because they predate the resume frontier.

@@ -129,6 +129,11 @@ impl Fold {
         }
     }
 
+    /// Start of the open window, if any.
+    pub(crate) fn open_start(&self) -> Option<f64> {
+        self.open.map(|k| self.clock.start(k))
+    }
+
     /// Fold one summary into the window holding its time. When that
     /// opens a new window, `close` first renders the one it closes.
     pub(crate) fn ingest(&mut self, summary: &TxSummary, close: impl FnOnce(&mut Fold, f64)) {

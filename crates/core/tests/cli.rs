@@ -647,10 +647,11 @@ fn first_window_and_one(psl: &psl::Psl) -> (f64, Vec<dns_observatory::TxSummary>
 
 /// A forwarding `collect` sends a window upstream when it closes: its
 /// sensor sends window 0 and one transaction of window 1, then idles,
-/// and window 0's records arrive upstream before any BYE.
+/// and window 0's records arrive upstream before any BYE, followed in
+/// the same frame by the watermark closing window 0.
 #[test]
 fn forwarding_collect_flushes_each_window_upstream() {
-    use sketchwire::WindowState;
+    use sketchwire::Uplink;
     use std::io::Read;
 
     let dir = temp_dir("flush");
@@ -696,9 +697,10 @@ fn forwarding_collect_flushes_each_window_upstream() {
         }
     };
     stream.set_nonblocking(false).unwrap();
-    let mut reader = feed::FrameReader::<WindowState>::new();
+    let mut reader = feed::FrameReader::<Uplink>::new();
     let mut buf = vec![0u8; 1 << 16];
     let mut datasets = std::collections::BTreeSet::new();
+    let mut closed = false;
     let mut read = |stream: &mut std::net::TcpStream, reader: &mut feed::FrameReader<_>| {
         let left = deadline.saturating_duration_since(Instant::now());
         stream
@@ -710,17 +712,27 @@ fn forwarding_collect_flushes_each_window_upstream() {
         reader.push(&buf[..n]);
         n
     };
-    while datasets.len() < 5 {
+    while !closed {
         assert!(read(&mut stream, &mut reader) > 0, "{late}");
         while let Some(frame) = reader.next_frame().expect("valid uplink frames") {
             if let feed::Frame::Batch { items, .. } = frame {
-                for ws in items {
-                    assert_eq!(ws.start, first, "only window 0 has closed");
-                    datasets.insert(ws.topk.dataset);
+                for item in items {
+                    assert!(!closed, "the watermark comes after the records");
+                    match item {
+                        Uplink::State(ws) => {
+                            assert_eq!(ws.start, first, "only window 0 has closed");
+                            datasets.insert(ws.topk.dataset.clone());
+                        }
+                        Uplink::Closed { upstream, through } => {
+                            assert_eq!((upstream, through), (0, first + 1.0));
+                            closed = true;
+                        }
+                    }
                 }
             }
         }
     }
+    assert_eq!(datasets.len(), 5, "every dataset of window 0 went up");
     client.finish();
     while read(&mut stream, &mut reader) > 0 {}
     collect.join();
@@ -734,7 +746,8 @@ fn forwarding_collect_flushes_each_window_upstream() {
 /// ledgers them.
 #[test]
 fn a_down_upstream_buffers_one_frame_per_window() {
-    use sketchwire::WindowState;
+    use feed::FeedItem;
+    use sketchwire::Uplink;
     use std::io::{BufRead, Read};
 
     const WINDOWS: usize = 70;
@@ -807,7 +820,7 @@ fn a_down_upstream_buffers_one_frame_per_window() {
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
-    let mut reader = feed::FrameReader::<WindowState>::new();
+    let mut reader = feed::FrameReader::<Uplink>::new();
     let mut buf = vec![0u8; 1 << 16];
     let (mut starts, mut dropped) = (Vec::new(), None);
     while dropped.is_none() {
@@ -816,10 +829,15 @@ fn a_down_upstream_buffers_one_frame_per_window() {
         reader.push(&buf[..n]);
         while let Some(frame) = reader.next_frame().expect("valid uplink frames") {
             match frame {
-                feed::Frame::Batch { items, .. } => {
-                    let start = items[0].start;
+                feed::Frame::Batch { mut items, .. } => {
+                    let start = items[0].order_time();
+                    let watermark = Uplink::Closed {
+                        upstream: 0,
+                        through: start + 1.0,
+                    };
+                    assert_eq!(items.pop(), Some(watermark), "closed after its records");
                     assert!(
-                        items.iter().all(|ws| ws.start == start),
+                        (items.iter()).all(|i| matches!(i, Uplink::State(ws) if ws.start == start)),
                         "one window a frame"
                     );
                     starts.push(start);

@@ -23,9 +23,28 @@ pub trait FeedItem: Sized + Send + 'static {
     /// they wrote and validate every field.
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, FeedError>;
 
+    /// How the collector interleaves concurrent sensor streams of this
+    /// item (see [`MergeOrder`]).
+    const MERGE: MergeOrder = MergeOrder::Time;
+
     /// Stream time of the item, seconds — the key the collector merges
-    /// concurrent sensor streams by.
+    /// concurrent sensor streams by, and the order each stream must
+    /// keep.
     fn order_time(&self) -> f64;
+}
+
+/// How the collector releases concurrent sensor streams of one item type.
+/// Either way each stream stays FIFO and never goes back in time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MergeOrder {
+    /// One feed in `(time, sensor)` order: an item leaves only once every
+    /// open stream has a head to compare it against. For folds whose
+    /// result depends on the order of their input (`collect`'s).
+    Time,
+    /// Each stream's items leave as they arrive, never held back by a
+    /// peer. For consumers that do not depend on how streams interleave
+    /// (the aggregator, which folds upstreams in id order).
+    Arrival,
 }
 
 /// A cursor over a frame payload with bounds-checked primitive reads.

@@ -15,10 +15,13 @@
 //! ```
 //!
 //! The merge thread owns the [`TimeMerger`] and one [`SensorLedger`] per
-//! sensor; it releases items only when every live sensor has something to
-//! compare against, so the merged order is deterministic regardless of
-//! how the network interleaves the streams. It stops once the configured
-//! number of BYE frames has arrived (or every connection is gone).
+//! sensor; for time-merged items it releases items only when every live
+//! sensor has something to compare against, so the merged order is
+//! deterministic regardless of how the network interleaves the streams.
+//! Items whose [`FeedItem::MERGE`] is [`crate::MergeOrder::Arrival`]
+//! leave as their frame arrives, each sensor's in order. The thread stops
+//! once the configured number of BYE frames has arrived (or every
+//! connection is gone).
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -973,6 +976,41 @@ mod tests {
             next_seq,
             item_version: TestItem::ITEM_VERSION,
         }
+    }
+
+    /// An arrival-ordered item type goes through the core without the
+    /// time-merge gate: a heralded, silent sensor holds back nobody, and
+    /// a sensor's items keep their order.
+    #[test]
+    fn core_releases_arrival_items_without_waiting_for_peers() {
+        use crate::testitem::ArrivalItem;
+        let mut core = CollectorCore::<ArrivalItem>::new(&CollectorConfig::new(2));
+        let mut out = Vec::new();
+        let batch = |sensor, seq, items: &[(u64, f64)]| Frame::Batch {
+            sensor,
+            seq,
+            items: items.iter().map(|&(v, t)| ArrivalItem::at(v, t)).collect(),
+        };
+        for (conn, sensor) in [(0, 1), (1, 2)] {
+            core.on_frame(
+                conn,
+                Frame::Hello {
+                    sensor,
+                    next_seq: 0,
+                    item_version: ArrivalItem::ITEM_VERSION,
+                },
+                &mut out,
+            );
+        }
+        core.on_frame(1, batch(2, 0, &[(20, 5.0), (21, 5.0)]), &mut out);
+        let values = |out: &[ArrivalItem]| out.iter().map(|i| i.0.value).collect::<Vec<_>>();
+        assert_eq!(values(&out), [20, 21], "sensor 1's silence holds nothing");
+        core.on_frame(0, batch(1, 0, &[(10, 1.0)]), &mut out);
+        core.on_frame(1, batch(2, 1, &[(22, 6.0)]), &mut out);
+        assert_eq!(values(&out), [20, 21, 10, 22]);
+        let report = core.finish(&mut out);
+        assert_eq!(report.sensors[&1].late_items, 0, "no global watermark");
+        assert_eq!(report.items_merged, 4);
     }
 
     /// Regression (chaos seed minimized to this sequence): a connection

@@ -19,7 +19,8 @@
 //!   matching the core pipeline's threading style) that accepts many
 //!   sensor connections, detects sequence gaps and CRC failures per
 //!   sensor, and merges the concurrent streams back into one
-//!   time-ordered feed ([`collector`], [`merge`]).
+//!   time-ordered feed, or passes each stream on as it arrives when the
+//!   item type asks for that ([`collector`], [`merge`], [`MergeOrder`]).
 //!
 //! The crate is deliberately generic over the item type via [`FeedItem`]:
 //! the Observatory's `TxSummary` codec lives in `dns-observatory` (which
@@ -64,7 +65,7 @@ pub(crate) mod testitem;
 pub mod varint;
 
 pub use backoff::{Backoff, BackoffConfig};
-pub use codec::{ByteReader, FeedItem};
+pub use codec::{ByteReader, FeedItem, MergeOrder};
 pub use collector::{
     Collector, CollectorConfig, CollectorCore, CollectorReport, FrameOutcome, MergedFeed,
     SensorLedger, SensorStats,

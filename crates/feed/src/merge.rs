@@ -11,6 +11,11 @@
 //! Ties on time break by sensor id, so the merged order is a pure
 //! function of the input streams.
 //!
+//! An item type whose consumer does not depend on the interleaving
+//! ([`MergeOrder::Arrival`]) skips the gate: a stream's items leave as
+//! soon as they are pushed, and an open stream with an empty queue holds
+//! back nobody. Each stream stays FIFO.
+//!
 //! # Late items
 //!
 //! A closed stream stops gating the merge, so its peers may legitimately
@@ -21,16 +26,19 @@
 //! process run with no record of why. The merger therefore tracks the
 //! release watermark `(time, sensor)` and refuses such items at
 //! [`TimeMerger::push`], returning the count so the caller can account
-//! the loss (the collector records it per sensor as `late_items`).
+//! the loss (the collector records it per sensor as `late_items`). An
+//! arrival-ordered feed has no global order to break, so it keeps no
+//! such check: its consumer ledgers lateness where it means something.
 //!
-//! The same rule applies *within* a stream: a gap-filling frame that
-//! arrives after newer frames were already queued (an overtaken
-//! connection's data surfacing late) may carry items older than the
-//! stream's own tail. Queuing them would break the stream's FIFO order,
-//! so they are refused and counted too. Every released stream is thus
-//! `(time, sensor)`-monotone by construction.
+//! The same rule applies *within* a stream, for both orders: a
+//! gap-filling frame that arrives after newer frames were already queued
+//! (an overtaken connection's data surfacing late) may carry items older
+//! than the stream's own tail. Queuing them would break the stream's FIFO
+//! order, so they are refused and counted too.
 
 use std::collections::{BTreeMap, VecDeque};
+
+use crate::codec::{FeedItem, MergeOrder};
 
 #[derive(Debug)]
 struct Stream<T> {
@@ -55,7 +63,7 @@ impl<T> Default for TimeMerger<T> {
     }
 }
 
-impl<T: crate::codec::FeedItem> TimeMerger<T> {
+impl<T: FeedItem> TimeMerger<T> {
     /// Empty merger; streams appear via [`TimeMerger::open`].
     pub fn new() -> TimeMerger<T> {
         TimeMerger::default()
@@ -76,8 +84,10 @@ impl<T: crate::codec::FeedItem> TimeMerger<T> {
     /// Append items (in emission order) to `sensor`'s stream. Items that
     /// would release behind the merge watermark — a reconnecting sensor
     /// delivering data older than what already went out — are discarded
-    /// to keep the output order deterministic; the count of such late
-    /// items is returned so the caller can account the divergence.
+    /// to keep the output order deterministic (time-merged items only),
+    /// as are items older than the stream's queued tail; the count of
+    /// such late items is returned so the caller can account the
+    /// divergence.
     pub fn push(&mut self, sensor: u64, items: impl IntoIterator<Item = T>) -> u64 {
         let stream = self.streams.entry(sensor).or_insert_with(|| Stream {
             queue: VecDeque::new(),
@@ -87,8 +97,10 @@ impl<T: crate::codec::FeedItem> TimeMerger<T> {
         for item in items {
             let t = item.order_time();
             let behind_watermark = match self.watermark {
-                Some((wt, ws)) => t < wt || (t == wt && sensor < ws),
-                None => false,
+                Some((wt, ws)) if T::MERGE == MergeOrder::Time => {
+                    t < wt || (t == wt && sensor < ws)
+                }
+                _ => false,
             };
             let behind_tail = match stream.queue.back() {
                 Some(tail) => t < tail.order_time(),
@@ -121,13 +133,14 @@ impl<T: crate::codec::FeedItem> TimeMerger<T> {
     }
 
     /// Pop the next item in merged time order, or `None` when an open
-    /// stream is empty (more input needed) or everything has drained.
+    /// stream is empty (more input needed; time-merged items only) or
+    /// everything has drained.
     pub fn pop_ready(&mut self) -> Option<T> {
         let mut best: Option<(f64, u64)> = None;
         for (&sensor, stream) in &self.streams {
             match stream.queue.front() {
                 None => {
-                    if stream.open {
+                    if stream.open && T::MERGE == MergeOrder::Time {
                         // A live stream with no head: releasing anything
                         // now could reorder against its next item.
                         return None;
@@ -170,10 +183,54 @@ impl<T: crate::codec::FeedItem> TimeMerger<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testitem::TestItem;
+    use crate::testitem::{ArrivalItem, TestItem};
 
     fn times(items: &[TestItem]) -> Vec<f64> {
         items.iter().map(|i| i.time).collect()
+    }
+
+    fn arrived(value: u64, time: f64) -> ArrivalItem {
+        ArrivalItem::at(value, time)
+    }
+
+    fn values(items: Vec<ArrivalItem>) -> Vec<u64> {
+        items.into_iter().map(|i| i.0.value).collect()
+    }
+
+    /// The time-merge gate is off for arrival-ordered items: an open,
+    /// silent stream does not hold back its peer.
+    #[test]
+    fn arrival_items_are_not_held_by_an_open_empty_stream() {
+        let mut m = TimeMerger::new();
+        m.open(1);
+        m.open(2);
+        m.push(2, [arrived(20, 5.0), arrived(21, 6.0)]);
+        assert_eq!(values(m.drain_ready()), [20, 21]);
+        // Sensor 1 surfaces with older items: nothing global to be
+        // behind, so they are delivered, not counted late.
+        assert_eq!(m.push(1, [arrived(10, 1.0)]), 0);
+        assert_eq!(values(m.drain_ready()), [10]);
+        assert_eq!(m.open_streams(), 2);
+    }
+
+    /// Each arrival-ordered stream stays FIFO and refuses items behind
+    /// its own queued tail.
+    #[test]
+    fn arrival_streams_stay_fifo_and_refuse_items_behind_their_tail() {
+        let mut m = TimeMerger::new();
+        m.open(1);
+        m.open(2);
+        m.push(1, [arrived(10, 1.0), arrived(11, 1.0), arrived(12, 2.0)]);
+        let late = m.push(1, [arrived(13, 1.5), arrived(14, 3.0)]);
+        assert_eq!(late, 1, "1.5 is behind the queued tail 2.0");
+        m.push(2, [arrived(20, 0.5)]);
+        let got = values(m.drain_ready());
+        let of = |sensor: u64| -> Vec<u64> {
+            got.iter().copied().filter(|v| v / 10 == sensor).collect()
+        };
+        assert_eq!(of(1), [10, 11, 12, 14]);
+        assert_eq!(of(2), [20]);
+        assert_eq!(m.buffered(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! A minimal [`FeedItem`] used by the crate's own tests: one `u64` value
-//! and an `f64` time, encoded fixed-width.
+//! Minimal [`FeedItem`]s used by the crate's own tests: one `u64` value
+//! and an `f64` time, encoded fixed-width, time-merged or not.
 
-use crate::codec::{ByteReader, FeedItem};
+use crate::codec::{ByteReader, FeedItem, MergeOrder};
 use crate::error::FeedError;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -40,5 +40,32 @@ impl FeedItem for TestItem {
 
     fn order_time(&self) -> f64 {
         self.time
+    }
+}
+
+/// A [`TestItem`] whose streams the collector releases as they arrive.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ArrivalItem(pub TestItem);
+
+impl ArrivalItem {
+    pub fn at(value: u64, time: f64) -> ArrivalItem {
+        ArrivalItem(TestItem::at(value, time))
+    }
+}
+
+impl FeedItem for ArrivalItem {
+    const ITEM_VERSION: u8 = TestItem::ITEM_VERSION;
+    const MERGE: MergeOrder = MergeOrder::Arrival;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, FeedError> {
+        TestItem::decode(r).map(ArrivalItem)
+    }
+
+    fn order_time(&self) -> f64 {
+        self.0.time
     }
 }

@@ -1,11 +1,25 @@
 //! The sans-io federated aggregation core.
 //!
-//! [`AggregatorCore`] ingests N collector window-state streams (already
-//! transported, deduplicated and time-merged by the feed collector),
-//! aligns them on per-upstream watermark frontiers, reassembles chunked
-//! tracker states, merges them per `(window, dataset)` with the laws in
-//! [`crate::merge`], and emits [`GlobalWindow`]s whose Space-Saving
-//! error bound is computed and stated (the sum of the per-input bounds).
+//! [`AggregatorCore`] ingests N collector uplink streams (already
+//! transported and deduplicated by the feed collector, each in its own
+//! order), reassembles chunked tracker states, merges them per
+//! `(window, dataset)` with the laws in [`crate::merge`], and emits
+//! [`GlobalWindow`]s whose Space-Saving error bound is computed and
+//! stated (the sum of the per-input bounds).
+//!
+//! # When a window seals
+//!
+//! One rule. Each upstream has a monotone `closed_through` time: every
+//! window starting before it is complete for that upstream. A record
+//! raises it to the record's window start (the upstream's fold has
+//! reached that window); a [`Uplink::Closed`] watermark raises it to its
+//! `through`. A window `W` seals once every open upstream is closed or
+//! has `closed_through ≥ W.end`. Without watermarks (`--input` files, a
+//! replay of bare records) that is each upstream's first record of a
+//! later window; with them it is the moment the last upstream closes `W`.
+//! Upstreams fold in id order at seal time, so how their streams
+//! interleave never changes a sealed window; a record for a window
+//! already sealed is late, ledgered and dropped.
 //!
 //! Same discipline as `feed::machine`: no sockets, no clocks, no
 //! threads — events in, decisions out — so the chaos kernel can drive it
@@ -14,12 +28,13 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use telemetry::trace::{TraceEvent, TraceKind, TraceRing};
 use telemetry::{Counter, Gauge, Histogram, Registry};
 
 use crate::merge::{assemble_chunks, merge_topk_into};
-use crate::state::{StateError, TopKState, WindowState};
+use crate::state::{StateError, TopKState, Uplink, WindowState};
 
 /// Stage name the aggregator records trace events under.
 const STAGE: &str = "aggregator";
@@ -69,8 +84,10 @@ pub struct UpstreamStats {
     pub out_of_order: u64,
     /// Sealed global windows this upstream contributed to.
     pub merged_windows: u64,
-    /// Watermark frontier: end of the newest window seen, seconds.
-    pub frontier: Option<f64>,
+    /// Every window starting before this time (seconds) is complete for
+    /// this upstream: the newest record's window start, or a newer
+    /// [`Uplink::Closed`] watermark. Never lowered.
+    pub closed_through: Option<f64>,
     /// Upstream said goodbye (or its connection is gone) — it no longer
     /// gates window sealing.
     pub closed: bool,
@@ -79,6 +96,8 @@ pub struct UpstreamStats {
 struct UpstreamLedger {
     stats: UpstreamStats,
     last_window_us: Option<u64>,
+    /// `stats.closed_through` in µs: what sealing compares.
+    closed_through_us: Option<u64>,
 }
 
 /// Provenance of one sealed window: where its time went and what it
@@ -256,7 +275,18 @@ impl AggregatorCore {
             .or_insert_with(|| UpstreamLedger {
                 stats: UpstreamStats::default(),
                 last_window_us: None,
+                closed_through_us: None,
             })
+    }
+
+    /// Raise `upstream`'s closed-through time to `through` (seconds; `us`
+    /// is the same instant in µs); an older one is a no-op.
+    fn raise_closed_through(&mut self, upstream: u64, us: u64, through: f64) {
+        let ledger = self.ledger(upstream);
+        if ledger.closed_through_us.is_none_or(|c| c < us) {
+            ledger.closed_through_us = Some(us);
+            ledger.stats.closed_through = Some(through);
+        }
     }
 
     fn sync_metrics(&mut self) {
@@ -298,13 +328,9 @@ impl AggregatorCore {
         let window_us = (ws.start * US).round() as u64;
         let length_us = ((ws.length * US).round() as u64).max(1);
 
-        // The frontier advances on every record, accepted or not — the
-        // upstream demonstrably reached this window.
-        let end = ws.start + ws.length;
-        let ledger = self.ledger(upstream);
-        if !ledger.stats.frontier.is_some_and(|f| end <= f) {
-            ledger.stats.frontier = Some(end);
-        }
+        // Every record, accepted or not, shows the upstream's fold
+        // reached this window: everything before it is closed.
+        self.raise_closed_through(upstream, window_us, ws.start);
 
         if self.sealed_through_us.is_some_and(|s| window_us <= s) {
             self.late_records += 1;
@@ -391,6 +417,22 @@ impl AggregatorCore {
         Ok(())
     }
 
+    /// Ingest one uplink item: a record ([`AggregatorCore::on_state`]),
+    /// or a watermark saying upstream `upstream` has closed every window
+    /// starting before `through` (seconds). Duplicated, reordered or
+    /// stale watermarks are harmless: the closed-through time only moves
+    /// forward.
+    pub fn on_uplink(&mut self, item: Uplink) -> Result<(), StateError> {
+        match item {
+            Uplink::State(ws) => self.on_state(Arc::unwrap_or_clone(ws)),
+            Uplink::Closed { upstream, through } => {
+                self.raise_closed_through(upstream, (through * US).round() as u64, through);
+                self.sync_metrics();
+                Ok(())
+            }
+        }
+    }
+
     /// Mark an upstream as finished (BYE or lost connection): it stops
     /// gating window sealing.
     pub fn on_closed(&mut self, upstream: u64) {
@@ -398,9 +440,9 @@ impl AggregatorCore {
         self.sync_metrics();
     }
 
-    /// Seal every window all open upstream frontiers have moved past and
-    /// append the merged results to `out`, oldest first. Windows are held
-    /// until all expected upstreams have been seen.
+    /// Seal every window each open upstream has closed (see the module
+    /// docs) and append the merged results to `out`, oldest first.
+    /// Windows are held until all expected upstreams have been seen.
     pub fn poll(&mut self, out: &mut Vec<GlobalWindow>) {
         if self.upstreams.len() < self.cfg.expected_upstreams {
             return;
@@ -410,12 +452,10 @@ impl AggregatorCore {
                 return;
             };
             let end_us = window_us + (accum.length * US).round() as u64;
-            let complete = self.upstreams.values().all(|l| {
-                l.stats.closed
-                    || l.stats
-                        .frontier
-                        .is_some_and(|f| (f * US).round() as u64 > end_us)
-            });
+            let complete = self
+                .upstreams
+                .values()
+                .all(|l| l.stats.closed || l.closed_through_us.is_some_and(|c| c >= end_us));
             if !complete {
                 return;
             }
@@ -561,7 +601,8 @@ struct UpstreamCounters {
     window_gaps: Counter,
     out_of_order: Counter,
     merged_windows: Counter,
-    frontier: Gauge,
+    /// `closed_through`, seconds.
+    closed_through: Gauge,
     mirror: UpstreamStats,
 }
 
@@ -622,7 +663,7 @@ impl AggregatorMetrics {
                     out_of_order: registry.counter_with("agg_upstream_out_of_order_total", labels),
                     merged_windows: registry
                         .counter_with("agg_upstream_merged_windows_total", labels),
-                    frontier: registry.gauge_with("agg_upstream_frontier_seconds", labels),
+                    closed_through: registry.gauge_with("agg_upstream_frontier_seconds", labels),
                     mirror: UpstreamStats::default(),
                 }
             });
@@ -637,8 +678,143 @@ impl AggregatorMetrics {
                 u.mirror.merged_windows,
                 stats.merged_windows,
             );
-            u.frontier.set(stats.frontier.unwrap_or(0.0));
+            u.closed_through.set(stats.closed_through.unwrap_or(0.0));
             u.mirror = stats.clone();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::tiny_state;
+
+    /// Windows are 60 s long in `tiny_state`.
+    fn record(upstream: u64, start: f64) -> Uplink {
+        Uplink::State(Arc::new(tiny_state(upstream, start, "esld", &["a"])))
+    }
+
+    fn closed(upstream: u64, through: f64) -> Uplink {
+        Uplink::Closed { upstream, through }
+    }
+
+    /// Feed `items` in order, polling after each; the starts sealed.
+    fn drive(core: &mut AggregatorCore, items: impl IntoIterator<Item = Uplink>) -> Vec<f64> {
+        let mut out = Vec::new();
+        for item in items {
+            core.on_uplink(item).expect("valid item");
+            core.poll(&mut out);
+        }
+        out.iter().map(|gw| gw.start).collect()
+    }
+
+    #[test]
+    fn window_seals_on_both_watermarks_before_any_next_record() {
+        let mut core = AggregatorCore::new(&AggregatorConfig::new(2));
+        let sealed = drive(
+            &mut core,
+            [
+                record(1, 0.0),
+                record(2, 0.0),
+                closed(1, 60.0),
+                closed(2, 60.0),
+            ],
+        );
+        assert_eq!(sealed, [0.0], "both upstreams closed window 0");
+        let stats = &core.report().upstreams;
+        assert_eq!(stats[&1].closed_through, Some(60.0));
+        assert_eq!(stats[&2].closed_through, Some(60.0));
+    }
+
+    #[test]
+    fn one_watermark_alone_does_not_seal() {
+        let mut core = AggregatorCore::new(&AggregatorConfig::new(2));
+        let sealed = drive(
+            &mut core,
+            [
+                record(1, 0.0),
+                record(2, 0.0),
+                closed(1, 60.0),
+                closed(1, 120.0),
+            ],
+        );
+        assert!(sealed.is_empty(), "upstream 2 may still send window 0");
+        assert_eq!(core.open_windows(), 1);
+    }
+
+    #[test]
+    fn duplicate_reordered_and_stale_watermarks_are_idempotent() {
+        let mut core = AggregatorCore::new(&AggregatorConfig::new(2));
+        let sealed = drive(
+            &mut core,
+            [
+                record(1, 0.0),
+                record(2, 0.0),
+                closed(1, 120.0),
+                closed(1, 60.0),  // reordered: behind closed_through
+                closed(1, 120.0), // duplicate
+                record(1, 120.0),
+                closed(2, 60.0),
+                closed(2, 60.0),
+                closed(2, 0.0), // stale
+            ],
+        );
+        assert_eq!(sealed, [0.0]);
+        let report = core.report();
+        assert_eq!(report.upstreams[&1].closed_through, Some(120.0));
+        assert_eq!(report.upstreams[&2].closed_through, Some(60.0));
+        assert_eq!(report.late_records, 0);
+        // Upstream 1's record opened window 120: its own watermark
+        // closes it.
+        assert!(drive(&mut core, [closed(2, 180.0)]).is_empty());
+        assert_eq!(drive(&mut core, [closed(1, 180.0)]), [120.0]);
+    }
+
+    #[test]
+    fn record_for_a_sealed_window_is_ledgered_late() {
+        let mut core = AggregatorCore::new(&AggregatorConfig::new(2));
+        let sealed = drive(
+            &mut core,
+            [
+                record(1, 0.0),
+                closed(1, 60.0),
+                closed(2, 60.0),
+                record(2, 0.0),
+            ],
+        );
+        assert_eq!(sealed, [0.0]);
+        let mut out = Vec::new();
+        let report = core.finish(&mut out);
+        assert!(out.is_empty(), "the late record opens no window");
+        assert_eq!(report.late_records, 1);
+        assert_eq!(report.upstreams[&2].late_records, 1);
+        assert_eq!(report.upstreams[&1].merged_windows, 1);
+        assert_eq!(report.upstreams[&2].merged_windows, 0);
+    }
+
+    /// Bare records seal as they always did: window W once every
+    /// upstream has a record for a later window.
+    #[test]
+    fn records_without_watermarks_seal_on_the_next_window() {
+        let mut core = AggregatorCore::new(&AggregatorConfig::new(2));
+        let steps: [(Uplink, &[f64]); 6] = [
+            (record(1, 0.0), &[]),
+            (record(2, 0.0), &[]),
+            (record(1, 60.0), &[]),
+            (record(2, 180.0), &[0.0]),
+            (record(1, 120.0), &[0.0, 60.0]),
+            (record(1, 180.0), &[0.0, 60.0, 120.0]),
+        ];
+        let mut out = Vec::new();
+        for (item, want) in steps {
+            core.on_uplink(item).unwrap();
+            core.poll(&mut out);
+            let got: Vec<f64> = out.iter().map(|gw| gw.start).collect();
+            assert_eq!(got, want);
+        }
+        let report = core.finish(&mut out);
+        assert_eq!(out.last().map(|gw| gw.start), Some(180.0));
+        assert_eq!(out.last().map(|gw| gw.upstreams.clone()), Some(vec![1, 2]));
+        assert_eq!(report.late_records, 0);
     }
 }

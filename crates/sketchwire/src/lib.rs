@@ -10,15 +10,17 @@
 //! This crate provides the three layers of that tier:
 //!
 //! * [`state`] — plain-data mirrors of every sketch with a strict,
-//!   never-panicking codec; [`WindowState`] implements `feed::FeedItem`,
-//!   so state streams ride the existing sensor→collector transport
-//!   (framing, CRC, gap/dup ledgers, reconnect backoff) unchanged.
+//!   never-panicking codec; [`WindowState`] and the uplink item
+//!   [`Uplink`] (a record, or a "closed through" watermark) implement
+//!   `feed::FeedItem`, so state streams ride the existing
+//!   sensor→collector transport (framing, CRC, gap/dup ledgers,
+//!   reconnect backoff) unchanged.
 //! * [`record`] — the versioned, CRC-framed, length-prefixed at-rest
 //!   record format (files today, historical-store compaction next).
 //! * [`merge`] + [`aggregator`] — associative/commutative merge laws and
-//!   the sans-io [`AggregatorCore`] that aligns N streams on watermark
-//!   frontiers and emits [`GlobalWindow`]s whose error bound is the sum
-//!   of the per-input Space-Saving bounds.
+//!   the sans-io [`AggregatorCore`] that seals a window once every
+//!   upstream has closed it and emits [`GlobalWindow`]s whose error bound
+//!   is the sum of the per-input Space-Saving bounds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +40,7 @@ pub use record::{
 };
 pub use state::{
     FeatureState, GateState, HistogramState, HllState, StateError, TopKEntry, TopKState,
-    TopValuesState, WindowState,
+    TopValuesState, Uplink, WindowState,
 };
 
 #[cfg(test)]
@@ -68,7 +70,12 @@ mod tests {
         }
     }
 
-    fn tiny_state(upstream: u64, window: f64, dataset: &str, keys: &[&str]) -> WindowState {
+    pub(crate) fn tiny_state(
+        upstream: u64,
+        window: f64,
+        dataset: &str,
+        keys: &[&str],
+    ) -> WindowState {
         let entries = keys
             .iter()
             .enumerate()
@@ -111,6 +118,41 @@ mod tests {
         let back = WindowState::decode(&mut r).expect("decode");
         assert!(r.is_empty());
         assert_eq!(back, ws);
+    }
+
+    /// An uplink record is its window state's item bytes behind a tag;
+    /// a watermark round-trips too, and a bad tag or time is refused.
+    #[test]
+    fn uplink_roundtrip_keeps_the_state_bytes() {
+        let ws = tiny_state(3, 120.0, "esld", &["a.example"]);
+        let items = [
+            Uplink::State(std::sync::Arc::new(ws.clone())),
+            Uplink::Closed {
+                upstream: 3,
+                through: 180.0,
+            },
+        ];
+        for item in &items {
+            let mut buf = Vec::new();
+            item.encode(&mut buf);
+            let mut r = ByteReader::new(&buf);
+            assert_eq!(&Uplink::decode(&mut r).expect("decode"), item);
+            assert!(r.is_empty());
+        }
+        let mut buf = Vec::new();
+        items[0].encode(&mut buf);
+        assert_eq!(buf[1..], ws.item_bytes());
+        for bad in [vec![9u8], {
+            let mut b = Vec::new();
+            Uplink::Closed {
+                upstream: 1,
+                through: f64::NAN,
+            }
+            .encode(&mut b);
+            b
+        }] {
+            assert!(Uplink::decode(&mut ByteReader::new(&bad)).is_err());
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! aggregation tier's stated error bounds trustworthy.
 
 use feed::codec::write_varint;
-use feed::{ByteReader, FeedError, FeedItem};
+use feed::{ByteReader, FeedError, FeedItem, MergeOrder};
+use std::sync::Arc;
 
 /// Longest accepted rendered key (dataset keys are names/addresses — a
 /// DNS name caps at 253 octets; 4 KiB leaves room for future key kinds).
@@ -794,6 +795,80 @@ impl FeedItem for WindowState {
 
     fn order_time(&self) -> f64 {
         self.start
+    }
+}
+
+/// The item a forwarding collector sends its aggregator: a window-state
+/// record, or a record-less watermark saying the upstream has closed every
+/// window that starts before `through`.
+///
+/// A collector sends the watermark after the records of the windows it
+/// just closed, in the same frame, so the aggregator can seal a window as
+/// soon as every upstream has closed it instead of waiting for the next
+/// window's first record. A record's bytes here are its [`WindowState`]
+/// item bytes behind a tag; the at-rest formats carry bare
+/// [`WindowState`]s and do not change.
+///
+/// The aggregator folds upstreams in id order, so how their streams
+/// interleave does not matter: the collector passes each stream on as it
+/// arrives ([`MergeOrder::Arrival`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Uplink {
+    /// One window-state record, shared with the sender's other sinks.
+    State(Arc<WindowState>),
+    /// Upstream `upstream` has closed every window starting before
+    /// `through` (seconds): nothing more comes for them.
+    Closed {
+        /// Originating collector id.
+        upstream: u64,
+        /// Start of the window the upstream's fold has open.
+        through: f64,
+    },
+}
+
+const UPLINK_STATE: u8 = 0;
+const UPLINK_CLOSED: u8 = 1;
+
+impl FeedItem for Uplink {
+    /// Version 1 was a bare [`WindowState`]; a version-2 aggregator
+    /// refuses such a collector at HELLO.
+    const ITEM_VERSION: u8 = 2;
+    const MERGE: MergeOrder = MergeOrder::Arrival;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Uplink::State(ws) => {
+                out.push(UPLINK_STATE);
+                ws.encode(out);
+            }
+            Uplink::Closed { upstream, through } => {
+                out.push(UPLINK_CLOSED);
+                write_varint(*upstream, out);
+                write_f64(*through, out);
+            }
+        }
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Uplink, FeedError> {
+        match r.u8("uplink tag")? {
+            UPLINK_STATE => WindowState::decode(r).map(|ws| Uplink::State(Arc::new(ws))),
+            UPLINK_CLOSED => {
+                let upstream = r.varint()?;
+                let through = r.f64("closed-through time")?;
+                if !(through.is_finite() && through >= 0.0) {
+                    return Err(FeedError::Invalid("closed-through time out of range"));
+                }
+                Ok(Uplink::Closed { upstream, through })
+            }
+            _ => Err(FeedError::Invalid("unknown uplink item tag")),
+        }
+    }
+
+    fn order_time(&self) -> f64 {
+        match self {
+            Uplink::State(ws) => ws.start,
+            Uplink::Closed { through, .. } => *through,
+        }
     }
 }
 
