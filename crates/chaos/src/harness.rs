@@ -456,6 +456,8 @@ pub fn run_in<T: FeedItem + Clone>(
                         }
                         SensorOp::Write(bytes) => {
                             progressed = true;
+                            // The link takes its own copy, as a socket does.
+                            let bytes = bytes.to_vec();
                             let cid = state.conn.expect("write while disconnected");
                             if !conns[&cid].up_sensor {
                                 // The connection died under the machine.
@@ -526,7 +528,7 @@ pub fn run_in<T: FeedItem + Clone>(
                             }
                             if write_ok {
                                 match state.machine.on_write_ok() {
-                                    Wrote::Hello => {}
+                                    Wrote::Hello { .. } => {}
                                     Wrote::Batch { seq, items } => {
                                         state.sent_batches.push((seq, items));
                                     }

@@ -130,9 +130,11 @@ fn show_rejects_garbage() {
 mod flags;
 
 use flags::{Kind, TABLE};
+use std::io::{BufRead, BufReader, Read};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Stdio};
+use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
 fn stderr_of(args: &[&str]) -> (Option<i32>, String) {
@@ -220,29 +222,69 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// A child that is killed on drop; `join` waits (60 s) for a clean exit
-/// and returns its stderr.
-struct Proc(Child);
+/// and returns its stderr, less the lines `wait_for` has read.
+struct Proc {
+    child: Child,
+    /// Stderr line by line, from a thread that drains the pipe; set up by
+    /// the first `wait_for`.
+    lines: Option<Receiver<String>>,
+}
 
 impl Proc {
     fn spawn(cwd: &Path, args: &[&str]) -> Proc {
         let mut command = dnsobs();
         command.args(args).current_dir(cwd).stderr(Stdio::piped());
-        Proc(command.spawn().expect("spawn dnsobs"))
+        let child = command.spawn().expect("spawn dnsobs");
+        Proc { child, lines: None }
+    }
+
+    /// Read stderr until a line starts with `prefix` (60 s at most).
+    /// Stderr keeps draining afterwards, so the child never blocks on a
+    /// full pipe and `join` still returns the rest.
+    fn wait_for(&mut self, prefix: &str) {
+        let lines = self.lines.get_or_insert_with(|| {
+            let stderr = self.child.stderr.take().expect("piped stderr");
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+                    let _ = tx.send(line);
+                }
+            });
+            rx
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match lines.recv_timeout(left) {
+                Ok(line) if line.starts_with(prefix) => return,
+                Ok(_) => {}
+                Err(e) => panic!("dnsobs never printed `{prefix}…`: {e}"),
+            }
+        }
+    }
+
+    /// Spawn `collect` and return once it listens. A sensor that connects
+    /// earlier backs off while it keeps sealing frames, and a full send
+    /// buffer drops them.
+    fn collect(cwd: &Path, args: &[&str]) -> Proc {
+        let mut collect = Proc::spawn(cwd, &[&["collect"], args].concat());
+        collect.wait_for("collecting from ");
+        collect
     }
 
     fn join(mut self) -> String {
         let deadline = Instant::now() + Duration::from_secs(60);
-        while self.0.try_wait().expect("try_wait").is_none() {
+        while self.child.try_wait().expect("try_wait").is_none() {
             assert!(Instant::now() < deadline, "dnsobs timed out");
             std::thread::sleep(Duration::from_millis(20));
         }
         let mut err = String::new();
-        use std::io::Read;
-        // A test that reads the stderr as it comes has taken it.
-        if let Some(mut pipe) = self.0.stderr.take() {
+        if let Some(lines) = &self.lines {
+            err = lines.iter().map(|line| line + "\n").collect();
+        } else if let Some(mut pipe) = self.child.stderr.take() {
             pipe.read_to_string(&mut err).expect("read stderr");
         }
-        let status = self.0.wait().expect("reaped");
+        let status = self.child.wait().expect("reaped");
         assert!(status.success(), "dnsobs failed ({status}): {err}");
         err
     }
@@ -250,7 +292,7 @@ impl Proc {
 
 impl Drop for Proc {
     fn drop(&mut self) {
-        let _ = self.0.kill();
+        let _ = self.child.kill();
     }
 }
 
@@ -334,6 +376,21 @@ fn collect_renders_every_stored_window() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Send `summaries`, waiting for the wire after each half send buffer.
+/// A sensor that seals frames faster than its writer drains them drops
+/// frames by design, and the tests that send this way compare every
+/// window byte for byte.
+fn send_paced(
+    client: &feed::Sensor<dns_observatory::TxSummary>,
+    summaries: &[dns_observatory::TxSummary],
+) {
+    let config = feed::SensorConfig::new(0);
+    for chunk in summaries.chunks(config.buffer_frames / 2 * config.batch_items) {
+        chunk.iter().for_each(|s| client.send(s));
+        client.wait_drained();
+    }
+}
+
 /// The data TSVs of a window directory by name: no `meta-*` self-report,
 /// no `*-10win-*` rollup.
 fn data_tsvs(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
@@ -377,16 +434,13 @@ fn one_collector_cuts_the_same_windows_on_every_route() {
     );
     let route = |sinks: &[&str]| {
         let addr = free_addr();
-        let mut args = vec![
-            "collect", "--listen", &addr, "--window", "1", "--topk", "300",
-        ];
+        let mut args = vec!["--listen", &addr, "--window", "1", "--topk", "300"];
         args.extend(sinks);
-        let collect = Proc::spawn(&dir, &args);
-        let client = feed::Sensor::<TxSummary>::connect(addr.clone(), feed::SensorConfig::new(0));
-        for s in &summaries {
-            client.send(s);
-        }
-        client.finish();
+        let collect = Proc::collect(&dir, &args);
+        let client = feed::Sensor::connect(addr.clone(), feed::SensorConfig::new(0));
+        send_paced(&client, &summaries);
+        let report = client.finish();
+        assert_eq!(report.dropped_frames, 0, "{sinks:?}: the sensor dropped");
         collect.join();
     };
     let rows = dir.join("rows");
@@ -490,10 +544,9 @@ fn collect_writes_each_window_as_it_closes() {
     let dir = temp_dir("streaming");
     let out = dir.join("out");
     let addr = free_addr();
-    let collect = Proc::spawn(
+    let collect = Proc::collect(
         &dir,
         &[
-            "collect",
             "--listen",
             &addr,
             "--window",
@@ -513,10 +566,7 @@ fn collect_writes_each_window_as_it_closes() {
         .map(|tx| TxSummary::from_transaction(tx, &psl))
         .collect();
     let client = feed::Sensor::connect(addr, feed::SensorConfig::new(0));
-    for s in &summaries {
-        client.send(s.clone());
-    }
-    client.wait_drained();
+    send_paced(&client, &summaries);
 
     let datasets = [
         (Dataset::SrvIp, 300),
@@ -540,7 +590,7 @@ fn collect_writes_each_window_as_it_closes() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    client.finish();
+    assert_eq!(client.finish().dropped_frames, 0, "the sensor dropped");
     collect.join();
 
     let mut reference = Observatory::new(ObservatoryConfig {
@@ -652,17 +702,15 @@ fn first_window_and_one(psl: &psl::Psl) -> (f64, Vec<dns_observatory::TxSummary>
 #[test]
 fn forwarding_collect_flushes_each_window_upstream() {
     use sketchwire::Uplink;
-    use std::io::Read;
 
     let dir = temp_dir("flush");
     let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
     upstream.set_nonblocking(true).unwrap();
     let up_addr = upstream.local_addr().unwrap().to_string();
     let addr = free_addr();
-    let collect = Proc::spawn(
+    let collect = Proc::collect(
         &dir,
         &[
-            "collect",
             "--listen",
             &addr,
             "--window",
@@ -741,23 +789,21 @@ fn forwarding_collect_flushes_each_window_upstream() {
 
 /// How long an upstream outage a forwarding `collect` rides out. Every
 /// closed window is flushed as a frame of its own, so the uplink's send
-/// buffer (`buffer_frames` frames) holds that many windows, plus the one
-/// its writer is retrying. Later windows are dropped, and the BYE
-/// ledgers them.
+/// buffer (`buffer_frames` frames, the one its writer is retrying
+/// included) holds exactly that many windows. Later windows are dropped,
+/// and the BYE ledgers them.
 #[test]
 fn a_down_upstream_buffers_one_frame_per_window() {
     use feed::FeedItem;
     use sketchwire::Uplink;
-    use std::io::{BufRead, Read};
 
     const WINDOWS: usize = 70;
     let buffered = feed::SensorConfig::new(0).buffer_frames;
     let dir = temp_dir("outage");
     let (addr, up_addr) = (free_addr(), free_addr());
-    let mut collect = Proc::spawn(
+    let mut collect = Proc::collect(
         &dir,
         &[
-            "collect",
             "--listen",
             &addr,
             "--window",
@@ -768,16 +814,6 @@ fn a_down_upstream_buffers_one_frame_per_window() {
             &up_addr,
         ],
     );
-    let stderr = collect.0.stderr.take().expect("piped stderr");
-    let (lines, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        for line in std::io::BufReader::new(stderr)
-            .lines()
-            .map_while(Result::ok)
-        {
-            let _ = lines.send(line);
-        }
-    });
 
     // A few summaries of window 0, repeated one window later each time.
     let psl = psl::Psl::embedded();
@@ -796,14 +832,8 @@ fn a_down_upstream_buffers_one_frame_per_window() {
     client.finish();
 
     // Every window has gone to the uplink once the ledger is printed.
+    collect.wait_for("exported ");
     let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let left = deadline.saturating_duration_since(Instant::now());
-        let line = rx.recv_timeout(left).expect("collect printed its ledger");
-        if line.starts_with("exported ") {
-            break;
-        }
-    }
     let upstream = TcpListener::bind(&up_addr).expect("bind the upstream");
     upstream.set_nonblocking(true).unwrap();
     let mut stream = loop {
@@ -848,9 +878,9 @@ fn a_down_upstream_buffers_one_frame_per_window() {
         }
     }
     let delivered = starts.len();
-    assert!(
-        delivered == buffered || delivered == buffered + 1,
-        "{delivered} windows survived a {buffered}-frame buffer"
+    assert_eq!(
+        delivered, buffered,
+        "windows that survived a {buffered}-frame buffer"
     );
     let oldest: Vec<f64> = (0..delivered).map(|k| first + k as f64).collect();
     assert_eq!(starts, oldest, "the oldest windows are kept");
@@ -865,7 +895,7 @@ fn a_down_upstream_buffers_one_frame_per_window() {
 #[test]
 fn forward_and_serve_deliver_the_same_windows() {
     use pubsub::{Frame, FrameReader, SubEvent, SubscriberCore, Topic};
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     let dir = temp_dir("forward-serve");
     let global = dir.join("global");

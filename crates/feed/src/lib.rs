@@ -13,7 +13,8 @@
 //!   in-memory ([`frame`], [`codec`]);
 //! * a [`Sensor`] client with a bounded send buffer (drop accounting when
 //!   full, like a real tap that must never stall the resolver) and
-//!   reconnect with exponential backoff plus jitter ([`sensor`],
+//!   reconnect with exponential backoff plus jitter: a writer-thread
+//!   shell around the sans-io [`SensorMachine`] ([`sensor`], [`machine`],
 //!   [`backoff`]);
 //! * a [`Collector`] TCP server (std::net + threads + crossbeam channels,
 //!   matching the core pipeline's threading style) that accepts many

@@ -1,19 +1,18 @@
-//! Sans-io sensor state machine: the [`crate::Sensor`] writer loop as a
-//! pure poll/event automaton over an externally owned clock.
+//! Sans-io sensor state machine: the feed's sensor protocol as a pure
+//! poll/event automaton over an externally owned clock.
 //!
-//! The threaded [`crate::Sensor`] couples the protocol logic (batching,
-//! bounded buffering with drop accounting, HELLO-on-connect, at-least-once
-//! retransmission, exponential backoff) to `TcpStream` and wall-clock
-//! sleeps. [`SensorMachine`] is the same logic with both dependencies
-//! inverted: the caller owns the transport *and* the clock, so the full
-//! reconnect/backoff/retransmit behaviour runs deterministically in
-//! microseconds of virtual time — the foundation of the `chaos`
-//! fault-injection kernel.
+//! [`SensorMachine`] holds all of the protocol logic — batching, bounded
+//! buffering with drop accounting, HELLO-on-connect, at-least-once
+//! retransmission, exponential backoff — and none of the I/O: the caller
+//! owns the transport *and* the clock. The production [`crate::Sensor`]
+//! drives it with a writer thread over `TcpStream` and wall time; the
+//! `chaos` fault-injection kernel drives the same machine over a faulty
+//! in-memory transport in microseconds of virtual time.
 //!
 //! # Driving contract
 //!
-//! Call [`SensorMachine::poll`] with the current virtual time; it returns
-//! the one thing the transport should do next:
+//! Call [`SensorMachine::poll`] with the current time; it returns the one
+//! thing the transport should do next:
 //!
 //! * [`SensorOp::Connect`] — attempt a connection, then report the result
 //!   via [`SensorMachine::on_connected`] or
@@ -26,18 +25,20 @@
 //! * [`SensorOp::Done`] — the stream is complete (BYE written or the
 //!   machine aborted).
 //!
-//! The machine mirrors the writer thread's semantics exactly: sequence
-//! numbers are consumed even by frames dropped at the full buffer, HELLO
-//! announces the sequence of the frame about to be (re)sent, a failed
-//! write keeps the frame at the front for at-least-once retransmission,
-//! and backoff applies only to failed *connects* (a lost established
-//! connection retries immediately).
+//! Sequence numbers are consumed even by frames dropped at the full
+//! buffer. A frame stays at the front of the buffer until its write
+//! completes, so it counts toward `buffer_frames`, a failed write
+//! retransmits it (at-least-once), HELLO announces its sequence, and
+//! [`SensorMachine::abort`] ledgers it as dropped. Backoff applies only
+//! to failed *connects*: a lost established connection retries at once.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use telemetry::Registry;
 
-use crate::backoff::{Backoff, BackoffConfig};
+use crate::backoff::Backoff;
 use crate::codec::FeedItem;
 use crate::metrics::SensorMetrics;
 use crate::sensor::{SealedFrame, SensorConfig, SensorEncoder, SensorReport};
@@ -47,8 +48,9 @@ use crate::sensor::{SealedFrame, SensorConfig, SensorEncoder, SensorReport};
 pub enum SensorOp {
     /// Attempt a connection to the collector.
     Connect,
-    /// Write these bytes on the current connection.
-    Write(Vec<u8>),
+    /// Write these bytes on the current connection. They are shared with
+    /// the buffer, which keeps the frame until the write is reported.
+    Write(Arc<Vec<u8>>),
     /// Nothing to do before this virtual time (microseconds): the machine
     /// is backing off between connect attempts.
     WaitUntil(u64),
@@ -76,7 +78,10 @@ pub struct SealEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wrote {
     /// The connection's HELLO preamble.
-    Hello,
+    Hello {
+        /// Sequence number the connection resumes from.
+        seq: u64,
+    },
     /// A data batch.
     Batch {
         /// Frame sequence number.
@@ -90,18 +95,20 @@ pub enum Wrote {
 
 #[derive(Debug)]
 struct Queued {
-    frame: SealedFrame,
+    /// Shared with the transport, which writes them outside any lock.
+    bytes: Arc<Vec<u8>>,
+    seq: u64,
+    items: u64,
     bye: bool,
 }
 
-/// Sans-io twin of the [`crate::Sensor`] writer loop.
+/// The sensor protocol, sans io: see the module docs.
 #[derive(Debug)]
 pub struct SensorMachine<T> {
     encoder: SensorEncoder<T>,
     queue: VecDeque<Queued>,
     buffer_frames: usize,
     backoff: Backoff,
-    backoff_cfg: BackoffConfig,
     connected: bool,
     hello_pending: bool,
     retry_at: Option<u64>,
@@ -132,7 +139,6 @@ impl<T: FeedItem> SensorMachine<T> {
             queue: VecDeque::new(),
             buffer_frames: config.buffer_frames.max(1),
             backoff: Backoff::new(config.backoff),
-            backoff_cfg: config.backoff,
             connected: false,
             hello_pending: false,
             retry_at: None,
@@ -157,8 +163,22 @@ impl<T: FeedItem> SensorMachine<T> {
         self.queue.len()
     }
 
-    /// Queue an item; returns the seal event when the batch fills.
-    pub fn push(&mut self, item: T) -> Option<SealEvent> {
+    /// True once [`SensorMachine::abort`] has run.
+    pub fn aborted(&self) -> bool {
+        self.aborted
+    }
+
+    /// Sequence number a (re)connect resumes from: the frame at the front
+    /// of the buffer, or the next one to be sealed.
+    pub fn resume_seq(&self) -> u64 {
+        self.queue
+            .front()
+            .map_or(self.encoder.next_seq(), |q| q.seq)
+    }
+
+    /// Queue an item (by value or by reference: it is encoded at once);
+    /// returns the seal event when the batch fills.
+    pub fn push(&mut self, item: impl Borrow<T>) -> Option<SealEvent> {
         debug_assert!(!self.closing, "push after finish");
         self.metrics.pushed_items.inc(1);
         let sealed = self.encoder.push(item)?;
@@ -198,9 +218,9 @@ impl<T: FeedItem> SensorMachine<T> {
         while let Some(q) = self.queue.pop_front() {
             if !q.bye {
                 self.dropped_frames += 1;
-                self.dropped_items += q.frame.items;
+                self.dropped_items += q.items;
                 self.metrics.dropped_frames.inc(1);
-                self.metrics.dropped_items.inc(q.frame.items);
+                self.metrics.dropped_items.inc(q.items);
             }
         }
         self.metrics.queue_frames.set(0.0);
@@ -224,15 +244,11 @@ impl<T: FeedItem> SensorMachine<T> {
         }
         if self.connected {
             if self.hello_pending {
-                let seq = self
-                    .queue
-                    .front()
-                    .map(|q| q.frame.seq)
-                    .unwrap_or_else(|| self.encoder.next_seq());
-                return SensorOp::Write(SensorEncoder::<T>::hello_for(self.sensor(), seq));
+                let hello = SensorEncoder::<T>::hello_for(self.sensor(), self.resume_seq());
+                return SensorOp::Write(Arc::new(hello));
             }
             let front = self.queue.front().expect("queue checked non-empty");
-            return SensorOp::Write(front.frame.bytes.clone());
+            return SensorOp::Write(Arc::clone(&front.bytes));
         }
         match self.retry_at {
             Some(t) if t > now => SensorOp::WaitUntil(t),
@@ -267,40 +283,33 @@ impl<T: FeedItem> SensorMachine<T> {
             self.hello_pending = false;
             self.connects += 1;
             self.metrics.connects.inc(1);
-            return Wrote::Hello;
+            return Wrote::Hello {
+                seq: self.resume_seq(),
+            };
         }
         let q = self.queue.pop_front().expect("write_ok without a frame");
         self.sent_frames += 1;
-        self.sent_items += q.frame.items;
+        self.sent_items += q.items;
         self.metrics.sent_frames.inc(1);
-        self.metrics.sent_items.inc(q.frame.items);
+        self.metrics.sent_items.inc(q.items);
         self.metrics.queue_frames.set(self.queue.len() as f64);
         if q.bye {
             Wrote::Bye
         } else {
             Wrote::Batch {
-                seq: q.frame.seq,
-                items: q.frame.items,
+                seq: q.seq,
+                items: q.items,
             }
         }
     }
 
     /// The pending write failed: the connection is gone. The frame stays
     /// at the front for retransmission and the machine reconnects
-    /// immediately (backoff applies only to failed connects, mirroring
-    /// the writer thread).
+    /// immediately (backoff applies only to failed connects).
     pub fn on_write_failed(&mut self, _now: u64) {
         self.connected = false;
         self.hello_pending = false;
         self.retry_at = None;
-    }
-
-    /// Backoff parameters this machine runs (for schedule bounds in
-    /// tests).
-    pub fn backoff_config(&self) -> BackoffConfig {
-        // `Backoff` keeps its config private; reconstruct from the same
-        // source the machine was built with.
-        self.backoff_cfg
     }
 
     /// Current accounting snapshot (valid at any point).
@@ -334,7 +343,12 @@ impl<T: FeedItem> SensorMachine<T> {
                 ..event
             };
         }
-        self.queue.push_back(Queued { frame, bye });
+        self.queue.push_back(Queued {
+            bytes: Arc::new(frame.bytes),
+            seq: frame.seq,
+            items: frame.items,
+            bye,
+        });
         self.metrics.queue_frames.set(self.queue.len() as f64);
         event
     }
@@ -343,6 +357,7 @@ impl<T: FeedItem> SensorMachine<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backoff::BackoffConfig;
     use crate::frame::{Frame, FrameReader};
     use crate::testitem::TestItem;
 
@@ -390,7 +405,7 @@ mod tests {
             SensorOp::Write(bytes) => bytes,
             op => panic!("expected HELLO write, got {op:?}"),
         };
-        assert_eq!(m.on_write_ok(), Wrote::Hello);
+        assert_eq!(m.on_write_ok(), Wrote::Hello { seq: 0 });
         let batch = match m.poll(now) {
             SensorOp::Write(bytes) => bytes,
             op => panic!("expected batch write, got {op:?}"),
@@ -428,7 +443,7 @@ mod tests {
         m.push(TestItem::new(1)); // seq 0
         m.push(TestItem::new(2)); // seq 1
         m.on_connected(0);
-        assert_eq!(m.on_write_ok(), Wrote::Hello);
+        assert_eq!(m.on_write_ok(), Wrote::Hello { seq: 0 });
         assert_eq!(m.on_write_ok(), Wrote::Batch { seq: 0, items: 1 });
         // seq 1's write dies mid-flight.
         m.on_write_failed(10);
@@ -445,7 +460,7 @@ mod tests {
             reader.next_frame().unwrap(),
             Some(Frame::Hello { next_seq: 1, .. })
         ));
-        assert_eq!(m.on_write_ok(), Wrote::Hello);
+        assert_eq!(m.on_write_ok(), Wrote::Hello { seq: 1 });
         assert_eq!(m.on_write_ok(), Wrote::Batch { seq: 1, items: 1 });
         assert_eq!(m.report().connects, 2);
     }
@@ -498,7 +513,7 @@ mod tests {
         m.push(TestItem::new(7));
         m.finish();
         m.on_connected(0);
-        assert_eq!(m.on_write_ok(), Wrote::Hello);
+        assert_eq!(m.on_write_ok(), Wrote::Hello { seq: 0 });
         assert_eq!(m.on_write_ok(), Wrote::Batch { seq: 0, items: 1 });
         match m.poll(0) {
             SensorOp::Write(bytes) => {

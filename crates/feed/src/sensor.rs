@@ -2,15 +2,15 @@
 //! number of frames, and push them to the collector over TCP with
 //! reconnect-and-backoff.
 //!
-//! The codec half ([`SensorEncoder`]) is sans-io and independently
-//! testable; the [`Sensor`] wraps it with a writer thread so the caller
-//! (the resolver tap) never blocks on the network: when the send buffer
-//! is full, whole frames are dropped and *accounted* — their sequence
-//! numbers are still consumed, so the collector sees the exact gap, and
-//! the BYE frame reports the sensor's own tally.
+//! The protocol is the sans-io [`SensorMachine`], whose codec half is
+//! [`SensorEncoder`]. [`Sensor`] is its shell: a writer thread turns the
+//! machine's ops into TCP and wall time, so the caller (the resolver
+//! tap) never blocks on the network. When the send buffer is full, whole
+//! frames are dropped and *accounted* — their sequence numbers are still
+//! consumed, so the collector sees the exact gap, and the BYE frame
+//! reports the sensor's own tally.
 
 use std::borrow::Borrow;
-use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -19,11 +19,11 @@ use std::time::Duration;
 use telemetry::trace::{TraceEvent, TraceKind, TraceRing};
 use telemetry::{Clock, FlightRecorder, RateLimiter, Registry, SystemClock};
 
-use crate::backoff::{Backoff, BackoffConfig};
+use crate::backoff::BackoffConfig;
 use crate::codec::FeedItem;
 use crate::collector::IO_STACK_BYTES;
 use crate::frame::{encode_batch_preencoded, encode_frame, Frame};
-use crate::metrics::SensorMetrics;
+use crate::machine::{SealEvent, SensorMachine, SensorOp, Wrote};
 
 /// Tuning for a [`Sensor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,35 +219,29 @@ pub struct SensorReport {
     pub next_seq: u64,
 }
 
-#[derive(Debug, Default)]
-struct Queue {
-    frames: VecDeque<SealedFrame>,
-    in_flight: bool,
-    closing: bool,
-    abort: bool,
-    sent_frames: u64,
-    sent_items: u64,
-    dropped_frames: u64,
-    dropped_items: u64,
-    connects: u64,
+struct Shared<T> {
+    machine: Mutex<SensorMachine<T>>,
+    cond: Condvar,
+    clock: SystemClock,
+    trace: TraceRing,
 }
 
-struct Shared<T> {
-    queue: Mutex<Queue>,
-    cond: Condvar,
-    encoder: Mutex<SensorEncoder<T>>,
+impl<T> Shared<T> {
+    fn record(&self, kind: TraceKind, sensor: u64, value: u64) {
+        if self.trace.is_enabled() {
+            let event = TraceEvent::new(self.clock.now_us(), STAGE, kind);
+            self.trace.record(event.source(sensor).value(value));
+        }
+    }
 }
 
 /// TCP feed client: a resolver tap calls [`Sensor::send`] and never
-/// blocks on the network; a writer thread owns the connection.
-pub struct Sensor<T> {
+/// blocks on the network; a writer thread drives the [`SensorMachine`]
+/// and owns the connection.
+pub struct Sensor<T: FeedItem> {
     shared: Arc<Shared<T>>,
-    buffer_frames: usize,
     writer: Option<JoinHandle<()>>,
-    metrics: SensorMetrics,
     warn_limit: Mutex<RateLimiter>,
-    warn_clock: SystemClock,
-    trace: TraceRing,
 }
 
 /// Stage name on sensor trace events.
@@ -268,37 +262,26 @@ impl<T: FeedItem> Sensor<T> {
         registry: &Registry,
     ) -> Sensor<T> {
         let addr = addr.into();
-        let metrics = SensorMetrics::register(registry, config.sensor_id);
         let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue::default()),
+            machine: Mutex::new(SensorMachine::with_registry(config, registry)),
             cond: Condvar::new(),
-            encoder: Mutex::new(SensorEncoder::new(
-                config.sensor_id,
-                config.batch_items,
-                config.first_seq,
-            )),
+            clock: SystemClock::new(),
+            trace: FlightRecorder::global().ring("feed/sensor"),
         });
         let writer = {
             let shared = Arc::clone(&shared);
-            let backoff = config.backoff;
-            let sensor_id = config.sensor_id;
-            let metrics = metrics.clone();
             std::thread::Builder::new()
-                .name(format!("feed-sensor-{sensor_id}"))
+                .name(format!("feed-sensor-{}", config.sensor_id))
                 .stack_size(IO_STACK_BYTES)
-                .spawn(move || writer_loop::<T>(&addr, &shared, backoff, sensor_id, &metrics))
+                .spawn(move || writer_loop(&addr, &shared))
                 .expect("spawn sensor writer")
         };
         Sensor {
             shared,
-            buffer_frames: config.buffer_frames.max(1),
             writer: Some(writer),
-            metrics,
             // One drop warning per 5s of wall time; the counters carry
             // the full tally.
             warn_limit: Mutex::new(RateLimiter::new(5_000_000)),
-            warn_clock: SystemClock::new(),
-            trace: FlightRecorder::global().ring("feed/sensor"),
         }
     }
 
@@ -306,271 +289,135 @@ impl<T: FeedItem> Sensor<T> {
     /// When the batch fills, the sealed frame enters the send buffer — or
     /// is dropped (and accounted) if the buffer is full.
     pub fn send(&self, item: impl Borrow<T>) {
-        self.metrics.pushed_items.inc(1);
-        let sealed = self.shared.encoder.lock().unwrap().push(item);
-        if let Some(frame) = sealed {
-            self.enqueue(frame, true);
-        }
+        self.seal(|m| m.push(item));
     }
 
     /// Seal and queue the current partial batch.
     pub fn flush(&self) {
-        let sealed = self.shared.encoder.lock().unwrap().flush();
-        if let Some(frame) = sealed {
-            self.enqueue(frame, true);
-        }
+        self.seal(SensorMachine::flush);
     }
 
     /// Block until the send buffer has fully drained onto the wire.
     pub fn wait_drained(&self) {
-        let mut q = self.shared.queue.lock().unwrap();
-        while !q.frames.is_empty() || q.in_flight {
-            q = self.shared.cond.wait(q).unwrap();
+        let mut m = self.shared.machine.lock().unwrap();
+        while m.queued_frames() > 0 {
+            m = self.shared.cond.wait(m).unwrap();
         }
     }
 
     /// Flush, send BYE, drain, and return the final accounting.
     pub fn finish(mut self) -> SensorReport {
         self.flush();
-        let bye = {
-            let q = self.shared.queue.lock().unwrap();
-            let enc = self.shared.encoder.lock().unwrap();
-            enc.bye_frame(q.dropped_frames, q.dropped_items)
-        };
-        // Control frames bypass the drop policy: accounting must arrive.
-        self.enqueue(bye, false);
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            q.closing = true;
-            self.shared.cond.notify_all();
-        }
-        if let Some(h) = self.writer.take() {
-            let _ = h.join();
-        }
-        self.report()
+        self.shared.machine.lock().unwrap().finish();
+        self.stop()
     }
 
     /// Tear the connection down *without* BYE — simulates (or reacts to)
     /// a crash. The partial batch is sealed (consuming its sequence
-    /// number, so its loss stays gap-visible) and everything queued is
-    /// discarded and counted as dropped. The report's `next_seq` is what
-    /// a restarted incarnation should resume from.
+    /// number, so its loss stays gap-visible) and everything buffered,
+    /// the frame being written included, is discarded and counted as
+    /// dropped. The report's `next_seq` is what a restarted incarnation
+    /// should resume from.
     pub fn abort(mut self) -> SensorReport {
-        {
-            let pending = self.shared.encoder.lock().unwrap().flush();
-            let mut q = self.shared.queue.lock().unwrap();
-            if let Some(f) = pending {
-                q.dropped_frames += 1;
-                q.dropped_items += f.items;
-                self.metrics.dropped_frames.inc(1);
-                self.metrics.dropped_items.inc(f.items);
-            }
-            while let Some(f) = q.frames.pop_front() {
-                q.dropped_frames += 1;
-                q.dropped_items += f.items;
-                self.metrics.dropped_frames.inc(1);
-                self.metrics.dropped_items.inc(f.items);
-            }
-            self.metrics.queue_frames.set(0.0);
-            q.abort = true;
-            self.shared.cond.notify_all();
-        }
+        self.shared.machine.lock().unwrap().abort();
+        self.stop()
+    }
+
+    /// Wake the writer, wait for it to exit, and return the final
+    /// accounting.
+    fn stop(&mut self) -> SensorReport {
+        self.shared.cond.notify_all();
         if let Some(h) = self.writer.take() {
             let _ = h.join();
         }
-        self.report()
+        self.shared.machine.lock().unwrap().report()
     }
 
-    fn report(&self) -> SensorReport {
-        let q = self.shared.queue.lock().unwrap();
-        let enc = self.shared.encoder.lock().unwrap();
-        SensorReport {
-            sensor: enc.sensor(),
-            connects: q.connects,
-            sent_frames: q.sent_frames,
-            sent_items: q.sent_items,
-            dropped_frames: q.dropped_frames,
-            dropped_items: q.dropped_items,
-            next_seq: enc.next_seq(),
-        }
-    }
-
-    fn enqueue(&self, frame: SealedFrame, droppable: bool) {
-        let mut q = self.shared.queue.lock().unwrap();
-        if droppable && q.frames.len() >= self.buffer_frames {
-            // The frame's sequence number stays consumed, so the
-            // collector observes this exact loss as a gap.
-            q.dropped_frames += 1;
-            q.dropped_items += frame.items;
-            let total = (q.dropped_frames, q.dropped_items);
-            drop(q);
-            self.metrics.dropped_frames.inc(1);
-            self.metrics.dropped_items.inc(frame.items);
-            if self.trace.is_enabled() {
-                self.trace.record(
-                    TraceEvent::new(self.warn_clock.now_us(), STAGE, TraceKind::Drop)
-                        .source(self.metrics_sensor_id())
-                        .value(frame.items),
-                );
-            }
-            if let Some(suppressed) = self
-                .warn_limit
-                .lock()
-                .unwrap()
-                .allow(self.warn_clock.now_us())
-            {
-                eprintln!(
-                    "sensor {}: send buffer full, dropped frame seq {} \
-                     ({} frames / {} items total, {suppressed} earlier warnings suppressed)",
-                    self.metrics_sensor_id(),
-                    frame.seq,
-                    total.0,
-                    total.1,
-                );
-            }
+    /// Run a sealing call on the machine: wake the writer for a buffered
+    /// frame, trace and warn (rate-limited) for a dropped one.
+    fn seal(&self, op: impl FnOnce(&mut SensorMachine<T>) -> Option<SealEvent>) {
+        let mut m = self.shared.machine.lock().unwrap();
+        let Some(event) = op(&mut m) else { return };
+        if !event.dropped {
+            drop(m);
+            self.shared.cond.notify_all();
             return;
         }
-        q.frames.push_back(frame);
-        self.metrics.queue_frames.set(q.frames.len() as f64);
-        self.shared.cond.notify_all();
-    }
-
-    fn metrics_sensor_id(&self) -> u64 {
-        self.shared.encoder.lock().unwrap().sensor()
-    }
-}
-
-impl<T> Drop for Sensor<T> {
-    fn drop(&mut self) {
-        if let Some(h) = self.writer.take() {
-            {
-                let mut q = self.shared.queue.lock().unwrap();
-                q.abort = true;
-                self.shared.cond.notify_all();
-            }
-            let _ = h.join();
+        let total = m.report();
+        drop(m);
+        self.shared
+            .record(TraceKind::Drop, total.sensor, event.items);
+        let now = self.shared.clock.now_us();
+        if let Some(suppressed) = self.warn_limit.lock().unwrap().allow(now) {
+            eprintln!(
+                "sensor {}: send buffer full, dropped frame seq {} \
+                 ({} frames / {} items total, {suppressed} earlier warnings suppressed)",
+                total.sensor, event.seq, total.dropped_frames, total.dropped_items,
+            );
         }
     }
 }
 
-fn writer_loop<T: FeedItem>(
-    addr: &str,
-    shared: &Shared<T>,
-    backoff: BackoffConfig,
-    sensor_id: u64,
-    metrics: &SensorMetrics,
-) {
-    let mut backoff = Backoff::new(backoff);
+impl<T: FeedItem> Drop for Sensor<T> {
+    fn drop(&mut self) {
+        if self.writer.is_some() {
+            self.shared.machine.lock().unwrap().abort();
+            self.stop();
+        }
+    }
+}
+
+/// The writer thread: turns the machine's ops into a TCP connection and
+/// wall-time waits. The lock is released across every connect and write.
+fn writer_loop<T: FeedItem>(addr: &str, shared: &Shared<T>) {
     let mut conn: Option<TcpStream> = None;
-    // Connection lifecycle provenance: (re)connects announce the resume
-    // position, write failures mark the retransmit about to happen.
-    let trace = FlightRecorder::global().ring("feed/sensor");
-    let trace_clock = SystemClock::new();
-    'frames: loop {
-        // Wait for something to send (or a shutdown signal).
-        let frame = {
-            let mut q = shared.queue.lock().unwrap();
-            loop {
-                if q.abort {
-                    return;
-                }
-                if let Some(f) = q.frames.pop_front() {
-                    q.in_flight = true;
-                    break f;
-                }
-                if q.closing {
-                    return;
-                }
-                q = shared.cond.wait(q).unwrap();
-            }
-        };
-        // Write it, reconnecting as needed. At-least-once: a frame whose
-        // write failed midway may reach the collector twice; the
-        // sequence number lets the collector discard the duplicate.
-        loop {
-            if conn.is_none() {
-                match TcpStream::connect(addr) {
+    let mut m = shared.machine.lock().unwrap();
+    loop {
+        let now = shared.clock.now_us();
+        match m.poll(now) {
+            SensorOp::Connect => {
+                drop(m);
+                let connected = TcpStream::connect(addr);
+                m = shared.machine.lock().unwrap();
+                let now = shared.clock.now_us();
+                match connected {
                     Ok(stream) => {
                         let _ = stream.set_nodelay(true);
-                        backoff.reset();
-                        // Announce where this connection resumes: the
-                        // frame about to be (re)sent.
-                        let hello = SensorEncoder::<T>::hello_for(sensor_id, frame.seq);
-                        let mut stream = stream;
-                        if std::io::Write::write_all(&mut stream, &hello).is_err() {
-                            continue;
-                        }
-                        {
-                            let mut q = shared.queue.lock().unwrap();
-                            q.connects += 1;
-                        }
-                        metrics.connects.inc(1);
-                        metrics.backoff_seconds.set(0.0);
-                        if trace.is_enabled() {
-                            trace.record(
-                                TraceEvent::new(trace_clock.now_us(), STAGE, TraceKind::Open)
-                                    .source(sensor_id)
-                                    .value(frame.seq),
-                            );
-                        }
                         conn = Some(stream);
+                        m.on_connected(now);
                     }
-                    Err(_) => {
-                        let delay = backoff.next_delay();
-                        metrics.connect_failures.inc(1);
-                        metrics.backoff_seconds.set(delay.as_secs_f64());
-                        if sleep_or_abort(shared, delay) {
-                            return;
-                        }
-                        continue;
-                    }
+                    Err(_) => m.on_connect_failed(now),
                 }
             }
-            let stream = conn.as_mut().expect("connection present");
-            match std::io::Write::write_all(stream, &frame.bytes) {
-                Ok(()) => {
-                    let queued = {
-                        let mut q = shared.queue.lock().unwrap();
-                        q.in_flight = false;
-                        q.sent_frames += 1;
-                        q.sent_items += frame.items;
-                        shared.cond.notify_all();
-                        q.frames.len()
-                    };
-                    metrics.sent_frames.inc(1);
-                    metrics.sent_items.inc(frame.items);
-                    metrics.queue_frames.set(queued as f64);
-                    continue 'frames;
+            SensorOp::Write(bytes) => {
+                drop(m);
+                let stream = conn.as_mut().expect("connected before writing");
+                let written = std::io::Write::write_all(stream, &bytes);
+                m = shared.machine.lock().unwrap();
+                if m.aborted() {
+                    // `abort` has ledgered this frame as dropped already.
+                    return;
                 }
-                Err(_) => {
+                if written.is_ok() {
+                    if let Wrote::Hello { seq } = m.on_write_ok() {
+                        shared.record(TraceKind::Open, m.sensor(), seq);
+                    }
+                    // A `wait_drained` may be waiting for this frame.
+                    shared.cond.notify_all();
+                } else {
                     conn = None;
-                    if trace.is_enabled() {
-                        trace.record(
-                            TraceEvent::new(trace_clock.now_us(), STAGE, TraceKind::Mark)
-                                .source(sensor_id)
-                                .value(frame.seq),
-                        );
-                    }
-                    if shared.queue.lock().unwrap().abort {
-                        return;
-                    }
+                    m.on_write_failed(shared.clock.now_us());
+                    shared.record(TraceKind::Mark, m.sensor(), m.resume_seq());
                 }
             }
+            SensorOp::WaitUntil(t) => {
+                let wait = Duration::from_micros(t.saturating_sub(now));
+                m = shared.cond.wait_timeout(m, wait).unwrap().0;
+            }
+            SensorOp::Idle => m = shared.cond.wait(m).unwrap(),
+            SensorOp::Done => return,
         }
     }
-}
-
-/// Sleep `delay` but wake early on abort; returns true when aborting.
-/// `closing` does not cut the sleep short: with frames still queued the
-/// writer keeps trying to deliver them, on the backoff schedule, and
-/// only a hard abort stops it mid-backoff.
-fn sleep_or_abort<T>(shared: &Shared<T>, delay: Duration) -> bool {
-    let q = shared.queue.lock().unwrap();
-    let (q, _timeout) = shared
-        .cond
-        .wait_timeout_while(q, delay, |q| !q.abort)
-        .unwrap();
-    q.abort
 }
 
 #[cfg(test)]
@@ -805,12 +652,18 @@ mod tests {
 
     #[test]
     fn full_buffer_drops_and_accounts() {
-        // No listener at all: every sealed frame beyond the buffer bound
-        // must be dropped with its items counted and its seq consumed.
+        // No listener at all: the writer holds the first frame in
+        // backoff, that frame counts toward the 2-slot buffer, and every
+        // sealed frame beyond the bound is dropped with its items counted
+        // and its seq consumed. Abort ledgers what is still buffered, the
+        // held frame included: every sealed frame is sent or dropped.
         let probe = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = probe.local_addr().unwrap();
         drop(probe);
 
+        let registry = Registry::new();
+        let failures =
+            registry.counter_with("feed_sensor_connect_failures_total", &[("sensor", "2")]);
         let mut config = SensorConfig::new(2);
         config.batch_items = 1;
         config.buffer_frames = 2;
@@ -819,20 +672,26 @@ mod tests {
             max_ms: 1_000,
             seed: 2,
         };
-        let sensor = Sensor::<TestItem>::connect(addr.to_string(), config);
-        for v in 0..10u64 {
+        let sensor = Sensor::<TestItem>::connect_with_registry(addr.to_string(), config, &registry);
+        sensor.send(TestItem::new(0));
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while failures.value() < 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the sensor never tried to connect"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for v in 1..10u64 {
             sensor.send(TestItem::new(v));
         }
         let report = sensor.abort();
-        // One frame may be in flight with the writer; the rest split
-        // between the 2-slot buffer and the drop counter.
-        assert!(
-            report.dropped_frames >= 7,
-            "dropped {}",
-            report.dropped_frames
+        assert_eq!(report.next_seq, 10); // seqs consumed even for drops
+        assert_eq!(
+            report.sent_frames + report.dropped_frames,
+            report.next_seq,
+            "{report:?}: a sealed frame is missing from the ledger"
         );
         assert_eq!(report.dropped_items, report.dropped_frames);
-        assert_eq!(report.next_seq, 10); // seqs consumed even for drops
-        assert_eq!(report.sent_frames, 0);
     }
 }
