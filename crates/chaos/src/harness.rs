@@ -528,7 +528,7 @@ pub fn run_in<T: FeedItem + Clone>(
                             }
                             if write_ok {
                                 match state.machine.on_write_ok() {
-                                    Wrote::Hello { .. } => {}
+                                    Wrote::Hello => {}
                                     Wrote::Batch { seq, items } => {
                                         state.sent_batches.push((seq, items));
                                     }

@@ -238,10 +238,10 @@ impl Proc {
         Proc { child, lines: None }
     }
 
-    /// Read stderr until a line starts with `prefix` (60 s at most).
-    /// Stderr keeps draining afterwards, so the child never blocks on a
-    /// full pipe and `join` still returns the rest.
-    fn wait_for(&mut self, prefix: &str) {
+    /// Read stderr until a line starts with `prefix` (60 s at most) and
+    /// return that line. Stderr keeps draining afterwards, so the child
+    /// never blocks on a full pipe and `join` still returns the rest.
+    fn wait_for(&mut self, prefix: &str) -> String {
         let lines = self.lines.get_or_insert_with(|| {
             let stderr = self.child.stderr.take().expect("piped stderr");
             let (tx, rx) = std::sync::mpsc::channel();
@@ -253,23 +253,32 @@ impl Proc {
             rx
         });
         let deadline = Instant::now() + Duration::from_secs(60);
+        let mut seen = String::new();
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             match lines.recv_timeout(left) {
-                Ok(line) if line.starts_with(prefix) => return,
-                Ok(_) => {}
-                Err(e) => panic!("dnsobs never printed `{prefix}…`: {e}"),
+                Ok(line) if line.starts_with(prefix) => return line,
+                Ok(line) => seen += &(line + "\n"),
+                Err(e) => panic!("dnsobs never printed `{prefix}…` ({e}); stderr:\n{seen}"),
             }
         }
     }
 
-    /// Spawn `collect` and return once it listens. A sensor that connects
+    /// Spawn `collect` on a port it picks itself and return, with the
+    /// address it printed, once it listens. A sensor that connects
     /// earlier backs off while it keeps sealing frames, and a full send
-    /// buffer drops them.
-    fn collect(cwd: &Path, args: &[&str]) -> Proc {
-        let mut collect = Proc::spawn(cwd, &[&["collect"], args].concat());
-        collect.wait_for("collecting from ");
-        collect
+    /// buffer drops them. A port picked in advance can be taken by
+    /// another test's outgoing connection before `collect` binds it.
+    fn collect(cwd: &Path, args: &[&str]) -> (Proc, String) {
+        let args = [&["collect", "--listen", "127.0.0.1:0"], args].concat();
+        let mut collect = Proc::spawn(cwd, &args);
+        let line = collect.wait_for("collecting from ");
+        let addr = line
+            .split(" on ")
+            .nth(1)
+            .and_then(|on| on.split(',').next());
+        let addr = addr.expect("`collecting from … on ADDR, …`").to_string();
+        (collect, addr)
     }
 
     fn join(mut self) -> String {
@@ -433,11 +442,10 @@ fn one_collector_cuts_the_same_windows_on_every_route() {
         "the feed starts mid-window"
     );
     let route = |sinks: &[&str]| {
-        let addr = free_addr();
-        let mut args = vec!["--listen", &addr, "--window", "1", "--topk", "300"];
+        let mut args = vec!["--window", "1", "--topk", "300"];
         args.extend(sinks);
-        let collect = Proc::collect(&dir, &args);
-        let client = feed::Sensor::connect(addr.clone(), feed::SensorConfig::new(0));
+        let (collect, addr) = Proc::collect(&dir, &args);
+        let client = feed::Sensor::connect(addr, feed::SensorConfig::new(0));
         send_paced(&client, &summaries);
         let report = client.finish();
         assert_eq!(report.dropped_frames, 0, "{sinks:?}: the sensor dropped");
@@ -543,12 +551,9 @@ fn collect_writes_each_window_as_it_closes() {
 
     let dir = temp_dir("streaming");
     let out = dir.join("out");
-    let addr = free_addr();
-    let collect = Proc::collect(
+    let (collect, addr) = Proc::collect(
         &dir,
         &[
-            "--listen",
-            &addr,
             "--window",
             "1",
             "--topk",
@@ -707,19 +712,9 @@ fn forwarding_collect_flushes_each_window_upstream() {
     let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
     upstream.set_nonblocking(true).unwrap();
     let up_addr = upstream.local_addr().unwrap().to_string();
-    let addr = free_addr();
-    let collect = Proc::collect(
+    let (collect, addr) = Proc::collect(
         &dir,
-        &[
-            "--listen",
-            &addr,
-            "--window",
-            "1",
-            "--topk",
-            "300",
-            "--forward",
-            &up_addr,
-        ],
+        &["--window", "1", "--topk", "300", "--forward", &up_addr],
     );
     let psl = psl::Psl::embedded();
     let (first, summaries) = first_window_and_one(&psl);
@@ -800,19 +795,10 @@ fn a_down_upstream_buffers_one_frame_per_window() {
     const WINDOWS: usize = 70;
     let buffered = feed::SensorConfig::new(0).buffer_frames;
     let dir = temp_dir("outage");
-    let (addr, up_addr) = (free_addr(), free_addr());
-    let mut collect = Proc::collect(
+    let up_addr = free_addr();
+    let (mut collect, addr) = Proc::collect(
         &dir,
-        &[
-            "--listen",
-            &addr,
-            "--window",
-            "1",
-            "--topk",
-            "300",
-            "--forward",
-            &up_addr,
-        ],
+        &["--window", "1", "--topk", "300", "--forward", &up_addr],
     );
 
     // A few summaries of window 0, repeated one window later each time.

@@ -78,10 +78,7 @@ pub struct SealEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wrote {
     /// The connection's HELLO preamble.
-    Hello {
-        /// Sequence number the connection resumes from.
-        seq: u64,
-    },
+    Hello,
     /// A data batch.
     Batch {
         /// Frame sequence number.
@@ -164,13 +161,13 @@ impl<T: FeedItem> SensorMachine<T> {
     }
 
     /// True once [`SensorMachine::abort`] has run.
-    pub fn aborted(&self) -> bool {
+    pub(crate) fn aborted(&self) -> bool {
         self.aborted
     }
 
     /// Sequence number a (re)connect resumes from: the frame at the front
     /// of the buffer, or the next one to be sealed.
-    pub fn resume_seq(&self) -> u64 {
+    pub(crate) fn resume_seq(&self) -> u64 {
         self.queue
             .front()
             .map_or(self.encoder.next_seq(), |q| q.seq)
@@ -283,9 +280,7 @@ impl<T: FeedItem> SensorMachine<T> {
             self.hello_pending = false;
             self.connects += 1;
             self.metrics.connects.inc(1);
-            return Wrote::Hello {
-                seq: self.resume_seq(),
-            };
+            return Wrote::Hello;
         }
         let q = self.queue.pop_front().expect("write_ok without a frame");
         self.sent_frames += 1;
@@ -405,7 +400,7 @@ mod tests {
             SensorOp::Write(bytes) => bytes,
             op => panic!("expected HELLO write, got {op:?}"),
         };
-        assert_eq!(m.on_write_ok(), Wrote::Hello { seq: 0 });
+        assert_eq!(m.on_write_ok(), Wrote::Hello);
         let batch = match m.poll(now) {
             SensorOp::Write(bytes) => bytes,
             op => panic!("expected batch write, got {op:?}"),
@@ -443,7 +438,7 @@ mod tests {
         m.push(TestItem::new(1)); // seq 0
         m.push(TestItem::new(2)); // seq 1
         m.on_connected(0);
-        assert_eq!(m.on_write_ok(), Wrote::Hello { seq: 0 });
+        assert_eq!(m.on_write_ok(), Wrote::Hello);
         assert_eq!(m.on_write_ok(), Wrote::Batch { seq: 0, items: 1 });
         // seq 1's write dies mid-flight.
         m.on_write_failed(10);
@@ -460,7 +455,7 @@ mod tests {
             reader.next_frame().unwrap(),
             Some(Frame::Hello { next_seq: 1, .. })
         ));
-        assert_eq!(m.on_write_ok(), Wrote::Hello { seq: 1 });
+        assert_eq!(m.on_write_ok(), Wrote::Hello);
         assert_eq!(m.on_write_ok(), Wrote::Batch { seq: 1, items: 1 });
         assert_eq!(m.report().connects, 2);
     }
@@ -513,7 +508,7 @@ mod tests {
         m.push(TestItem::new(7));
         m.finish();
         m.on_connected(0);
-        assert_eq!(m.on_write_ok(), Wrote::Hello { seq: 0 });
+        assert_eq!(m.on_write_ok(), Wrote::Hello);
         assert_eq!(m.on_write_ok(), Wrote::Batch { seq: 0, items: 1 });
         match m.poll(0) {
             SensorOp::Write(bytes) => {

@@ -399,11 +399,17 @@ fn writer_loop<T: FeedItem>(addr: &str, shared: &Shared<T>) {
                     return;
                 }
                 if written.is_ok() {
-                    if let Wrote::Hello { seq } = m.on_write_ok() {
-                        shared.record(TraceKind::Open, m.sensor(), seq);
+                    if m.on_write_ok() == Wrote::Hello {
+                        shared.record(TraceKind::Open, m.sensor(), m.resume_seq());
                     }
-                    // A `wait_drained` may be waiting for this frame.
-                    shared.cond.notify_all();
+                    if m.queued_frames() == 0 {
+                        // A `wait_drained` may be waiting for the empty
+                        // buffer. Wake it outside the lock, which `send`
+                        // takes for every item.
+                        drop(m);
+                        shared.cond.notify_all();
+                        m = shared.machine.lock().unwrap();
+                    }
                 } else {
                     conn = None;
                     m.on_write_failed(shared.clock.now_us());
@@ -656,7 +662,7 @@ mod tests {
         // backoff, that frame counts toward the 2-slot buffer, and every
         // sealed frame beyond the bound is dropped with its items counted
         // and its seq consumed. Abort ledgers what is still buffered, the
-        // held frame included: every sealed frame is sent or dropped.
+        // held frame included: nothing was sent, so all 10 are dropped.
         let probe = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = probe.local_addr().unwrap();
         drop(probe);
@@ -687,6 +693,7 @@ mod tests {
         }
         let report = sensor.abort();
         assert_eq!(report.next_seq, 10); // seqs consumed even for drops
+        assert_eq!(report.sent_frames, 0);
         assert_eq!(
             report.sent_frames + report.dropped_frames,
             report.next_seq,
