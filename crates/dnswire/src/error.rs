@@ -45,8 +45,8 @@ pub enum WireError {
     BadUdpHeader(&'static str),
     /// The message would exceed 65 535 octets when serialized.
     MessageTooLong(usize),
-    /// A length-prefixed frame declared a payload above the decoder's
-    /// configured maximum (see [`crate::framing::Reassembler`]).
+    /// A length-prefixed frame declared a payload above the format's
+    /// maximum (see [`crate::framing::prefixed_len`]).
     FrameTooLarge {
         /// Declared payload length.
         len: usize,

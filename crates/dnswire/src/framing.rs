@@ -1,12 +1,15 @@
-//! Length-prefixed stream framing, parameterized by prefix width.
+//! Framed byte streams: one incremental reader for every framed format.
 //!
-//! Two protocols in this workspace delimit messages on a byte stream with
-//! a big-endian length prefix: DNS-over-TCP (RFC 1035 §4.2.2, 16-bit) and
-//! the Observatory's sensor feed (32-bit, see the `feed` crate). The
-//! incremental-reassembly logic — buffer arbitrary segmentation, pop
-//! complete frames, stay aligned after bad content — is identical, so it
-//! lives here once; [`crate::tcp`] and the feed build their own message
-//! semantics on top.
+//! Each stream this workspace reads starts every frame with a header that
+//! states the frame's length: DNS-over-TCP (RFC 1035 §4.2.2, a 16-bit
+//! big-endian length, see [`crate::tcp`]), and in the crates built on
+//! this one the sensor feed (`DOF1`) and the pub/sub feed (`DOP1`), both a
+//! 32-bit big-endian length, and the window-state records (`SKW1`: magic,
+//! version, then a 32-bit little-endian length). A [`FrameCodec`] says
+//! how long a frame is and how to decode one whole frame; [`FrameReader`]
+//! does the rest once: it buffers arbitrary segmentation, decodes each
+//! complete frame in place, and stays aligned after a bad frame.
+//! [`take_frame`] runs the same codec over a complete, borrowed image.
 
 use crate::{Result, WireError};
 
@@ -22,9 +25,9 @@ pub trait LengthPrefix {
 
     /// Decode a prefix from `buf` (caller guarantees `buf.len() >= WIDTH`).
     fn get(buf: &[u8]) -> usize;
-    /// Append the encoded prefix for `len` (caller guarantees
+    /// Write the prefix for `len` into `out[..WIDTH]` (caller guarantees
     /// `len <= MAX_LEN`).
-    fn put(len: usize, out: &mut Vec<u8>);
+    fn put(len: usize, out: &mut [u8]);
 }
 
 /// 16-bit big-endian length prefix (DNS-over-TCP).
@@ -39,12 +42,12 @@ impl LengthPrefix for U16Prefix {
         u16::from_be_bytes([buf[0], buf[1]]) as usize
     }
 
-    fn put(len: usize, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(len as u16).to_be_bytes());
+    fn put(len: usize, out: &mut [u8]) {
+        out[..2].copy_from_slice(&(len as u16).to_be_bytes());
     }
 }
 
-/// 32-bit big-endian length prefix (sensor feed frames).
+/// 32-bit big-endian length prefix (sensor and pub/sub feed frames).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct U32Prefix;
 
@@ -56,21 +59,19 @@ impl LengthPrefix for U32Prefix {
         u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize
     }
 
-    fn put(len: usize, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(len as u32).to_be_bytes());
+    fn put(len: usize, out: &mut [u8]) {
+        out[..4].copy_from_slice(&(len as u32).to_be_bytes());
     }
 }
 
 /// Append `payload` to `out` with its length prefix.
 ///
-/// Panics in debug builds if the payload exceeds the prefix's range or
-/// the caller-chosen maximum is violated upstream; production callers
-/// size their frames (DNS messages ≤64 KiB, feed batches bounded by the
-/// batch size).
+/// Panics in debug builds if the payload exceeds the prefix's range;
+/// production callers size their frames (DNS messages ≤64 KiB).
 pub fn encode_frame_into<P: LengthPrefix>(payload: &[u8], out: &mut Vec<u8>) {
-    debug_assert!(payload.len() <= P::MAX_LEN, "payload exceeds prefix range");
-    P::put(payload.len(), out);
+    let at = begin_frame::<P>(out);
     out.extend_from_slice(payload);
+    end_frame::<P>(out, at);
 }
 
 /// Open a frame whose payload is then written straight into `out`:
@@ -86,89 +87,151 @@ pub fn begin_frame<P: LengthPrefix>(out: &mut Vec<u8>) -> usize {
 pub fn end_frame<P: LengthPrefix>(out: &mut [u8], at: usize) {
     let len = out.len() - at - P::WIDTH;
     debug_assert!(len <= P::MAX_LEN, "payload exceeds prefix range");
-    let mut prefix = Vec::with_capacity(P::WIDTH);
-    P::put(len, &mut prefix);
-    out[at..at + P::WIDTH].copy_from_slice(&prefix);
+    P::put(len, &mut out[at..]);
 }
 
-/// Incremental reassembler for a length-prefixed byte stream.
+/// The whole length of a frame behind a `P` length prefix, prefix
+/// included; a prefix that states more than `max` payload octets is
+/// [`WireError::FrameTooLarge`] (it protects a 32-bit decoder from
+/// adversarial multi-gigabyte allocations).
+pub fn prefixed_len<P: LengthPrefix>(header: &[u8], max: usize) -> Result<usize> {
+    let len = P::get(header);
+    if len > max {
+        return Err(WireError::FrameTooLarge { len, max });
+    }
+    Ok(P::WIDTH + len)
+}
+
+/// One framed format: how long a frame is, and what it decodes to.
 ///
-/// Feed arbitrary chunks with [`Reassembler::push`]; complete frame
-/// payloads come out of [`Reassembler::next_frame`]. The reassembler is
-/// content-agnostic: zero-length frames are yielded as empty payloads and
-/// it is the caller's protocol layer that decides whether those (or
-/// unparseable payloads) are errors — the length prefix keeps the stream
-/// aligned regardless.
-#[derive(Debug)]
-pub struct Reassembler<P: LengthPrefix> {
-    buf: Vec<u8>,
-    /// Frames yielded over the reassembler's lifetime.
-    frames: u64,
-    /// Largest acceptable payload; a declared length above this is an
-    /// error (protects a 32-bit decoder from adversarial multi-gigabyte
-    /// allocations).
-    max_frame: usize,
-    _prefix: std::marker::PhantomData<P>,
+/// Implementations are zero-sized tags, like [`LengthPrefix`].
+pub trait FrameCodec {
+    /// What one frame decodes to.
+    type Frame;
+    /// Why a header or a frame is bad.
+    type Error;
+    /// Leading octets of a frame that [`FrameCodec::frame_len`] reads.
+    const HEADER: usize;
+
+    /// The whole frame's length, header included (never less than
+    /// `HEADER`), from its first `HEADER` octets. An error here is fatal:
+    /// the stream cannot be realigned, so nothing is consumed and readers
+    /// return the error again on every later call.
+    fn frame_len(header: &[u8]) -> std::result::Result<usize, Self::Error>;
+
+    /// Decode one whole frame, header included. An error consumes the
+    /// frame: its length keeps the stream aligned on the next one.
+    fn decode(frame: &[u8]) -> std::result::Result<Self::Frame, Self::Error>;
 }
 
-impl<P: LengthPrefix> Reassembler<P> {
-    /// Fresh reassembler accepting payloads up to `max_frame` octets
-    /// (clamped to the prefix's own range).
-    pub fn new(max_frame: usize) -> Reassembler<P> {
-        Reassembler {
+/// Decode the frame at the head of `bytes` and advance `bytes` past it.
+///
+/// `Ok(None)` when `bytes` holds no whole frame. A header error consumes
+/// nothing; a decode error consumes its frame.
+pub fn take_frame<C: FrameCodec>(
+    bytes: &mut &[u8],
+) -> std::result::Result<Option<C::Frame>, C::Error> {
+    if bytes.len() < C::HEADER {
+        return Ok(None);
+    }
+    let len = C::frame_len(&bytes[..C::HEADER])?;
+    debug_assert!(len >= C::HEADER, "a frame holds its own header");
+    if bytes.len() < len {
+        return Ok(None);
+    }
+    let (frame, rest) = bytes.split_at(len);
+    *bytes = rest;
+    C::decode(frame).map(Some)
+}
+
+/// Incremental reader for a framed byte stream.
+///
+/// Push arbitrary chunks with [`FrameReader::push`]; decoded frames come
+/// out of [`FrameReader::next_frame`], each decoded in place from the
+/// buffer. Consumed bytes are dropped at the next push, so the buffer is
+/// compacted at most once per push. Errors follow [`take_frame`].
+pub struct FrameReader<C> {
+    buf: Vec<u8>,
+    /// Octets at the head of `buf` already consumed.
+    start: usize,
+    /// Frames decoded over the reader's lifetime.
+    decoded: u64,
+    _codec: std::marker::PhantomData<fn() -> C>,
+}
+
+impl<C> Default for FrameReader<C> {
+    fn default() -> Self {
+        FrameReader {
             buf: Vec::new(),
-            frames: 0,
-            max_frame: max_frame.min(P::MAX_LEN),
-            _prefix: std::marker::PhantomData,
+            start: 0,
+            decoded: 0,
+            _codec: std::marker::PhantomData,
         }
+    }
+}
+
+impl<C> FrameReader<C> {
+    /// Fresh reader.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Append stream bytes.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes currently buffered (incomplete frame).
+    /// Bytes buffered towards frames not yet returned.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.start
     }
 
-    /// Frames yielded over the reassembler's lifetime.
-    pub fn frames(&self) -> u64 {
-        self.frames
+    /// Frames decoded successfully over the reader's lifetime.
+    pub fn decoded(&self) -> u64 {
+        self.decoded
     }
+}
 
-    /// Try to pop the next complete frame payload.
-    ///
-    /// Returns `Ok(None)` when more bytes are needed. A declared length
-    /// above the configured maximum yields [`WireError::FrameTooLarge`]
-    /// without consuming anything — the stream cannot be realigned after
-    /// an oversized (or corrupted) prefix, so the connection should be
-    /// dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        if self.buf.len() < P::WIDTH {
-            return Ok(None);
-        }
-        let len = P::get(&self.buf);
-        if len > self.max_frame {
-            return Err(WireError::FrameTooLarge {
-                len,
-                max: self.max_frame,
-            });
-        }
-        if self.buf.len() < P::WIDTH + len {
-            return Ok(None);
-        }
-        let mut frame: Vec<u8> = self.buf.drain(..P::WIDTH + len).collect();
-        frame.drain(..P::WIDTH);
-        self.frames += 1;
-        Ok(Some(frame))
+impl<C: FrameCodec> FrameReader<C> {
+    /// Decode the next complete frame; `Ok(None)` means more bytes are
+    /// needed.
+    pub fn next_frame(&mut self) -> std::result::Result<Option<C::Frame>, C::Error> {
+        let mut rest = &self.buf[self.start..];
+        let before = rest.len();
+        let frame = take_frame::<C>(&mut rest);
+        self.start += before - rest.len();
+        let frame = frame?;
+        self.decoded += u64::from(frame.is_some());
+        Ok(frame)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Raw payloads behind a 32-bit prefix of at most 16 octets; a
+    /// payload starting with `!` is a decode error.
+    struct Raw;
+
+    impl FrameCodec for Raw {
+        type Frame = Vec<u8>;
+        type Error = WireError;
+        const HEADER: usize = 4;
+
+        fn frame_len(header: &[u8]) -> Result<usize> {
+            prefixed_len::<U32Prefix>(header, 16)
+        }
+
+        fn decode(frame: &[u8]) -> Result<Vec<u8>> {
+            match &frame[4..] {
+                [b'!', ..] => Err(WireError::Truncated { what: "marked bad" }),
+                payload => Ok(payload.to_vec()),
+            }
+        }
+    }
 
     fn framed<P: LengthPrefix>(payloads: &[&[u8]]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -180,11 +243,11 @@ mod tests {
 
     #[test]
     fn u32_roundtrip_any_segmentation() {
-        let payloads: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; i * 37]).collect();
+        let payloads: Vec<Vec<u8>> = (1..7).map(|i| vec![i as u8; i * 2]).collect();
         let refs: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
         let stream = framed::<U32Prefix>(&refs);
         for chunk in [1usize, 3, 7, stream.len()] {
-            let mut re = Reassembler::<U32Prefix>::new(1 << 20);
+            let mut re = FrameReader::<Raw>::new();
             let mut got = Vec::new();
             for piece in stream.chunks(chunk) {
                 re.push(piece);
@@ -194,7 +257,7 @@ mod tests {
             }
             assert_eq!(got, payloads, "chunk size {chunk}");
             assert_eq!(re.buffered(), 0);
-            assert_eq!(re.frames(), payloads.len() as u64);
+            assert_eq!(re.decoded(), payloads.len() as u64);
         }
     }
 
@@ -212,14 +275,15 @@ mod tests {
         out.extend_from_slice(&[7; 300]);
         end_frame::<U32Prefix>(&mut out, at);
         let mut want = b"head".to_vec();
-        encode_frame_into::<U32Prefix>(&[7; 300], &mut want);
+        want.extend_from_slice(&300u32.to_be_bytes());
+        want.extend_from_slice(&[7; 300]);
         assert_eq!(out, want);
     }
 
     #[test]
     fn zero_length_frames_are_yielded_empty() {
         let stream = framed::<U32Prefix>(&[b"", b"x"]);
-        let mut re = Reassembler::<U32Prefix>::new(16);
+        let mut re = FrameReader::<Raw>::new();
         re.push(&stream);
         assert_eq!(re.next_frame().unwrap(), Some(Vec::new()));
         assert_eq!(re.next_frame().unwrap(), Some(b"x".to_vec()));
@@ -227,15 +291,38 @@ mod tests {
     }
 
     #[test]
+    fn bad_frame_is_consumed_and_the_next_decodes() {
+        let stream = framed::<U32Prefix>(&[b"!", b"x"]);
+        let mut re = FrameReader::<Raw>::new();
+        re.push(&stream);
+        assert!(re.next_frame().is_err());
+        assert_eq!(re.next_frame().unwrap(), Some(b"x".to_vec()));
+        assert_eq!(re.next_frame().unwrap(), None);
+        assert_eq!(re.decoded(), 1);
+    }
+
+    #[test]
     fn oversized_frame_rejected() {
-        let mut re = Reassembler::<U32Prefix>::new(8);
-        re.push(&9u32.to_be_bytes());
+        let mut re = FrameReader::<Raw>::new();
+        re.push(&17u32.to_be_bytes());
         assert!(matches!(
             re.next_frame(),
-            Err(WireError::FrameTooLarge { len: 9, max: 8 })
+            Err(WireError::FrameTooLarge { len: 17, max: 16 })
         ));
-        // The error is sticky until the caller drops the stream: nothing
-        // was consumed.
+        // Nothing was consumed: the error repeats until the caller drops
+        // the stream, whatever follows.
+        re.push(&framed::<U32Prefix>(&[b"x"]));
         assert!(re.next_frame().is_err());
+        assert_eq!(re.buffered(), 4 + 5);
+    }
+
+    #[test]
+    fn take_frame_walks_a_borrowed_image() {
+        let stream = framed::<U32Prefix>(&[b"ab", b"!", b"c"]);
+        let mut rest = &stream[..stream.len() - 1];
+        assert_eq!(take_frame::<Raw>(&mut rest).unwrap(), Some(b"ab".to_vec()));
+        assert!(take_frame::<Raw>(&mut rest).is_err());
+        assert_eq!(take_frame::<Raw>(&mut rest).unwrap(), None);
+        assert_eq!(rest, &stream[11..stream.len() - 1], "a partial frame stays");
     }
 }

@@ -22,8 +22,10 @@
 //!
 //! Name server logic, DNSSEC validation (we only *carry* RRSIG/DS
 //! records, as the paper's pipeline does), and zone file parsing. TCP/53
-//! *framing* — the paper's stated future work — is provided by [`tcp`];
-//! socket handling stays with the caller.
+//! *framing* — the paper's stated future work — is provided by [`tcp`],
+//! one codec of the generic [`framing::FrameReader`] that also reads the
+//! workspace's other framed streams; socket handling stays with the
+//! caller.
 //!
 //! # Example
 //!

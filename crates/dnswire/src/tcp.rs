@@ -8,7 +8,9 @@
 //! messages, tolerating arbitrary segmentation (the hard part of TCP
 //! reassembly).
 
-use crate::framing::{encode_frame_into, Reassembler, U16Prefix};
+use crate::framing::{
+    encode_frame_into, prefixed_len, FrameCodec, FrameReader, LengthPrefix, U16Prefix,
+};
 use crate::{Message, Result, WireError};
 
 /// Maximum frame payload: the length prefix is 16 bits.
@@ -23,85 +25,34 @@ pub fn encode_frame(msg: &Message) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Incremental decoder for a TCP byte stream carrying DNS frames.
-///
-/// Feed arbitrary chunks with [`FrameDecoder::push`]; complete messages
-/// come out of [`FrameDecoder::next_message`]. Buffered bytes are bounded
-/// by one frame (≤64 KiB + 2). Reassembly itself is the generic
-/// [`Reassembler`]; this type adds the DNS policy: a frame must hold a
-/// parseable message, and an empty frame is an error.
+/// The DNS-over-TCP stream format: a message behind a 16-bit length.
+/// A frame must hold a parseable message, and an empty frame is an error.
 #[derive(Debug)]
-pub struct FrameDecoder {
-    frames: Reassembler<U16Prefix>,
-    /// Frames successfully decoded so far.
-    decoded: u64,
-}
+pub struct TcpCodec;
 
-impl Default for FrameDecoder {
-    fn default() -> Self {
-        FrameDecoder {
-            frames: Reassembler::new(MAX_FRAME),
-            decoded: 0,
-        }
-    }
-}
+impl FrameCodec for TcpCodec {
+    type Frame = Message;
+    type Error = WireError;
+    const HEADER: usize = U16Prefix::WIDTH;
 
-impl FrameDecoder {
-    /// Fresh decoder.
-    pub fn new() -> FrameDecoder {
-        FrameDecoder::default()
+    fn frame_len(header: &[u8]) -> Result<usize> {
+        prefixed_len::<U16Prefix>(header, MAX_FRAME)
     }
 
-    /// Append stream bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.frames.push(bytes);
-    }
-
-    /// Bytes currently buffered (incomplete frame).
-    pub fn buffered(&self) -> usize {
-        self.frames.buffered()
-    }
-
-    /// Frames decoded over the decoder's lifetime.
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-
-    /// Try to decode the next complete message.
-    ///
-    /// Returns `Ok(None)` when more bytes are needed. A malformed frame
-    /// body yields the parse error *and consumes the frame*, so the
-    /// stream stays synchronized (the length prefix delimits frames
-    /// regardless of their content).
-    pub fn next_message(&mut self) -> Result<Option<Message>> {
-        let Some(frame) = self.frames.next_frame()? else {
-            return Ok(None);
-        };
-        if frame.is_empty() {
-            // A zero-length frame can never hold a DNS header; the frame
-            // is already consumed, so the stream stays aligned.
-            return Err(WireError::Truncated {
+    fn decode(frame: &[u8]) -> Result<Message> {
+        match &frame[U16Prefix::WIDTH..] {
+            [] => Err(WireError::Truncated {
                 what: "empty TCP frame",
-            });
-        }
-        let msg = Message::parse(&frame)?;
-        self.decoded += 1;
-        Ok(Some(msg))
-    }
-
-    /// Drain every complete, well-formed message currently buffered,
-    /// skipping malformed frames.
-    pub fn drain_messages(&mut self) -> Vec<Message> {
-        let mut out = Vec::new();
-        loop {
-            match self.next_message() {
-                Ok(Some(msg)) => out.push(msg),
-                Ok(None) => return out,
-                Err(_) => continue, // frame consumed, stream still aligned
-            }
+            }),
+            body => Message::parse(body),
         }
     }
 }
+
+/// Incremental decoder for a TCP byte stream carrying DNS frames.
+/// Buffered bytes are bounded by one frame (≤64 KiB + 2); a malformed
+/// frame is reported and consumed, so the stream stays synchronized.
+pub type FrameDecoder = FrameReader<TcpCodec>;
 
 #[cfg(test)]
 mod tests {
@@ -116,6 +67,18 @@ mod tests {
         )
     }
 
+    /// Every well-formed message buffered in `dec`, skipping bad frames.
+    fn drain_messages(dec: &mut FrameDecoder) -> Vec<Message> {
+        let mut out = Vec::new();
+        loop {
+            match dec.next_frame() {
+                Ok(Some(msg)) => out.push(msg),
+                Ok(None) => return out,
+                Err(_) => continue, // frame consumed, stream still aligned
+            }
+        }
+    }
+
     #[test]
     fn frame_roundtrip() {
         let msg = sample(7);
@@ -126,8 +89,8 @@ mod tests {
         );
         let mut dec = FrameDecoder::new();
         dec.push(&frame);
-        assert_eq!(dec.next_message().unwrap(), Some(msg));
-        assert_eq!(dec.next_message().unwrap(), None);
+        assert_eq!(dec.next_frame().unwrap(), Some(msg));
+        assert_eq!(dec.next_frame().unwrap(), None);
         assert_eq!(dec.buffered(), 0);
     }
 
@@ -142,7 +105,7 @@ mod tests {
         let mut got = Vec::new();
         for &b in &stream {
             dec.push(&[b]);
-            while let Some(m) = dec.next_message().unwrap() {
+            while let Some(m) = dec.next_frame().unwrap() {
                 got.push(m);
             }
         }
@@ -159,7 +122,7 @@ mod tests {
         }
         let mut dec = FrameDecoder::new();
         dec.push(&stream);
-        assert_eq!(dec.drain_messages(), msgs);
+        assert_eq!(drain_messages(&mut dec), msgs);
     }
 
     #[test]
@@ -173,8 +136,8 @@ mod tests {
         stream.extend_from_slice(&encode_frame(&good).unwrap());
         let mut dec = FrameDecoder::new();
         dec.push(&stream);
-        assert!(dec.next_message().is_err());
-        assert_eq!(dec.next_message().unwrap(), Some(good));
+        assert!(dec.next_frame().is_err());
+        assert_eq!(dec.next_frame().unwrap(), Some(good));
     }
 
     #[test]
@@ -183,8 +146,8 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.push(&0u16.to_be_bytes());
         dec.push(&encode_frame(&good).unwrap());
-        assert!(dec.next_message().is_err());
-        assert_eq!(dec.next_message().unwrap(), Some(good));
+        assert!(dec.next_frame().is_err());
+        assert_eq!(dec.next_frame().unwrap(), Some(good));
     }
 
     #[test]
@@ -198,14 +161,14 @@ mod tests {
         stream.extend_from_slice(&encode_frame(&msgs[2]).unwrap());
         let mut dec = FrameDecoder::new();
         dec.push(&stream);
-        assert_eq!(dec.drain_messages(), msgs);
+        assert_eq!(drain_messages(&mut dec), msgs);
     }
 
     #[test]
     fn partial_header_waits() {
         let mut dec = FrameDecoder::new();
         dec.push(&[0x00]);
-        assert_eq!(dec.next_message().unwrap(), None);
+        assert_eq!(dec.next_frame().unwrap(), None);
         assert_eq!(dec.buffered(), 1);
     }
 }

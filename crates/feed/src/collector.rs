@@ -3,8 +3,7 @@
 //! sequence numbers, and merges the concurrent streams into one
 //! time-ordered feed.
 //!
-//! Structure (mirroring the core pipeline's std-thread + crossbeam
-//! style):
+//! Structure (std threads joined by crossbeam channels):
 //!
 //! ```text
 //! accept thread ──spawns──▶ reader thread per connection

@@ -20,7 +20,7 @@ pub enum FeedError {
         /// CRC computed over the received payload.
         computed: u32,
     },
-    /// A HELLO frame did not start with the protocol magic.
+    /// A frame, record or handshake did not carry its format's magic.
     BadMagic([u8; 4]),
     /// The peer speaks an incompatible protocol revision.
     BadProtocolVersion {
@@ -58,7 +58,7 @@ impl fmt::Display for FeedError {
                     "crc mismatch: frame says {expected:#010x}, computed {computed:#010x}"
                 )
             }
-            FeedError::BadMagic(m) => write!(f, "bad hello magic {m:02x?}"),
+            FeedError::BadMagic(m) => write!(f, "bad magic {m:02x?}"),
             FeedError::BadProtocolVersion { got, want } => {
                 write!(f, "protocol version {got} (this build speaks {want})")
             }

@@ -1,15 +1,17 @@
-//! Frame layer: HELLO / BATCH / BYE payloads inside 32-bit length-prefixed
-//! stream frames, each ending in a CRC-32 trailer.
+//! Frame layer: HELLO / BATCH / BYE payloads in the DOF1 envelope.
 //!
-//! The layer is sans-io: [`encode_frame`] appends bytes to a buffer and
-//! [`FrameReader`] consumes arbitrary stream chunks, so the whole protocol
-//! round-trips in memory (and in CI) without a socket.
+//! The envelope, shared with the pub/sub feed (`DOP1`), is a 32-bit
+//! big-endian length prefix, a type octet, the body, and a CRC-32 of type
+//! and body: [`frame_into`] writes it and [`open_payload`] checks it. The
+//! layer is sans-io: [`encode_frame`] appends bytes to a buffer and
+//! [`FrameReader`] consumes arbitrary stream chunks, so the whole
+//! protocol round-trips in memory (and in CI) without a socket.
 
 use crate::codec::{ByteReader, FeedItem};
 use crate::crc32::crc32;
 use crate::error::FeedError;
 use crate::varint;
-use dnswire::framing::{encode_frame_into, Reassembler, U32Prefix};
+use dnswire::framing::{self, FrameCodec, LengthPrefix, U32Prefix};
 
 /// Protocol magic carried in HELLO frames.
 pub const MAGIC: [u8; 4] = *b"DOF1";
@@ -74,48 +76,73 @@ impl<T> Frame<T> {
     }
 }
 
+/// Append one envelope frame of type `ty` whose body `body` writes
+/// straight into `out`: the length prefix and the CRC are patched in
+/// around it.
+pub fn frame_into(out: &mut Vec<u8>, ty: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = framing::begin_frame::<U32Prefix>(out);
+    out.push(ty);
+    body(out);
+    let crc = crc32(&out[at + U32Prefix::WIDTH..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    framing::end_frame::<U32Prefix>(out, at);
+}
+
+/// Open one envelope payload (the bytes after the length prefix): check
+/// that it holds a type octet and a CRC trailer and that the CRC matches,
+/// then return the type and a reader over the body.
+pub fn open_payload(payload: &[u8]) -> Result<(u8, ByteReader<'_>), FeedError> {
+    if payload.len() < 5 {
+        return Err(FeedError::Truncated("frame header"));
+    }
+    let (covered, trailer) = payload.split_at(payload.len() - 4);
+    let expected = u32::from_le_bytes(trailer.try_into().expect("4 crc bytes"));
+    let computed = crc32(covered);
+    if expected != computed {
+        return Err(FeedError::Crc { expected, computed });
+    }
+    Ok((covered[0], ByteReader::new(&covered[1..])))
+}
+
 /// Append `frame` to `out` as one length-prefixed stream frame.
 pub fn encode_frame<T: FeedItem>(frame: &Frame<T>, out: &mut Vec<u8>) {
-    let mut payload = Vec::with_capacity(64);
+    let at = out.len();
     match frame {
         Frame::Hello {
             sensor,
             next_seq,
             item_version,
-        } => {
-            payload.push(TYPE_HELLO);
-            payload.extend_from_slice(&MAGIC);
-            payload.push(PROTOCOL_VERSION);
-            payload.push(*item_version);
-            varint::write_u64(*sensor, &mut payload);
-            varint::write_u64(*next_seq, &mut payload);
-        }
-        Frame::Batch { sensor, seq, items } => {
-            payload.push(TYPE_BATCH);
-            varint::write_u64(*sensor, &mut payload);
-            varint::write_u64(*seq, &mut payload);
-            varint::write_u64(items.len() as u64, &mut payload);
+        } => frame_into(out, TYPE_HELLO, |out| {
+            out.extend_from_slice(&MAGIC);
+            out.push(PROTOCOL_VERSION);
+            out.push(*item_version);
+            varint::write_u64(*sensor, out);
+            varint::write_u64(*next_seq, out);
+        }),
+        Frame::Batch { sensor, seq, items } => frame_into(out, TYPE_BATCH, |out| {
+            varint::write_u64(*sensor, out);
+            varint::write_u64(*seq, out);
+            varint::write_u64(items.len() as u64, out);
             for item in items {
-                item.encode(&mut payload);
+                item.encode(out);
             }
-        }
+        }),
         Frame::Bye {
             sensor,
             next_seq,
             dropped_frames,
             dropped_items,
-        } => {
-            payload.push(TYPE_BYE);
-            varint::write_u64(*sensor, &mut payload);
-            varint::write_u64(*next_seq, &mut payload);
-            varint::write_u64(*dropped_frames, &mut payload);
-            varint::write_u64(*dropped_items, &mut payload);
-        }
+        } => frame_into(out, TYPE_BYE, |out| {
+            varint::write_u64(*sensor, out);
+            varint::write_u64(*next_seq, out);
+            varint::write_u64(*dropped_frames, out);
+            varint::write_u64(*dropped_items, out);
+        }),
     }
-    let crc = crc32(&payload);
-    payload.extend_from_slice(&crc.to_le_bytes());
-    debug_assert!(payload.len() <= MAX_FRAME, "frame exceeds MAX_FRAME");
-    encode_frame_into::<U32Prefix>(&payload, out);
+    debug_assert!(
+        out.len() - at - U32Prefix::WIDTH <= MAX_FRAME,
+        "frame exceeds MAX_FRAME"
+    );
 }
 
 /// Append a BATCH frame whose `count` items are already encoded
@@ -129,38 +156,28 @@ pub(crate) fn encode_batch_preencoded(
     items: &[u8],
     out: &mut Vec<u8>,
 ) {
-    let mut payload = Vec::with_capacity(items.len() + 16);
-    payload.push(TYPE_BATCH);
-    varint::write_u64(sensor, &mut payload);
-    varint::write_u64(seq, &mut payload);
-    varint::write_u64(count, &mut payload);
-    payload.extend_from_slice(items);
-    let crc = crc32(&payload);
-    payload.extend_from_slice(&crc.to_le_bytes());
-    debug_assert!(payload.len() <= MAX_FRAME, "frame exceeds MAX_FRAME");
-    encode_frame_into::<U32Prefix>(&payload, out);
+    let at = out.len();
+    frame_into(out, TYPE_BATCH, |out| {
+        varint::write_u64(sensor, out);
+        varint::write_u64(seq, out);
+        varint::write_u64(count, out);
+        out.extend_from_slice(items);
+    });
+    debug_assert!(
+        out.len() - at - U32Prefix::WIDTH <= MAX_FRAME,
+        "frame exceeds MAX_FRAME"
+    );
 }
 
-/// Decode one frame payload (the bytes between length prefix and end,
-/// CRC trailer included).
+/// Decode one frame payload (the bytes after the length prefix, CRC
+/// trailer included).
 pub fn decode_payload<T: FeedItem>(payload: &[u8]) -> Result<Frame<T>, FeedError> {
-    if payload.len() < 5 {
-        return Err(FeedError::Truncated("frame header"));
-    }
-    let (body, trailer) = payload.split_at(payload.len() - 4);
-    let expected = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let computed = crc32(body);
-    if expected != computed {
-        return Err(FeedError::Crc { expected, computed });
-    }
-    let mut r = ByteReader::new(body);
-    let frame = match r.u8("frame type")? {
+    let (ty, mut r) = open_payload(payload)?;
+    let frame = match ty {
         TYPE_HELLO => {
             let magic = r.bytes(4, "hello magic")?;
             if magic != MAGIC {
-                return Err(FeedError::BadMagic([
-                    magic[0], magic[1], magic[2], magic[3],
-                ]));
+                return Err(FeedError::BadMagic(magic.try_into().expect("4 bytes")));
             }
             let protocol = r.u8("protocol version")?;
             if protocol != PROTOCOL_VERSION {
@@ -206,62 +223,28 @@ pub fn decode_payload<T: FeedItem>(payload: &[u8]) -> Result<Frame<T>, FeedError
     Ok(frame)
 }
 
-/// Incremental frame decoder over a byte stream.
-///
-/// Like [`dnswire::tcp::FrameDecoder`] but for feed frames: push arbitrary
-/// chunks, pop decoded [`Frame`]s. A payload that fails its CRC or its
-/// decode is consumed (the length prefix keeps the stream aligned) and
-/// reported as an error; an oversized length prefix is unrecoverable and
-/// the connection should be dropped.
-#[derive(Debug)]
-pub struct FrameReader<T> {
-    frames: Reassembler<U32Prefix>,
-    decoded: u64,
-    _item: std::marker::PhantomData<fn() -> T>,
-}
+/// The DOF1 stream format of `T` items, for [`framing::FrameReader`].
+pub struct FeedCodec<T>(std::marker::PhantomData<fn() -> T>);
 
-impl<T: FeedItem> Default for FrameReader<T> {
-    fn default() -> Self {
-        FrameReader {
-            frames: Reassembler::new(MAX_FRAME),
-            decoded: 0,
-            _item: std::marker::PhantomData,
-        }
+impl<T: FeedItem> FrameCodec for FeedCodec<T> {
+    type Frame = Frame<T>;
+    type Error = FeedError;
+    const HEADER: usize = U32Prefix::WIDTH;
+
+    fn frame_len(header: &[u8]) -> Result<usize, FeedError> {
+        Ok(framing::prefixed_len::<U32Prefix>(header, MAX_FRAME)?)
+    }
+
+    fn decode(frame: &[u8]) -> Result<Frame<T>, FeedError> {
+        decode_payload(&frame[U32Prefix::WIDTH..])
     }
 }
 
-impl<T: FeedItem> FrameReader<T> {
-    /// Fresh reader.
-    pub fn new() -> FrameReader<T> {
-        FrameReader::default()
-    }
-
-    /// Append stream bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.frames.push(bytes);
-    }
-
-    /// Bytes buffered towards an incomplete frame.
-    pub fn buffered(&self) -> usize {
-        self.frames.buffered()
-    }
-
-    /// Frames decoded successfully over the reader's lifetime.
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-
-    /// Try to decode the next complete frame; `Ok(None)` means more bytes
-    /// are needed.
-    pub fn next_frame(&mut self) -> Result<Option<Frame<T>>, FeedError> {
-        let Some(payload) = self.frames.next_frame()? else {
-            return Ok(None);
-        };
-        let frame = decode_payload(&payload)?;
-        self.decoded += 1;
-        Ok(Some(frame))
-    }
-}
+/// Incremental DOF1 decoder: push arbitrary chunks, pop decoded
+/// [`Frame`]s. A payload that fails its CRC or its decode is consumed and
+/// reported; an oversized length prefix is a [`FeedError::Framing`] that
+/// repeats, and the connection should be dropped.
+pub type FrameReader<T> = framing::FrameReader<FeedCodec<T>>;
 
 #[cfg(test)]
 mod tests {
@@ -309,6 +292,41 @@ mod tests {
         assert_eq!(got, frames);
         assert_eq!(reader.decoded(), 4);
         assert_eq!(reader.buffered(), 0);
+    }
+
+    /// One HELLO, one BATCH and one BYE frame, each digested as (length,
+    /// CRC-32) of the whole stream frame, length prefix included. The
+    /// values were taken from the encoder before DOF1 and DOP1 shared one
+    /// envelope writer: a change here changes the wire format.
+    #[test]
+    fn dof1_bytes_are_pinned() {
+        let frames = [
+            Frame::Hello {
+                sensor: 9,
+                next_seq: 42,
+                item_version: TestItem::ITEM_VERSION,
+            },
+            batch(42, &[1, 2, 300]),
+            Frame::Bye {
+                sensor: 9,
+                next_seq: 43,
+                dropped_frames: 1,
+                dropped_items: 4,
+            },
+        ];
+        let digests: Vec<(usize, u32)> = frames
+            .iter()
+            .map(|f| {
+                let mut out = Vec::new();
+                encode_frame(f, &mut out);
+                (out.len(), crate::crc32::crc32(&out))
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [(17, 0x5025_1878), (60, 0xc1ac_007e), (13, 0x342c_a6fa),],
+            "DOF1 bytes changed"
+        );
     }
 
     #[test]

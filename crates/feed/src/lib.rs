@@ -16,10 +16,9 @@
 //!   reconnect with exponential backoff plus jitter: a writer-thread
 //!   shell around the sans-io [`SensorMachine`] ([`sensor`], [`machine`],
 //!   [`backoff`]);
-//! * a [`Collector`] TCP server (std::net + threads + crossbeam channels,
-//!   matching the core pipeline's threading style) that accepts many
-//!   sensor connections, detects sequence gaps and CRC failures per
-//!   sensor, and merges the concurrent streams back into one
+//! * a [`Collector`] TCP server (std::net + threads + crossbeam channels)
+//!   that accepts many sensor connections, detects sequence gaps and CRC
+//!   failures per sensor, and merges the concurrent streams back into one
 //!   time-ordered feed, or passes each stream on as it arrives when the
 //!   item type asks for that ([`collector`], [`merge`], [`MergeOrder`]).
 //!
@@ -30,9 +29,10 @@
 //!
 //! # Wire format
 //!
-//! Every frame is a 32-bit big-endian length prefix (reusing
-//! [`dnswire::framing`]) followed by a payload that always ends in a
-//! CRC-32 of everything before it:
+//! Every frame is a 32-bit big-endian length prefix followed by a payload
+//! that always ends in a CRC-32 of everything before it — the envelope
+//! [`frame::frame_into`] writes and [`frame::open_payload`] checks, which
+//! the pub/sub feed shares — read through the one [`framing::FrameReader`]:
 //!
 //! ```text
 //! | u32 len | type u8 | body ... | crc32 u32 LE |
@@ -64,6 +64,10 @@ pub mod sensor;
 #[cfg(test)]
 pub(crate) mod testitem;
 pub mod varint;
+
+/// The one framed-stream reader, re-exported for the crates that read
+/// framed formats without depending on `dnswire` themselves.
+pub use dnswire::framing;
 
 pub use backoff::{Backoff, BackoffConfig};
 pub use codec::{ByteReader, FeedItem, MergeOrder};

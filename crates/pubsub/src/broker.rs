@@ -25,13 +25,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use feed::frame::frame_into;
 use sketches::LogBuckets;
 use sketchwire::{StateError, TopKEntry, TopKState, WindowState};
 use telemetry::{Counter, Gauge, Histogram, Registry, TraceEvent, TraceKind, TraceRing};
 
-use crate::codec::{
-    encode_frame_vec, frame_into, EvictReason, Frame, Topic, TYPE_DELTA, TYPE_SNAPSHOT,
-};
+use crate::codec::{encode_frame_vec, EvictReason, Frame, Topic, TYPE_DELTA, TYPE_SNAPSHOT};
 use crate::delta::{
     canonicalize, encode_diff, encode_stripped_entry, strictly_ascending, window_id_us,
 };

@@ -1,11 +1,12 @@
 //! The subscription wire format: versioned, CRC-framed `DOP1` frames.
 //!
-//! Same discipline as the sensor→collector feed codec: every frame is a
-//! `u32`-length-prefixed payload of `type byte + body + crc32`, decoded
-//! through the shared [`dnswire::framing`] reassembler so partial reads,
-//! oversized prefixes and CRC damage all surface as typed errors with the
-//! stream left aligned on the next frame. Snapshots reuse the federation
-//! tier's [`WindowState`] item encoding verbatim; deltas carry the
+//! The envelope is the sensor feed's ([`feed::frame::frame_into`] writes
+//! it, [`feed::frame::open_payload`] checks it): a `u32` length prefix,
+//! a type octet, the body and a CRC-32. Frames are read through the one
+//! [`feed::framing::FrameReader`], so partial reads, oversized prefixes
+//! and CRC damage all surface as typed errors with the stream left
+//! aligned on the next frame. Snapshots reuse the federation tier's
+//! [`WindowState`] item encoding verbatim; deltas carry the
 //! [`WindowDelta`] body.
 //!
 //! Handshake: the client speaks first — `Hello` (magic + versions) then
@@ -14,9 +15,9 @@
 
 use std::fmt;
 
-use dnswire::framing::{self, LengthPrefix, U32Prefix};
 use feed::codec::write_varint;
-use feed::crc32::crc32;
+use feed::frame::{frame_into, open_payload};
+use feed::framing::{self, FrameCodec, LengthPrefix, U32Prefix};
 use feed::{ByteReader, FeedError, FeedItem};
 use sketchwire::WindowState;
 
@@ -255,17 +256,6 @@ pub fn encode_frame(frame: &Frame, out: &mut Vec<u8>) {
     }
 }
 
-/// Append one frame of type `ty` whose body `body` writes straight into
-/// `out`; the length prefix and the CRC are patched in around it.
-pub(crate) fn frame_into(out: &mut Vec<u8>, ty: u8, body: impl FnOnce(&mut Vec<u8>)) {
-    let at = framing::begin_frame::<U32Prefix>(out);
-    out.push(ty);
-    body(out);
-    let crc = crc32(&out[at + U32Prefix::WIDTH..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    framing::end_frame::<U32Prefix>(out, at);
-}
-
 /// Convenience: encode one frame into a fresh buffer.
 pub fn encode_frame_vec(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::new();
@@ -275,17 +265,8 @@ pub fn encode_frame_vec(frame: &Frame) -> Vec<u8> {
 
 /// Decode one reassembled payload (length prefix already stripped).
 pub fn decode_payload(payload: &[u8]) -> Result<Frame, FeedError> {
-    if payload.len() < 5 {
-        return Err(FeedError::Truncated("pubsub frame"));
-    }
-    let (body, crc_bytes) = payload.split_at(payload.len() - 4);
-    let expected = u32::from_le_bytes(crc_bytes.try_into().expect("4 crc bytes"));
-    let computed = crc32(body);
-    if expected != computed {
-        return Err(FeedError::Crc { expected, computed });
-    }
-    let mut r = ByteReader::new(body);
-    let frame = match r.u8("frame type")? {
+    let (ty, mut r) = open_payload(payload)?;
+    let frame = match ty {
         TYPE_HELLO => {
             let magic: [u8; 4] = r
                 .bytes(4, "hello magic")?
@@ -350,67 +331,32 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, FeedError> {
     Ok(frame)
 }
 
+/// The DOP1 stream format, for [`framing::FrameReader`].
+#[derive(Debug)]
+pub struct SubCodec;
+
+impl FrameCodec for SubCodec {
+    type Frame = Frame;
+    type Error = FeedError;
+    const HEADER: usize = U32Prefix::WIDTH;
+
+    fn frame_len(header: &[u8]) -> Result<usize, FeedError> {
+        Ok(framing::prefixed_len::<U32Prefix>(header, MAX_FRAME)?)
+    }
+
+    fn decode(frame: &[u8]) -> Result<Frame, FeedError> {
+        decode_payload(&frame[U32Prefix::WIDTH..])
+    }
+}
+
 /// Incremental frame decoder over arbitrary byte chunks.
 ///
 /// Push bytes as they arrive; pull frames as they complete. A frame that
 /// fails CRC or body validation is consumed (the error is returned once
 /// and the stream stays aligned on the next length prefix); an oversized
-/// or malformed length prefix is fatal.
-#[derive(Debug)]
-pub struct FrameReader {
-    inner: Option<dnswire::framing::Reassembler<dnswire::framing::U32Prefix>>,
-    decoded: u64,
-}
-
-impl Default for FrameReader {
-    fn default() -> FrameReader {
-        FrameReader::new()
-    }
-}
-
-impl FrameReader {
-    /// New reader enforcing [`MAX_FRAME`].
-    pub fn new() -> FrameReader {
-        FrameReader {
-            inner: Some(dnswire::framing::Reassembler::new(MAX_FRAME)),
-            decoded: 0,
-        }
-    }
-
-    /// Feed received bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if let Some(inner) = &mut self.inner {
-            inner.push(bytes);
-        }
-    }
-
-    /// Frames successfully decoded so far.
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-
-    /// Pull the next complete frame, `Ok(None)` when more bytes are
-    /// needed.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FeedError> {
-        let inner = match &mut self.inner {
-            Some(inner) => inner,
-            None => return Err(FeedError::Invalid("frame reader poisoned")),
-        };
-        match inner.next_frame() {
-            Ok(Some(payload)) => {
-                let frame = decode_payload(&payload)?;
-                self.decoded += 1;
-                Ok(Some(frame))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => {
-                // A bad length prefix means the stream can never realign.
-                self.inner = None;
-                Err(FeedError::Framing(e))
-            }
-        }
-    }
-}
+/// length prefix is a [`FeedError::Framing`] that repeats on every later
+/// call, and the connection should be dropped.
+pub type FrameReader = framing::FrameReader<SubCodec>;
 
 #[cfg(test)]
 mod tests {
@@ -495,37 +441,43 @@ mod tests {
         assert_eq!(rd.next_frame().unwrap(), Some(Frame::Bye), "realigned");
     }
 
+    /// The payload of one envelope frame of type `ty` with body `body`.
+    fn payload(ty: u8, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame_into(&mut out, ty, |out| out.extend_from_slice(body));
+        out.split_off(U32Prefix::WIDTH)
+    }
+
     #[test]
     fn hello_version_mismatch_is_typed() {
-        let mut payload = vec![1u8]; // TYPE_HELLO
-        payload.extend_from_slice(&MAGIC);
-        payload.push(99);
-        payload.push(1);
-        let crc = crc32(&payload);
-        payload.extend_from_slice(&crc.to_le_bytes());
+        let body = [&MAGIC[..], &[99, 1]].concat();
         assert!(matches!(
-            decode_payload(&payload),
+            decode_payload(&payload(TYPE_HELLO, &body)),
             Err(FeedError::BadProtocolVersion { got: 99, .. })
         ));
     }
 
     #[test]
     fn unknown_type_and_trailing_bytes_are_typed() {
-        let mut payload = vec![42u8];
-        let crc = crc32(&payload);
-        payload.extend_from_slice(&crc.to_le_bytes());
         assert!(matches!(
-            decode_payload(&payload),
+            decode_payload(&payload(42, &[])),
             Err(FeedError::BadFrameType(42))
         ));
-
-        let mut payload = vec![TYPE_BYE, 0xaa];
-        let crc = crc32(&payload);
-        payload.extend_from_slice(&crc.to_le_bytes());
         assert!(matches!(
-            decode_payload(&payload),
+            decode_payload(&payload(TYPE_BYE, &[0xaa])),
             Err(FeedError::TrailingBytes(1))
         ));
+    }
+
+    #[test]
+    fn oversized_prefix_is_a_repeated_framing_error() {
+        let mut rd = FrameReader::new();
+        rd.push(&(MAX_FRAME as u32 + 1).to_be_bytes());
+        for _ in 0..3 {
+            assert!(matches!(rd.next_frame(), Err(FeedError::Framing(_))));
+        }
+        rd.push(&encode_frame_vec(&Frame::Bye));
+        assert!(matches!(rd.next_frame(), Err(FeedError::Framing(_))));
     }
 
     #[test]

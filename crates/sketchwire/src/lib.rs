@@ -35,8 +35,8 @@ pub use aggregator::{
 };
 pub use merge::{assemble_chunks, merge_chunks, merge_features, merge_topk, merge_topk_into};
 pub use record::{
-    read_all, write_record, write_record_bytes, RecordReader, MAX_RECORD, RECORD_MAGIC,
-    RECORD_VERSION,
+    read_all, write_record, write_record_bytes, RecordCodec, RecordReader, MAX_RECORD,
+    RECORD_MAGIC, RECORD_VERSION,
 };
 pub use state::{
     FeatureState, GateState, HistogramState, HllState, StateError, TopKEntry, TopKState,

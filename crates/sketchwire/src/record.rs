@@ -2,17 +2,19 @@
 //!
 //! This is the at-rest form of [`WindowState`] — what `dnsobs collect
 //! --state-out` writes and `dnsobs aggregate --input` reads, and the
-//! serialization substrate the historical store will reuse for
-//! compaction. Layout per record:
+//! record body of the historical store's segments. Layout per record:
 //!
 //! ```text
 //! magic "SKW1" (4) | version u8 | payload_len u32 LE | payload | crc32 u32 LE
 //! ```
 //!
-//! The CRC covers the version byte and the payload, so a flipped length
-//! or version is caught just like flipped payload bytes. Decoding never
-//! panics: every failure is a typed [`FeedError`].
+//! The CRC covers the version, the length and the payload, so a flipped
+//! length or version is caught just like flipped payload bytes. Decoding never
+//! panics: every failure is a typed [`FeedError`]. Records are read
+//! through the one framed-stream reader ([`RecordReader`]) or, from a
+//! complete image, by [`read_all`] over the same codec.
 
+use feed::framing::{self, FrameCodec, FrameReader};
 use feed::{crc32::crc32, ByteReader, FeedError, FeedItem};
 
 use crate::state::WindowState;
@@ -24,6 +26,9 @@ pub const RECORD_VERSION: u8 = 1;
 /// Hard cap on one record's payload. File records are not bound by the
 /// feed transport's frame cap, but an absurd length is still corruption.
 pub const MAX_RECORD: usize = 64 << 20;
+
+/// Magic, version and payload length: the bytes before the payload.
+const HEADER: usize = 9;
 
 /// Append one record to `out`, encoding the state straight into it.
 pub fn write_record(ws: &WindowState, out: &mut Vec<u8>) {
@@ -60,94 +65,66 @@ fn end_record(out: &mut Vec<u8>, at: usize) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Incremental decoder for a record stream: push bytes in, pull whole
-/// records out. Mirrors the feed's `FrameReader` discipline.
-#[derive(Debug, Default)]
-pub struct RecordReader {
-    buf: Vec<u8>,
-    decoded: u64,
-}
+/// The SKW1 record format, for [`FrameReader`] and [`framing::take_frame`].
+///
+/// A bad magic, an unknown version or a length over [`MAX_RECORD`] is a
+/// header error (fatal for the stream); a record that fails its CRC or
+/// its decode is consumed.
+#[derive(Debug)]
+pub struct RecordCodec;
 
-impl RecordReader {
-    /// New empty reader.
-    pub fn new() -> RecordReader {
-        RecordReader::default()
-    }
+impl FrameCodec for RecordCodec {
+    type Frame = WindowState;
+    type Error = FeedError;
+    const HEADER: usize = HEADER;
 
-    /// Append raw stream bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a decoded record.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Records decoded so far.
-    pub fn decoded(&self) -> u64 {
-        self.decoded
-    }
-
-    /// Decode the next whole record, `Ok(None)` if more bytes are needed.
-    /// Errors are fatal for the stream (framing is lost after a bad
-    /// header or CRC).
-    pub fn next_record(&mut self) -> Result<Option<WindowState>, FeedError> {
-        // magic + version + len
-        if self.buf.len() < 9 {
-            return Ok(None);
-        }
-        if self.buf[..4] != RECORD_MAGIC {
-            let mut magic = [0u8; 4];
-            magic.copy_from_slice(&self.buf[..4]);
+    fn frame_len(header: &[u8]) -> Result<usize, FeedError> {
+        let magic: [u8; 4] = header[..4].try_into().expect("4 bytes");
+        if magic != RECORD_MAGIC {
             return Err(FeedError::BadMagic(magic));
         }
-        let version = self.buf[4];
-        if version != RECORD_VERSION {
+        if header[4] != RECORD_VERSION {
             return Err(FeedError::BadItemVersion {
-                got: version,
+                got: header[4],
                 want: RECORD_VERSION,
             });
         }
-        let len = u32::from_le_bytes([self.buf[5], self.buf[6], self.buf[7], self.buf[8]]) as usize;
+        let len = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes")) as usize;
         if len > MAX_RECORD {
             return Err(FeedError::Invalid("record payload too large"));
         }
-        let total = 9 + len + 4;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let expected = u32::from_le_bytes([
-            self.buf[9 + len],
-            self.buf[10 + len],
-            self.buf[11 + len],
-            self.buf[12 + len],
-        ]);
-        let computed = crc32(&self.buf[4..9 + len]);
+        Ok(HEADER + len + 4)
+    }
+
+    fn decode(frame: &[u8]) -> Result<WindowState, FeedError> {
+        let (covered, trailer) = frame[4..].split_at(frame.len() - 8);
+        let expected = u32::from_le_bytes(trailer.try_into().expect("4 crc bytes"));
+        let computed = crc32(covered);
         if expected != computed {
             return Err(FeedError::Crc { expected, computed });
         }
-        let mut r = ByteReader::new(&self.buf[9..9 + len]);
+        let mut r = ByteReader::new(&covered[5..]);
         let ws = WindowState::decode(&mut r)?;
         if !r.is_empty() {
             return Err(FeedError::TrailingBytes(r.remaining()));
         }
-        self.buf.drain(..total);
-        self.decoded += 1;
-        Ok(Some(ws))
+        Ok(ws)
     }
 }
 
+/// Incremental decoder for a record stream: push bytes in, pull whole
+/// records out with `next_frame`.
+pub type RecordReader = FrameReader<RecordCodec>;
+
 /// Decode a complete record stream strictly: every byte must belong to a
-/// valid record (a truncated tail is a [`FeedError::Truncated`]).
-pub fn read_all(bytes: &[u8]) -> Result<Vec<WindowState>, FeedError> {
-    let mut reader = RecordReader::new();
-    reader.push(bytes);
+/// valid record (a truncated tail is a [`FeedError::Truncated`]), and the
+/// first error ends the read.
+pub fn read_all(mut bytes: &[u8]) -> Result<Vec<WindowState>, FeedError> {
     let mut out = Vec::new();
-    while let Some(ws) = reader.next_record()? {
+    while let Some(ws) = framing::take_frame::<RecordCodec>(&mut bytes)? {
         out.push(ws);
     }
-    if reader.buffered() > 0 {
+    if !bytes.is_empty() {
         return Err(FeedError::Truncated("partial trailing record"));
     }
     Ok(out)

@@ -24,7 +24,9 @@
 use crate::bloom::KeyBloom;
 use crate::StoreError;
 use feed::crc32::crc32;
-use sketchwire::{RecordReader, WindowState};
+use feed::framing::take_frame;
+use feed::ByteReader;
+use sketchwire::{RecordCodec, WindowState};
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
@@ -119,12 +121,15 @@ pub fn encode_segment_items<S: Borrow<WindowState>, I: AsRef<[u8]>>(
         datasets: datasets.into_iter().collect(),
         bloom,
     };
-    let frame = encode_footer(&footer);
 
     // Each `SKW1` record adds its magic, version, length and CRC (13
-    // bytes) around the item.
+    // bytes) around the item; the footer frame its magic, length and CRC
+    // (12) around the fixed fields (31), the dataset names and the bloom.
     let records_len: usize = items.iter().map(|i| i.as_ref().len() + 13).sum();
-    let mut out = Vec::with_capacity(HEADER_LEN + records_len + frame.len() + TRAILER_LEN);
+    let names_len: usize = footer.datasets.iter().map(|d| d.len() + 2).sum();
+    let footer_len = 12 + 31 + names_len + footer.bloom.bits().len();
+    let image_len = HEADER_LEN + records_len + footer_len + TRAILER_LEN;
+    let mut out = Vec::with_capacity(image_len);
     out.extend_from_slice(&SEGMENT_MAGIC);
     out.push(SEGMENT_VERSION);
     out.push(level);
@@ -132,78 +137,37 @@ pub fn encode_segment_items<S: Borrow<WindowState>, I: AsRef<[u8]>>(
     for item in items {
         sketchwire::write_record_bytes(item.as_ref(), &mut out);
     }
-    out.extend_from_slice(&frame);
-    out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+    let frame_at = out.len();
+    write_footer(&footer, &mut out);
+    let frame_len = (out.len() - frame_at) as u32;
+    out.extend_from_slice(&frame_len.to_le_bytes());
     out.extend_from_slice(&END_MAGIC);
+    debug_assert_eq!(out.len(), image_len, "the image is sized up front");
     (out, footer)
 }
 
-fn encode_footer(f: &SegmentFooter) -> Vec<u8> {
-    let mut payload = Vec::new();
-    payload.push(f.level);
-    payload.extend_from_slice(&f.start_us.to_le_bytes());
-    payload.extend_from_slice(&f.end_us.to_le_bytes());
-    payload.extend_from_slice(&f.records.to_le_bytes());
-    payload.extend_from_slice(&f.windows.to_le_bytes());
-    payload.extend_from_slice(&(f.datasets.len() as u16).to_le_bytes());
+/// Append the footer frame: magic, payload length, payload, CRC of the
+/// payload.
+fn write_footer(f: &SegmentFooter, out: &mut Vec<u8>) {
+    out.extend_from_slice(&FOOTER_MAGIC);
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    out.push(f.level);
+    out.extend_from_slice(&f.start_us.to_le_bytes());
+    out.extend_from_slice(&f.end_us.to_le_bytes());
+    out.extend_from_slice(&f.records.to_le_bytes());
+    out.extend_from_slice(&f.windows.to_le_bytes());
+    out.extend_from_slice(&(f.datasets.len() as u16).to_le_bytes());
     for name in &f.datasets {
-        payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        payload.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
     }
-    payload.extend_from_slice(&(f.bloom.bits().len() as u32).to_le_bytes());
-    payload.extend_from_slice(f.bloom.bits());
-
-    let mut frame = Vec::with_capacity(payload.len() + 12);
-    frame.extend_from_slice(&FOOTER_MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame
-}
-
-/// A forward-only bounds-checked cursor; every read that would run past
-/// the end yields `None` (mapped to a typed error by the caller).
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        self.take(2).map(|s| u16::from_le_bytes([s[0], s[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+    out.extend_from_slice(&(f.bloom.bits().len() as u32).to_le_bytes());
+    out.extend_from_slice(f.bloom.bits());
+    let payload_len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(&out[len_at + 4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 fn corrupt(segment: &str, what: &'static str) -> StoreError {
@@ -260,51 +224,34 @@ pub fn read_footer(
         return Err(corrupt(segment, "footer crc mismatch"));
     }
 
-    let mut c = Cursor::new(payload);
-    let level = c.u8().ok_or_else(|| corrupt(segment, "footer truncated"))?;
+    let mut c = ByteReader::new(payload);
+    let truncated = |_| corrupt(segment, "footer truncated");
+    let level = c.u8("footer level").map_err(truncated)?;
     if level != header_level {
         return Err(corrupt(segment, "footer level disagrees with header"));
     }
-    let start_us = c
-        .u64()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    let end_us = c
-        .u64()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
+    let start_us = c.u64("footer start").map_err(truncated)?;
+    let end_us = c.u64("footer end").map_err(truncated)?;
     if end_us < start_us {
         return Err(corrupt(segment, "footer time range inverted"));
     }
-    let records = c
-        .u32()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    let windows = c
-        .u32()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    let nds = c
-        .u16()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
+    let records = c.u32("footer records").map_err(truncated)?;
+    let windows = c.u32("footer windows").map_err(truncated)?;
+    let nds = c.u16("footer datasets").map_err(truncated)?;
     let mut datasets = Vec::with_capacity(nds as usize);
     for _ in 0..nds {
-        let len = c
-            .u16()
-            .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-        let raw = c
-            .take(len as usize)
-            .ok_or_else(|| corrupt(segment, "footer truncated"))?;
+        let len = c.u16("dataset name").map_err(truncated)?;
+        let raw = c.bytes(len as usize, "dataset name").map_err(truncated)?;
         let name = std::str::from_utf8(raw)
             .map_err(|_| corrupt(segment, "dataset name not utf-8"))?
             .to_string();
         datasets.push(name);
     }
-    let bloom_len = c
-        .u32()
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
-    let bits = c
-        .take(bloom_len as usize)
-        .ok_or_else(|| corrupt(segment, "footer truncated"))?;
+    let bloom_len = c.u32("bloom length").map_err(truncated)?;
+    let bits = c.bytes(bloom_len as usize, "bloom").map_err(truncated)?;
     let bloom =
         KeyBloom::from_bits(bits.to_vec()).ok_or_else(|| corrupt(segment, "bad bloom length"))?;
-    if !c.done() {
+    if !c.is_empty() {
         return Err(corrupt(segment, "trailing bytes after footer payload"));
     }
     Ok((
@@ -328,22 +275,16 @@ pub fn decode_segment(
     segment: &str,
 ) -> Result<(SegmentFooter, Vec<WindowState>), StoreError> {
     let (footer, body) = read_footer(bytes, segment)?;
-    let mut reader = RecordReader::new();
-    reader.push(&bytes[body]);
+    let mut rest = &bytes[body];
     let mut states = Vec::with_capacity(footer.records as usize);
-    loop {
-        match reader.next_record() {
-            Ok(Some(ws)) => states.push(ws),
-            Ok(None) => break,
-            Err(source) => {
-                return Err(StoreError::Segment {
-                    segment: segment.to_string(),
-                    source,
-                })
-            }
-        }
+    let bad_record = |source| StoreError::Segment {
+        segment: segment.to_string(),
+        source,
+    };
+    while let Some(ws) = take_frame::<RecordCodec>(&mut rest).map_err(bad_record)? {
+        states.push(ws);
     }
-    if reader.buffered() != 0 {
+    if !rest.is_empty() {
         return Err(corrupt(segment, "trailing bytes in record region"));
     }
     if states.len() != footer.records as usize {
