@@ -110,7 +110,7 @@ mod tests {
             }
         }
         assert_eq!(got, msgs);
-        assert_eq!(dec.decoded(), 5);
+        assert_eq!(dec.buffered(), 0);
     }
 
     #[test]
