@@ -430,3 +430,68 @@ proptest! {
         prop_assert_eq!(closes, starts, "one close per window");
     }
 }
+
+/// One esld tracker per simnet seed, exported and merged across seeds:
+/// top-value tables and contributor sets past their capacities. One
+/// entry is then given a layout no `FeatureConfig` makes (one HLL at
+/// another precision, one table of another capacity, one histogram of
+/// another bucket layout), as a hand-made state may carry.
+fn merged_fixture() -> sketchwire::TopKState {
+    use sketchwire::{HistogramState, HllState};
+    let psl = psl::Psl::embedded();
+    let mut merged: Option<sketchwire::TopKState> = None;
+    for seed in 1..=4 {
+        let cfg = simnet::SimConfig {
+            seed,
+            ..simnet::SimConfig::small()
+        };
+        let mut tracker = TopKTracker::new(Dataset::Esld, 32, FeatureConfig::default(), false);
+        simnet::Simulation::from_config(cfg).run(1.5, &mut |tx| {
+            tracker.observe(&TxSummary::from_transaction(tx, &psl));
+        });
+        let state = tracker.export_state(0, 0, 0);
+        merged = Some(match merged {
+            None => state,
+            Some(m) => sketchwire::merge_topk(&m, &state).unwrap(),
+        });
+    }
+    let mut merged = merged.unwrap();
+    let f = &mut merged.entries[0].features;
+    let mut hll = sketches::HyperLogLog::new(9);
+    (0..300u64).for_each(|i| hll.insert(&i.to_le_bytes()));
+    f.hlls[2] = HllState::from_sketch(&hll);
+    f.tops[4].capacity = 3;
+    let mut hist = sketches::LogHistogram::new(0.5, 500.0, 7);
+    (1..40).for_each(|v| hist.record(v as f64 * 3.5));
+    f.hists[1] = HistogramState::from_sketch(&hist);
+    merged
+}
+
+/// What `render_state` makes of merged, over-capacity and hand-made
+/// layouts is pinned: the xxh64 of the rendered rows' debug form, taken
+/// from the field-per-feature `FeatureSet` this layout replaced.
+#[test]
+fn merged_state_rendering_is_pinned() {
+    use dns_observatory::render_state;
+    use dns_observatory::synth::{SynthConfig, SynthStream};
+    let merged = merged_fixture();
+    let over = |e: &sketchwire::TopKEntry| {
+        e.features.tops.iter().any(|t| t.slots.len() as u64 > t.capacity)
+            && e.features.sources.len() > 1
+    };
+    assert!(merged.entries.iter().any(over), "premise: tables past capacity");
+    let mut rendered = format!("{:?}", render_state(&merged, 1e9, 60.0).unwrap().rows);
+    let mut synth = SynthStream::new(SynthConfig {
+        windows: 3,
+        renumber_every: 1,
+        ..SynthConfig::default()
+    });
+    while let Some(states) = synth.next_window() {
+        for ws in states {
+            let dump = render_state(&ws.topk, ws.start + 1.0, 600.0).unwrap();
+            rendered += &format!("{:?}", dump.rows);
+        }
+    }
+    let digest = sketches::hash::xxh64(rendered.as_bytes(), 0);
+    assert_eq!(digest, 14_283_648_593_139_989_713, "rendered rows moved: {rendered}");
+}
