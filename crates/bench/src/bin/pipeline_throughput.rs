@@ -4,10 +4,13 @@
 //! `obsbench/run.sh`.
 //!
 //! Built with `--features count-allocs` (a counting global allocator) it
-//! also measures steady-state tracker allocations and asserts the
-//! allocation gate; without the feature they are not measured.
+//! also measures steady-state tracker allocations and the allocations
+//! and heap bytes of one key's feature state, and asserts the allocation
+//! gate; without the feature they are not measured.
 
-use dns_observatory::{Dataset, Observatory, ObservatoryConfig, TopKTracker, TxSummary};
+use dns_observatory::{
+    Dataset, FeatureSet, Observatory, ObservatoryConfig, TopKTracker, TxSummary,
+};
 use simnet::{SimConfig, Simulation, Transaction};
 use std::time::Instant;
 
@@ -17,6 +20,8 @@ mod counting_alloc {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
+    /// Bytes asked for, a growing `realloc` counting its growth.
+    pub static BYTES: AtomicU64 = AtomicU64::new(0);
 
     pub struct CountingAlloc;
 
@@ -25,6 +30,7 @@ mod counting_alloc {
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
             unsafe { System.alloc(layout) }
         }
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -32,6 +38,8 @@ mod counting_alloc {
         }
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
+            let grown = new_size.saturating_sub(layout.size());
+            BYTES.fetch_add(grown as u64, Ordering::Relaxed);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -92,7 +100,15 @@ struct AllocFacts {
     /// Allocations of a window dump that resets every monitored object
     /// and has no row to render.
     dump: u64,
+    /// Allocations of one `FeatureSet::new` with the default config.
+    key_allocs: u64,
+    /// Heap bytes asked for per `FeatureSet::new`, over `KEYS` of them.
+    key_heap_bytes: f64,
 }
+
+/// Feature sets built to measure the heap bytes of one.
+#[cfg(feature = "count-allocs")]
+const KEYS: usize = 1_000;
 
 #[cfg(feature = "count-allocs")]
 fn measure_allocs(txs: &[Transaction]) -> Option<AllocFacts> {
@@ -137,10 +153,25 @@ fn measure_allocs(txs: &[Transaction]) -> Option<AllocFacts> {
     }
     let saturated = allocs() - before;
     let evictions = tracker.evictions() - evictions;
+
+    // Per-key feature state: the first set built on this thread has
+    // shared its layout already, so each later one asks for its blocks
+    // only.
+    let bytes = || counting_alloc::BYTES.load(Ordering::Relaxed);
+    let mut keys = Vec::with_capacity(KEYS);
+    keys.push(FeatureSet::new(cfg));
+    let before = allocs();
+    keys.push(FeatureSet::new(cfg));
+    let key_allocs = allocs() - before;
+    let before = bytes();
+    keys.extend((2..KEYS).map(|_| FeatureSet::new(cfg)));
+    let key_heap_bytes = (bytes() - before) as f64 / (KEYS - 2) as f64;
     Some(AllocFacts {
         unsaturated: (unsaturated as f64 / n, unsaturated),
         saturated: (saturated as f64 / n, evictions as f64 / n),
         dump,
+        key_allocs,
+        key_heap_bytes,
     })
 }
 
@@ -155,6 +186,7 @@ fn measure_allocs(_txs: &[Transaction]) -> Option<AllocFacts> {
     let _ = (
         TopKTracker::new as fn(_, _, _, _) -> _,
         TxSummary::from_transaction as fn(_, _) -> _,
+        FeatureSet::new as fn(_) -> _,
     );
     None
 }
@@ -195,6 +227,18 @@ fn main() {
                 "saturated allocs_per_tx {per_tx}: churn is back on the allocator"
             );
             assert_eq!(facts.dump, 0, "a dump resets feature state in place");
+            let inline = std::mem::size_of::<FeatureSet>();
+            println!(
+                "per-key feature state: {} allocs, {:.0} heap B + {inline} inline B",
+                facts.key_allocs, facts.key_heap_bytes
+            );
+            // Two blocks and nothing else for an empty set: the
+            // contributor list allocates on its first id.
+            assert!(
+                facts.key_allocs <= 3,
+                "FeatureSet::new made {} allocations",
+                facts.key_allocs
+            );
         }
         None => println!("steady-state allocs: not measured (build with --features count-allocs)"),
     }

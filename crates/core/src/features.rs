@@ -9,8 +9,9 @@ use crate::summarize::{Outcome, TxSummary};
 use serde::{Deserialize, Serialize};
 use sketches::{HyperLogLog, LogBuckets, LogHistogram, TopValues};
 use sketchwire::StateError;
+use std::cell::RefCell;
 use std::net::IpAddr;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Positional layout contract of a serialized [`FeatureSet`] — the order
 /// in which counters, sketches, and distributions appear inside a
@@ -135,98 +136,194 @@ impl FoldDigest {
     }
 }
 
-/// Live sketch state for one tracked object.
+/// Word indices of the counters (`adds`, in state order) and of the
+/// one max in a [`FeatureSet`]'s word block.
+mod add {
+    pub const HITS: usize = 0;
+    pub const UNANS: usize = 1;
+    pub const OK: usize = 2;
+    pub const NXD: usize = 3;
+    pub const RFS: usize = 4;
+    pub const FAIL: usize = 5;
+    pub const OK_ANS: usize = 6;
+    pub const OK_NS: usize = 7;
+    pub const OK_ADD: usize = 8;
+    pub const OK_NIL: usize = 9;
+    pub const OK6: usize = 10;
+    pub const OK6NIL: usize = 11;
+    pub const OK_SEC: usize = 12;
+    pub const QDOTS_SUM: usize = 13;
+    pub const LVL_SUM: usize = 14;
+    pub const NSLVL_SUM: usize = 15;
+    pub const ANSWERED: usize = 16;
+    /// The max follows the counters.
+    pub const QDOTS_MAX: usize = super::STATE_ADDS;
+}
+
+/// Indices of the HyperLogLogs, in state order.
+mod hll {
+    pub const SRVIPS: usize = 0;
+    pub const SRCIPS: usize = 1;
+    pub const QNAMESA: usize = 2;
+    pub const QNAMES: usize = 3;
+    pub const TLDS: usize = 4;
+    pub const ESLDS: usize = 5;
+    pub const QTYPES: usize = 6;
+    pub const IP4S: usize = 7;
+    pub const IP6S: usize = 8;
+}
+
+/// Indices of the top-value tables, in state order.
+mod top {
+    pub const TTL: usize = 0;
+    pub const TTL_A: usize = 1;
+    pub const NSTTL: usize = 2;
+    pub const NEGTTL: usize = 3;
+    pub const A_DATA: usize = 4;
+    pub const NS_NAMES: usize = 5;
+}
+
+/// Indices of the histograms, in state order.
+mod hist {
+    pub const DELAYS: usize = 0;
+    pub const HOPS: usize = 1;
+    pub const SIZES: usize = 2;
+}
+
+/// Widest top-value table [`FeatureSet::from_state`] builds: a table's
+/// words are allocated for its capacity, which a state declares.
+const MAX_TOP_SLOTS: u64 = 4_096;
+
+/// Where each sketch of a [`FeatureSet`] lives in its two blocks. The
+/// word block holds the counters, the max, the top-value tables (each
+/// `[observed, len, value, count, …]`, [`TopValues`]' table) and the
+/// histograms (each `[total, sum, min, max, counts…]`,
+/// [`LogHistogram`]'s block), in that order; the register block holds
+/// the HyperLogLogs one after another. One layout is shared by every set
+/// built alike.
+#[derive(Debug, PartialEq)]
+struct Layout {
+    /// HLL `i` is `registers[hll_at[i]..hll_at[i + 1]]`.
+    hll_at: [usize; STATE_HLLS + 1],
+    /// Table `i` is `words[top_at[i]..top_at[i + 1]]`.
+    top_at: [usize; STATE_TOPS + 1],
+    /// Histogram `i` is `words[hist_at[i]..hist_at[i + 1]]`; the last
+    /// offset is the block's length.
+    hist_at: [usize; STATE_HISTS + 1],
+    /// Bucket layout of each histogram.
+    buckets: [LogBuckets; STATE_HISTS],
+}
+
+impl Layout {
+    fn new(
+        precisions: [u8; STATE_HLLS],
+        capacities: [usize; STATE_TOPS],
+        buckets: [LogBuckets; STATE_HISTS],
+    ) -> Layout {
+        let mut hll_at = [0; STATE_HLLS + 1];
+        for (i, p) in precisions.into_iter().enumerate() {
+            assert!((4..=16).contains(&p), "precision must be in 4..=16");
+            hll_at[i + 1] = hll_at[i] + (1 << p);
+        }
+        let mut top_at = [STATE_ADDS + STATE_MAXES; STATE_TOPS + 1];
+        for (i, cap) in capacities.into_iter().enumerate() {
+            assert!(cap > 0, "top-value capacity must be positive");
+            top_at[i + 1] = top_at[i] + TopValues::table_words(cap);
+        }
+        let mut hist_at = [top_at[STATE_TOPS]; STATE_HISTS + 1];
+        for (i, b) in buckets.iter().enumerate() {
+            hist_at[i + 1] = hist_at[i] + LogHistogram::block_words(b);
+        }
+        Layout {
+            hll_at,
+            top_at,
+            hist_at,
+            buckets,
+        }
+    }
+
+    /// This layout, shared: each thread keeps the layout it last built a
+    /// set with, and a set laid out alike takes that one.
+    fn shared(self) -> Arc<Layout> {
+        thread_local! {
+            static LAST: RefCell<Option<Arc<Layout>>> = const { RefCell::new(None) };
+        }
+        LAST.with(|last| {
+            let mut last = last.borrow_mut();
+            match &*last {
+                Some(layout) if **layout == self => layout.clone(),
+                _ => last.insert(Arc::new(self)).clone(),
+            }
+        })
+    }
+}
+
+/// Live sketch state for one tracked object: one block of words and one
+/// of HyperLogLog registers, laid out by a shared [`Layout`] in the
+/// state layout's order, so a fold writes at offsets, a reset fills two
+/// blocks and an export copies slices.
 #[derive(Debug, Clone)]
 pub struct FeatureSet {
-    // --- counters ---------------------------------------------------------
-    hits: u64,
-    unans: u64,
-    ok: u64,
-    nxd: u64,
-    rfs: u64,
-    fail: u64,
-    ok_ans: u64,
-    ok_ns: u64,
-    ok_add: u64,
-    ok_nil: u64,
-    ok6: u64,
-    ok6nil: u64,
-    ok_sec: u64,
-    // --- averages ----------------------------------------------------------
-    qdots_sum: u64,
-    lvl_sum: u64,
-    nslvl_sum: u64,
-    answered: u64,
-    // --- cardinalities ------------------------------------------------------
-    srvips: HyperLogLog,
-    srcips: HyperLogLog,
-    qnamesa: HyperLogLog,
-    qnames: HyperLogLog,
-    tlds: HyperLogLog,
-    eslds: HyperLogLog,
-    qtypes: HyperLogLog,
-    ip4s: HyperLogLog,
-    ip6s: HyperLogLog,
+    layout: Arc<Layout>,
+    /// Counters, the max, the top-value tables and the histograms.
+    words: Box<[u64]>,
+    /// The HyperLogLog registers.
+    registers: Box<[u8]>,
     /// Exact contributor set (small by construction), sorted ascending.
     /// A `Vec`, so a reset keeps its storage.
     sources: Vec<u16>,
-    // --- distributions ------------------------------------------------------
-    ttl: TopValues,
-    ttl_a: TopValues,
-    nsttl: TopValues,
-    negttl: TopValues,
-    a_data: TopValues,
-    ns_names: TopValues,
-    resp_delays: LogHistogram,
-    network_hops: LogHistogram,
-    resp_size: LogHistogram,
-    // --- meta ----------------------------------------------------------------
-    qdots_max: u8,
 }
 
 impl FeatureSet {
     /// Fresh, empty feature state.
     pub fn new(cfg: FeatureConfig) -> FeatureSet {
-        let hll = || HyperLogLog::new(cfg.hll_precision);
+        let layout = Layout::new(
+            [cfg.hll_precision; STATE_HLLS],
+            [cfg.ttl_slots; STATE_TOPS],
+            *hist_layouts(),
+        );
+        FeatureSet::with_layout(layout.shared())
+    }
+
+    fn with_layout(layout: Arc<Layout>) -> FeatureSet {
         FeatureSet {
-            hits: 0,
-            unans: 0,
-            ok: 0,
-            nxd: 0,
-            rfs: 0,
-            fail: 0,
-            ok_ans: 0,
-            ok_ns: 0,
-            ok_add: 0,
-            ok_nil: 0,
-            ok6: 0,
-            ok6nil: 0,
-            ok_sec: 0,
-            qdots_sum: 0,
-            lvl_sum: 0,
-            nslvl_sum: 0,
-            answered: 0,
-            srvips: hll(),
-            srcips: hll(),
-            qnamesa: hll(),
-            qnames: hll(),
-            tlds: hll(),
-            eslds: hll(),
-            qtypes: hll(),
-            ip4s: hll(),
-            ip6s: hll(),
+            words: vec![0; layout.hist_at[STATE_HISTS]].into_boxed_slice(),
+            registers: vec![0; layout.hll_at[STATE_HLLS]].into_boxed_slice(),
             sources: Vec::new(),
-            ttl: TopValues::new(cfg.ttl_slots),
-            ttl_a: TopValues::new(cfg.ttl_slots),
-            nsttl: TopValues::new(cfg.ttl_slots),
-            negttl: TopValues::new(cfg.ttl_slots),
-            a_data: TopValues::new(cfg.ttl_slots),
-            ns_names: TopValues::new(cfg.ttl_slots),
-            resp_delays: LogHistogram::with_buckets(hist_layouts()[0]),
-            network_hops: LogHistogram::with_buckets(hist_layouts()[1]),
-            resp_size: LogHistogram::with_buckets(hist_layouts()[2]),
-            qdots_max: 0,
+            layout,
         }
+    }
+
+    fn hll(&self, i: usize) -> &[u8] {
+        &self.registers[self.layout.hll_at[i]..self.layout.hll_at[i + 1]]
+    }
+
+    fn hll_mut(&mut self, i: usize) -> &mut [u8] {
+        &mut self.registers[self.layout.hll_at[i]..self.layout.hll_at[i + 1]]
+    }
+
+    fn top(&self, i: usize) -> &[u64] {
+        &self.words[self.layout.top_at[i]..self.layout.top_at[i + 1]]
+    }
+
+    fn top_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.words[self.layout.top_at[i]..self.layout.top_at[i + 1]]
+    }
+
+    fn hist(&self, i: usize) -> &[u64] {
+        &self.words[self.layout.hist_at[i]..self.layout.hist_at[i + 1]]
+    }
+
+    fn hist_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.words[self.layout.hist_at[i]..self.layout.hist_at[i + 1]]
+    }
+
+    fn insert(&mut self, i: usize, hash: u64) {
+        HyperLogLog::insert_hash_into(self.hll_mut(i), hash);
+    }
+
+    fn record(&mut self, i: usize, value: u64) {
+        TopValues::record_into(self.top_mut(i), value, 1);
     }
 
     /// Fold one summary into the state: the one-object form of
@@ -237,95 +334,86 @@ impl FeatureSet {
 
     /// Fold one summary into the state, `d` being its digest.
     pub fn fold_digest(&mut self, s: &TxSummary, d: &FoldDigest) {
-        debug_assert_eq!(self.resp_delays.buckets(), hist_layouts()[0]);
-        self.hits += 1;
+        debug_assert_eq!(&self.layout.buckets, hist_layouts());
+        let ok = s.outcome == Outcome::NoError;
+        let w = &mut self.words;
+        w[add::HITS] += 1;
         match s.outcome {
-            Outcome::Unanswered => self.unans += 1,
-            Outcome::NoError => self.ok += 1,
-            Outcome::NxDomain => self.nxd += 1,
-            Outcome::Refused => self.rfs += 1,
-            Outcome::ServFail => self.fail += 1,
+            Outcome::Unanswered => w[add::UNANS] += 1,
+            Outcome::NoError => w[add::OK] += 1,
+            Outcome::NxDomain => w[add::NXD] += 1,
+            Outcome::Refused => w[add::RFS] += 1,
+            Outcome::ServFail => w[add::FAIL] += 1,
             Outcome::OtherError => {}
         }
-        if s.outcome == Outcome::NoError {
-            if s.ok_ans {
-                self.ok_ans += 1;
-            }
-            if s.ok_ns {
-                self.ok_ns += 1;
-            }
-            if s.ok_add {
-                self.ok_add += 1;
-            }
-            if s.is_nodata() {
-                self.ok_nil += 1;
-            }
-            if s.qtype == dnswire::RecordType::Aaaa {
-                self.ok6 += 1;
-                if s.is_nodata() {
-                    self.ok6nil += 1;
-                }
-            }
-            if s.dnssec_ok {
-                self.ok_sec += 1;
-            }
-            self.qnames.insert_hash(d.qname);
+        if ok {
+            let aaaa = s.qtype == dnswire::RecordType::Aaaa;
+            w[add::OK_ANS] += s.ok_ans as u64;
+            w[add::OK_NS] += s.ok_ns as u64;
+            w[add::OK_ADD] += s.ok_add as u64;
+            w[add::OK_NIL] += s.is_nodata() as u64;
+            w[add::OK6] += aaaa as u64;
+            w[add::OK6NIL] += (aaaa && s.is_nodata()) as u64;
+            w[add::OK_SEC] += s.dnssec_ok as u64;
+            self.insert(hll::QNAMES, d.qname);
             if let Some(tld) = d.tld {
-                self.tlds.insert_hash(tld);
+                self.insert(hll::TLDS, tld);
             }
             if let Some(esld) = d.esld {
-                self.eslds.insert_hash(esld);
+                self.insert(hll::ESLDS, esld);
             }
             for &a in &d.ip4s {
-                self.ip4s.insert_hash(a);
+                self.insert(hll::IP4S, a);
             }
             for &a in &d.ip6s {
-                self.ip6s.insert_hash(a);
+                self.insert(hll::IP6S, a);
             }
         }
         if s.outcome != Outcome::Unanswered {
-            self.answered += 1;
-            self.lvl_sum += s.answer_count as u64;
-            self.nslvl_sum += s.authority_ns_count as u64;
+            let w = &mut self.words;
+            w[add::ANSWERED] += 1;
+            w[add::LVL_SUM] += s.answer_count as u64;
+            w[add::NSLVL_SUM] += s.authority_ns_count as u64;
             if let (Some(at), Some(delay)) = (d.delay, s.delay_ms) {
-                self.resp_delays.record_at(at, delay);
+                LogHistogram::record_into(self.hist_mut(hist::DELAYS), at, delay);
             }
             if let (Some(at), Some(hops)) = (d.hops, s.hops) {
-                self.network_hops.record_at(at, hops as f64);
+                LogHistogram::record_into(self.hist_mut(hist::HOPS), at, hops as f64);
             }
             if let (Some(at), Some(size)) = (d.size, s.resp_size) {
-                self.resp_size.record_at(at, size as f64);
+                LogHistogram::record_into(self.hist_mut(hist::SIZES), at, size as f64);
             }
             if let Some(ttl) = s.answer_ttl {
-                self.ttl.record(ttl as u64);
+                self.record(top::TTL, ttl as u64);
                 if s.qtype == dnswire::RecordType::A {
-                    self.ttl_a.record(ttl as u64);
+                    self.record(top::TTL_A, ttl as u64);
                 }
                 if s.qtype == dnswire::RecordType::Ns {
-                    self.nsttl.record(ttl as u64);
+                    self.record(top::NSTTL, ttl as u64);
                 }
             }
             if let Some(ttl) = s.ns_ttl {
-                self.nsttl.record(ttl as u64);
+                self.record(top::NSTTL, ttl as u64);
             }
             if let Some(m) = s.soa_minimum {
                 if s.is_nodata() || s.outcome == Outcome::NxDomain {
-                    self.negttl.record(m as u64);
+                    self.record(top::NEGTTL, m as u64);
                 }
             }
             for &h in &s.answer_data_hashes {
-                self.a_data.record(h);
+                self.record(top::A_DATA, h);
             }
             for &h in &s.ns_name_hashes {
-                self.ns_names.record(h);
+                self.record(top::NS_NAMES, h);
             }
         }
-        self.qdots_sum += s.qdots as u64;
-        self.qdots_max = self.qdots_max.max(s.qdots);
-        self.qnamesa.insert_hash(d.qname);
-        self.qtypes.insert_hash(d.qtype);
-        self.srvips.insert_hash(d.nameserver);
-        self.srcips.insert_hash(d.resolver);
+        let w = &mut self.words;
+        w[add::QDOTS_SUM] += s.qdots as u64;
+        w[add::QDOTS_MAX] = w[add::QDOTS_MAX].max(s.qdots as u64);
+        self.insert(hll::QNAMESA, d.qname);
+        self.insert(hll::QTYPES, d.qtype);
+        self.insert(hll::SRVIPS, d.nameserver);
+        self.insert(hll::SRCIPS, d.resolver);
         if let Err(at) = self.sources.binary_search(&s.contributor) {
             if (self.sources.len() as u64) < STATE_SOURCE_CAP {
                 self.sources.insert(at, s.contributor);
@@ -335,189 +423,130 @@ impl FeatureSet {
 
     /// Render the current state as plain numbers.
     pub fn row(&self) -> FeatureRow {
-        let avg = |sum: u64, n: u64| if n == 0 { 0.0 } else { sum as f64 / n as f64 };
-        let quart = |h: &LogHistogram| {
-            h.quartiles()
+        let w = &self.words;
+        let avg = |sum: usize, n: usize| {
+            if w[n] == 0 {
+                0.0
+            } else {
+                w[sum] as f64 / w[n] as f64
+            }
+        };
+        let est = |i: usize| HyperLogLog::estimate_of(self.hll(i));
+        let tv = |i: usize| TopValues::top_n_with_share_of(self.top(i), 3);
+        let quart = |i: usize| {
+            LogHistogram::quartiles_of(self.hist(i), &self.layout.buckets[i])
                 .map(|(a, b, c)| [a, b, c])
                 .unwrap_or([f64::NAN; 3])
         };
-        let tv = |t: &TopValues| t.top_n_with_share(3).into_iter().collect();
         FeatureRow {
-            hits: self.hits,
-            unans: self.unans,
-            ok: self.ok,
-            nxd: self.nxd,
-            rfs: self.rfs,
-            fail: self.fail,
-            ok_ans: self.ok_ans,
-            ok_ns: self.ok_ns,
-            ok_add: self.ok_add,
-            ok_nil: self.ok_nil,
-            ok6: self.ok6,
-            ok6nil: self.ok6nil,
-            ok_sec: self.ok_sec,
-            srvips: self.srvips.estimate(),
-            srcips: self.srcips.estimate(),
+            hits: w[add::HITS],
+            unans: w[add::UNANS],
+            ok: w[add::OK],
+            nxd: w[add::NXD],
+            rfs: w[add::RFS],
+            fail: w[add::FAIL],
+            ok_ans: w[add::OK_ANS],
+            ok_ns: w[add::OK_NS],
+            ok_add: w[add::OK_ADD],
+            ok_nil: w[add::OK_NIL],
+            ok6: w[add::OK6],
+            ok6nil: w[add::OK6NIL],
+            ok_sec: w[add::OK_SEC],
+            srvips: est(hll::SRVIPS),
+            srcips: est(hll::SRCIPS),
             sources: self.sources.len() as f64,
-            qnamesa: self.qnamesa.estimate(),
-            qnames: self.qnames.estimate(),
-            tlds: self.tlds.estimate(),
-            eslds: self.eslds.estimate(),
-            qtypes: self.qtypes.estimate(),
-            ip4s: self.ip4s.estimate(),
-            ip6s: self.ip6s.estimate(),
-            qdots: avg(self.qdots_sum, self.hits),
-            qdots_max: self.qdots_max,
-            lvl: avg(self.lvl_sum, self.answered),
-            nslvl: avg(self.nslvl_sum, self.answered),
-            ttl_top: tv(&self.ttl),
-            ttl_a_top: tv(&self.ttl_a),
-            nsttl_top: tv(&self.nsttl),
-            negttl_top: tv(&self.negttl),
-            a_data_top: tv(&self.a_data),
-            ns_names_top: tv(&self.ns_names),
-            resp_delays: quart(&self.resp_delays),
-            network_hops: quart(&self.network_hops),
-            resp_size: quart(&self.resp_size),
+            qnamesa: est(hll::QNAMESA),
+            qnames: est(hll::QNAMES),
+            tlds: est(hll::TLDS),
+            eslds: est(hll::ESLDS),
+            qtypes: est(hll::QTYPES),
+            ip4s: est(hll::IP4S),
+            ip6s: est(hll::IP6S),
+            qdots: avg(add::QDOTS_SUM, add::HITS),
+            qdots_max: w[add::QDOTS_MAX] as u8,
+            lvl: avg(add::LVL_SUM, add::ANSWERED),
+            nslvl: avg(add::NSLVL_SUM, add::ANSWERED),
+            ttl_top: tv(top::TTL),
+            ttl_a_top: tv(top::TTL_A),
+            nsttl_top: tv(top::NSTTL),
+            negttl_top: tv(top::NEGTTL),
+            a_data_top: tv(top::A_DATA),
+            ns_names_top: tv(top::NS_NAMES),
+            resp_delays: quart(hist::DELAYS),
+            network_hops: quart(hist::HOPS),
+            resp_size: quart(hist::SIZES),
         }
     }
 
     /// Reset all statistics for the next window (the object itself stays
-    /// in the top-k cache — paper §2.4). Clears in place: every sketch
-    /// keeps its storage, so neither a window dump nor an eviction (which
-    /// recycles the victim's state through here) touches the allocator.
+    /// in the top-k cache — paper §2.4). Clears in place: one fill per
+    /// block, every sketch's empty form being all zeros, so neither a
+    /// window dump nor an eviction (which recycles the victim's state
+    /// through here) touches the allocator.
     pub fn reset(&mut self) {
-        let FeatureSet {
-            hits,
-            unans,
-            ok,
-            nxd,
-            rfs,
-            fail,
-            ok_ans,
-            ok_ns,
-            ok_add,
-            ok_nil,
-            ok6,
-            ok6nil,
-            ok_sec,
-            qdots_sum,
-            lvl_sum,
-            nslvl_sum,
-            answered,
-            srvips,
-            srcips,
-            qnamesa,
-            qnames,
-            tlds,
-            eslds,
-            qtypes,
-            ip4s,
-            ip6s,
-            sources,
-            ttl,
-            ttl_a,
-            nsttl,
-            negttl,
-            a_data,
-            ns_names,
-            resp_delays,
-            network_hops,
-            resp_size,
-            qdots_max,
-        } = self;
-        for counter in [
-            hits, unans, ok, nxd, rfs, fail, ok_ans, ok_ns, ok_add, ok_nil, ok6, ok6nil, ok_sec,
-            qdots_sum, lvl_sum, nslvl_sum, answered,
-        ] {
-            *counter = 0;
-        }
-        for hll in [
-            srvips, srcips, qnamesa, qnames, tlds, eslds, qtypes, ip4s, ip6s,
-        ] {
-            hll.clear();
-        }
-        sources.clear();
-        for top in [ttl, ttl_a, nsttl, negttl, a_data, ns_names] {
-            top.clear();
-        }
-        for hist in [resp_delays, network_hops, resp_size] {
-            hist.clear();
-        }
-        *qdots_max = 0;
+        self.words.fill(0);
+        self.registers.fill(0);
+        self.sources.clear();
     }
 
     /// Total transactions folded so far.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.words[add::HITS]
     }
 
     /// Export the live sketch state as a wire-ready [`FeatureState`],
     /// following the positional layout contract (`STATE_*` constants).
     pub fn to_state(&self) -> sketchwire::FeatureState {
         use sketchwire::{FeatureState, HistogramState, HllState, TopValuesState};
+        let hll = |i: usize| {
+            let registers = self.hll(i);
+            HllState {
+                p: registers.len().trailing_zeros() as u8,
+                registers: registers.to_vec(),
+            }
+        };
+        let top = |i: usize| {
+            let table = self.top(i);
+            TopValuesState {
+                capacity: TopValues::capacity_of(table) as u64,
+                observed: table[0],
+                slots: TopValues::slots_of(table).collect(),
+            }
+        };
+        let hist = |i: usize| {
+            let (buckets, block) = (&self.layout.buckets[i], self.hist(i));
+            let (observed_min, observed_max) =
+                LogHistogram::observed_of(block).unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
+            HistogramState {
+                min: buckets.min(),
+                base: buckets.base(),
+                counts: LogHistogram::counts_of(block).to_vec(),
+                observed_min,
+                observed_max,
+            }
+        };
         FeatureState {
-            adds: vec![
-                self.hits,
-                self.unans,
-                self.ok,
-                self.nxd,
-                self.rfs,
-                self.fail,
-                self.ok_ans,
-                self.ok_ns,
-                self.ok_add,
-                self.ok_nil,
-                self.ok6,
-                self.ok6nil,
-                self.ok_sec,
-                self.qdots_sum,
-                self.lvl_sum,
-                self.nslvl_sum,
-                self.answered,
-            ],
-            maxes: vec![self.qdots_max as u64],
-            hlls: [
-                &self.srvips,
-                &self.srcips,
-                &self.qnamesa,
-                &self.qnames,
-                &self.tlds,
-                &self.eslds,
-                &self.qtypes,
-                &self.ip4s,
-                &self.ip6s,
-            ]
-            .into_iter()
-            .map(HllState::from_sketch)
-            .collect(),
+            adds: self.words[..STATE_ADDS].to_vec(),
+            maxes: self.words[STATE_ADDS..STATE_ADDS + STATE_MAXES].to_vec(),
+            hlls: (0..STATE_HLLS).map(hll).collect(),
             source_cap: STATE_SOURCE_CAP,
             sources: self.sources.clone(),
-            tops: [
-                &self.ttl,
-                &self.ttl_a,
-                &self.nsttl,
-                &self.negttl,
-                &self.a_data,
-                &self.ns_names,
-            ]
-            .into_iter()
-            .map(TopValuesState::from_sketch)
-            .collect(),
-            hists: [&self.resp_delays, &self.network_hops, &self.resp_size]
-                .into_iter()
-                .map(HistogramState::from_sketch)
-                .collect(),
+            tops: (0..STATE_TOPS).map(top).collect(),
+            hists: (0..STATE_HISTS).map(hist).collect(),
         }
     }
 
-    /// Rebuild live sketch state from a (possibly merged) wire state.
+    /// Rebuild live sketch state from a (possibly merged) wire state,
+    /// laid out as the state is: each HLL's precision, each table's
+    /// capacity and each histogram's buckets come from it.
     ///
     /// Merged states may exceed nominal capacities — top-value tables
     /// keep their most frequent entries (ties to the smaller value,
     /// matching [`TopValues::ranked`]) and contributor sets their first
-    /// `source_cap` ids. A state whose shape does not match the layout
-    /// contract is a [`StateError::LayoutMismatch`].
+    /// `source_cap` ids; a table within its capacity keeps its slot
+    /// order. A state whose shape does not match the layout contract, or
+    /// that declares a table wider than 4 096 slots, is a
+    /// [`StateError::LayoutMismatch`].
     pub fn from_state(state: &sketchwire::FeatureState) -> Result<FeatureSet, StateError> {
         if state.adds.len() != STATE_ADDS {
             return Err(StateError::LayoutMismatch("counter count"));
@@ -531,10 +560,21 @@ impl FeatureSet {
         if state.hlls.iter().any(|h| !(4..=16).contains(&h.p)) {
             return Err(StateError::LayoutMismatch("hll precision"));
         }
+        if state
+            .hlls
+            .iter()
+            .any(|h| h.registers.len() != 1 << h.p || h.registers.iter().any(|&r| r > 65 - h.p))
+        {
+            return Err(StateError::LayoutMismatch("hll registers"));
+        }
         if state.tops.len() != STATE_TOPS {
             return Err(StateError::LayoutMismatch("topvalues count"));
         }
-        if state.tops.iter().any(|t| t.capacity == 0) {
+        if state
+            .tops
+            .iter()
+            .any(|t| !(1..=MAX_TOP_SLOTS).contains(&t.capacity))
+        {
             return Err(StateError::LayoutMismatch("topvalues capacity"));
         }
         if state.hists.len() != STATE_HISTS {
@@ -546,66 +586,44 @@ impl FeatureSet {
         }) {
             return Err(StateError::LayoutMismatch("histogram layout"));
         }
-        let a = &state.adds;
-        let hll = |i: usize| state.hlls[i].to_sketch();
-        let top = |i: usize| {
-            let t = &state.tops[i];
+        let layout = Layout::new(
+            std::array::from_fn(|i| state.hlls[i].p),
+            std::array::from_fn(|i| state.tops[i].capacity as usize),
+            std::array::from_fn(|i| {
+                let h = &state.hists[i];
+                LogBuckets::from_parts(h.min, h.base, h.counts.len())
+            }),
+        );
+        let mut fs = FeatureSet::with_layout(layout.shared());
+        fs.words[..STATE_ADDS].copy_from_slice(&state.adds);
+        fs.words[add::QDOTS_MAX] = state.maxes[0].min(u8::MAX as u64);
+        for (i, h) in state.hlls.iter().enumerate() {
+            fs.hll_mut(i).copy_from_slice(&h.registers);
+        }
+        for (i, t) in state.tops.iter().enumerate() {
             let cap = t.capacity as usize;
-            let mut slots = t.slots.clone();
-            slots.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
-            slots.truncate(cap);
-            TopValues::from_parts(cap, t.observed, slots)
-        };
-        let hist = |i: usize| state.hists[i].to_sketch();
-        Ok(FeatureSet {
-            hits: a[0],
-            unans: a[1],
-            ok: a[2],
-            nxd: a[3],
-            rfs: a[4],
-            fail: a[5],
-            ok_ans: a[6],
-            ok_ns: a[7],
-            ok_add: a[8],
-            ok_nil: a[9],
-            ok6: a[10],
-            ok6nil: a[11],
-            ok_sec: a[12],
-            qdots_sum: a[13],
-            lvl_sum: a[14],
-            nslvl_sum: a[15],
-            answered: a[16],
-            srvips: hll(0),
-            srcips: hll(1),
-            qnamesa: hll(2),
-            qnames: hll(3),
-            tlds: hll(4),
-            eslds: hll(5),
-            qtypes: hll(6),
-            ip4s: hll(7),
-            ip6s: hll(8),
-            sources: {
-                let mut ids: Vec<u16> = state
-                    .sources
-                    .iter()
-                    .take(state.source_cap as usize)
-                    .copied()
-                    .collect();
-                ids.sort_unstable();
-                ids.dedup();
-                ids
-            },
-            ttl: top(0),
-            ttl_a: top(1),
-            nsttl: top(2),
-            negttl: top(3),
-            a_data: top(4),
-            ns_names: top(5),
-            resp_delays: hist(0),
-            network_hops: hist(1),
-            resp_size: hist(2),
-            qdots_max: state.maxes[0].min(u8::MAX as u64) as u8,
-        })
+            if t.slots.len() <= cap {
+                TopValues::fill_table(fs.top_mut(i), t.observed, &t.slots);
+            } else {
+                let mut slots = t.slots.clone();
+                TopValues::rank(&mut slots);
+                TopValues::fill_table(fs.top_mut(i), t.observed, &slots[..cap]);
+            }
+        }
+        for (i, h) in state.hists.iter().enumerate() {
+            let buckets = fs.layout.buckets[i];
+            let block = fs.hist_mut(i);
+            LogHistogram::fill_block(block, &buckets, &h.counts, h.observed_min, h.observed_max);
+        }
+        fs.sources = state
+            .sources
+            .iter()
+            .take(state.source_cap as usize)
+            .copied()
+            .collect();
+        fs.sources.sort_unstable();
+        fs.sources.dedup();
+        Ok(fs)
     }
 }
 
@@ -822,73 +840,97 @@ mod tests {
             std::net::IpAddr::V4(v4) => v4.octets().to_vec(),
             std::net::IpAddr::V6(v6) => v6.octets().to_vec(),
         };
+        let insert = |fs: &mut FeatureSet, i: usize, item: &[u8]| {
+            HyperLogLog::insert_hash_into(fs.hll_mut(i), HyperLogLog::hash(item));
+        };
+        let record = |fs: &mut FeatureSet, i: usize, value: f64| {
+            if value.is_nan() {
+                return;
+            }
+            let at = fs.layout.buckets[i].index_of(value);
+            LogHistogram::record_into(fs.hist_mut(i), at, value);
+        };
         let nodata = s.is_nodata();
-        fs.hits += 1;
+        fs.words[add::HITS] += 1;
         match s.outcome {
-            Outcome::Unanswered => fs.unans += 1,
-            Outcome::NoError => fs.ok += 1,
-            Outcome::NxDomain => fs.nxd += 1,
-            Outcome::Refused => fs.rfs += 1,
-            Outcome::ServFail => fs.fail += 1,
+            Outcome::Unanswered => fs.words[add::UNANS] += 1,
+            Outcome::NoError => fs.words[add::OK] += 1,
+            Outcome::NxDomain => fs.words[add::NXD] += 1,
+            Outcome::Refused => fs.words[add::RFS] += 1,
+            Outcome::ServFail => fs.words[add::FAIL] += 1,
             Outcome::OtherError => {}
         }
         if s.outcome == Outcome::NoError {
-            fs.ok_ans += s.ok_ans as u64;
-            fs.ok_ns += s.ok_ns as u64;
-            fs.ok_add += s.ok_add as u64;
-            fs.ok_nil += nodata as u64;
-            fs.ok6 += (s.qtype == RecordType::Aaaa) as u64;
-            fs.ok6nil += (s.qtype == RecordType::Aaaa && nodata) as u64;
-            fs.ok_sec += s.dnssec_ok as u64;
-            fs.qnames.insert(s.qname.as_wire());
+            for (flag, at) in [
+                (s.ok_ans, add::OK_ANS),
+                (s.ok_ns, add::OK_NS),
+                (s.ok_add, add::OK_ADD),
+                (nodata, add::OK_NIL),
+                (s.qtype == RecordType::Aaaa, add::OK6),
+                (s.qtype == RecordType::Aaaa && nodata, add::OK6NIL),
+                (s.dnssec_ok, add::OK_SEC),
+            ] {
+                if flag {
+                    fs.words[at] += 1;
+                }
+            }
+            insert(fs, hll::QNAMES, s.qname.as_wire());
             if let Some(tld) = &s.tld {
-                fs.tlds.insert(tld.as_bytes());
+                insert(fs, hll::TLDS, tld.as_bytes());
             }
             if let Some(esld) = &s.esld {
-                fs.eslds.insert(esld.as_bytes());
+                insert(fs, hll::ESLDS, esld.as_bytes());
             }
-            s.ip4s.iter().for_each(|a| fs.ip4s.insert(&a.octets()));
-            s.ip6s.iter().for_each(|a| fs.ip6s.insert(&a.octets()));
+            s.ip4s
+                .iter()
+                .for_each(|a| insert(fs, hll::IP4S, &a.octets()));
+            s.ip6s
+                .iter()
+                .for_each(|a| insert(fs, hll::IP6S, &a.octets()));
         }
         if s.outcome != Outcome::Unanswered {
-            fs.answered += 1;
-            fs.lvl_sum += s.answer_count as u64;
-            fs.nslvl_sum += s.authority_ns_count as u64;
+            fs.words[add::ANSWERED] += 1;
+            fs.words[add::LVL_SUM] += s.answer_count as u64;
+            fs.words[add::NSLVL_SUM] += s.authority_ns_count as u64;
             s.delay_ms
                 .into_iter()
-                .for_each(|d| fs.resp_delays.record(d));
+                .for_each(|d| record(fs, hist::DELAYS, d));
             s.hops
                 .into_iter()
-                .for_each(|h| fs.network_hops.record(h as f64));
+                .for_each(|h| record(fs, hist::HOPS, h as f64));
             s.resp_size
                 .into_iter()
-                .for_each(|b| fs.resp_size.record(b as f64));
+                .for_each(|b| record(fs, hist::SIZES, b as f64));
             if let Some(ttl) = s.answer_ttl {
-                fs.ttl.record(ttl as u64);
+                fs.record(top::TTL, ttl as u64);
                 if s.qtype == RecordType::A {
-                    fs.ttl_a.record(ttl as u64);
+                    fs.record(top::TTL_A, ttl as u64);
                 }
                 if s.qtype == RecordType::Ns {
-                    fs.nsttl.record(ttl as u64);
+                    fs.record(top::NSTTL, ttl as u64);
                 }
             }
-            s.ns_ttl.into_iter().for_each(|t| fs.nsttl.record(t as u64));
+            s.ns_ttl
+                .into_iter()
+                .for_each(|t| fs.record(top::NSTTL, t as u64));
             if let Some(m) = s.soa_minimum {
                 if nodata || s.outcome == Outcome::NxDomain {
-                    fs.negttl.record(m as u64);
+                    fs.record(top::NEGTTL, m as u64);
                 }
             }
             s.answer_data_hashes
                 .iter()
-                .for_each(|&h| fs.a_data.record(h));
-            s.ns_name_hashes.iter().for_each(|&h| fs.ns_names.record(h));
+                .for_each(|&h| fs.record(top::A_DATA, h));
+            s.ns_name_hashes
+                .iter()
+                .for_each(|&h| fs.record(top::NS_NAMES, h));
         }
-        fs.qdots_sum += s.qdots as u64;
-        fs.qdots_max = fs.qdots_max.max(s.qdots);
-        fs.qnamesa.insert(s.qname.as_wire());
-        fs.qtypes.insert(&s.qtype.code().to_be_bytes());
-        fs.srvips.insert(&ip(s.nameserver));
-        fs.srcips.insert(&ip(s.resolver));
+        fs.words[add::QDOTS_SUM] += s.qdots as u64;
+        fs.words[add::QDOTS_MAX] = fs.words[add::QDOTS_MAX].max(s.qdots as u64);
+        insert(fs, hll::QNAMESA, s.qname.as_wire());
+        insert(fs, hll::QTYPES, &s.qtype.code().to_be_bytes());
+        insert(fs, hll::SRVIPS, &ip(s.nameserver));
+        insert(fs, hll::SRCIPS, &ip(s.resolver));
         if !fs.sources.contains(&s.contributor) && (fs.sources.len() as u64) < STATE_SOURCE_CAP {
             fs.sources.push(s.contributor);
             fs.sources.sort_unstable();

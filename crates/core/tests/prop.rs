@@ -476,10 +476,16 @@ fn merged_state_rendering_is_pinned() {
     use dns_observatory::synth::{SynthConfig, SynthStream};
     let merged = merged_fixture();
     let over = |e: &sketchwire::TopKEntry| {
-        e.features.tops.iter().any(|t| t.slots.len() as u64 > t.capacity)
+        e.features
+            .tops
+            .iter()
+            .any(|t| t.slots.len() as u64 > t.capacity)
             && e.features.sources.len() > 1
     };
-    assert!(merged.entries.iter().any(over), "premise: tables past capacity");
+    assert!(
+        merged.entries.iter().any(over),
+        "premise: tables past capacity"
+    );
     let mut rendered = format!("{:?}", render_state(&merged, 1e9, 60.0).unwrap().rows);
     let mut synth = SynthStream::new(SynthConfig {
         windows: 3,
@@ -493,5 +499,8 @@ fn merged_state_rendering_is_pinned() {
         }
     }
     let digest = sketches::hash::xxh64(rendered.as_bytes(), 0);
-    assert_eq!(digest, 14_283_648_593_139_989_713, "rendered rows moved: {rendered}");
+    assert_eq!(
+        digest, 14_283_648_593_139_989_713,
+        "rendered rows moved: {rendered}"
+    );
 }

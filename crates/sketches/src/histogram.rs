@@ -109,16 +109,21 @@ impl LogBuckets {
 ///
 /// The bucket layout is a [`LogBuckets`]; the per-bucket representative
 /// value used for quantiles is the geometric midpoint of the bucket.
+///
+/// The counts live in one block of words, `[total, sum, min, max,
+/// count₀, count₁, …]` (`sum`, `min` and `max` as `f64` bits; all-zero
+/// words are the empty histogram, whose `min` and `max` are not read) —
+/// the form the slice kernels ([`LogHistogram::record_into`],
+/// [`LogHistogram::quartiles_of`]) work on, so a caller that keeps many
+/// histograms in one block of words shares this implementation.
 #[derive(Debug, Clone)]
 pub struct LogHistogram {
     buckets: LogBuckets,
-    counts: Vec<u64>,
-    total: u64,
-    /// Exact running sum, for means.
-    sum: f64,
-    observed_min: f64,
-    observed_max: f64,
+    block: Vec<u64>,
 }
+
+/// Words of a block's header: total, sum, min, max.
+const HEAD: usize = 4;
 
 impl LogHistogram {
     /// Create a histogram spanning `[min, max)` with `buckets_per_decade`
@@ -132,12 +137,13 @@ impl LogHistogram {
     pub fn with_buckets(buckets: LogBuckets) -> Self {
         LogHistogram {
             buckets,
-            counts: vec![0; buckets.len()],
-            total: 0,
-            sum: 0.0,
-            observed_min: f64::INFINITY,
-            observed_max: f64::NEG_INFINITY,
+            block: vec![0; LogHistogram::block_words(&buckets)],
         }
+    }
+
+    /// Words of a block over `buckets`.
+    pub fn block_words(buckets: &LogBuckets) -> usize {
+        HEAD + buckets.len()
     }
 
     /// The bucket layout.
@@ -174,36 +180,54 @@ impl LogHistogram {
     /// logarithm is then paid once for any number of histograms that
     /// share the layout.
     pub fn record_at(&mut self, idx: usize, value: f64) {
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += value;
-        self.observed_min = self.observed_min.min(value);
-        self.observed_max = self.observed_max.max(value);
+        LogHistogram::record_into(&mut self.block, idx, value);
+    }
+
+    /// The record kernel over a bare block (see the type's layout):
+    /// [`LogHistogram::record_at`] on a block the caller keeps.
+    pub fn record_into(block: &mut [u64], idx: usize, value: f64) {
+        block[HEAD + idx] += 1;
+        let (min, max) = match block[0] {
+            0 => (value, value),
+            _ => (
+                f64::from_bits(block[2]).min(value),
+                f64::from_bits(block[3]).max(value),
+            ),
+        };
+        block[0] += 1;
+        block[1] = (f64::from_bits(block[1]) + value).to_bits();
+        block[2] = min.to_bits();
+        block[3] = max.to_bits();
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.total
+        self.block[0]
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.count() == 0
     }
 
     /// Exact arithmetic mean of recorded values, `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        (self.total > 0).then(|| self.sum / self.total as f64)
+        (self.count() > 0).then(|| f64::from_bits(self.block[1]) / self.count() as f64)
     }
 
     /// Smallest recorded value, `None` when empty.
     pub fn min_value(&self) -> Option<f64> {
-        (self.total > 0).then_some(self.observed_min)
+        LogHistogram::observed_of(&self.block).map(|(min, _)| min)
     }
 
     /// Largest recorded value, `None` when empty.
     pub fn max_value(&self) -> Option<f64> {
-        (self.total > 0).then_some(self.observed_max)
+        LogHistogram::observed_of(&self.block).map(|(_, max)| max)
+    }
+
+    /// A bare block's observed `(min, max)`, `None` when empty.
+    pub fn observed_of(block: &[u64]) -> Option<(f64, f64)> {
+        (block[0] > 0).then(|| (f64::from_bits(block[2]), f64::from_bits(block[3])))
     }
 
     /// Approximate quantile `q` in [0, 1]; `None` when empty.
@@ -212,36 +236,49 @@ impl LogHistogram {
     /// q-th ranked value, clamped into the observed value range so results
     /// never exceed what was actually recorded.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
+        LogHistogram::quantile_of(&self.block, &self.buckets, q)
+    }
+
+    /// The quantile kernel over a bare block laid out on `buckets`.
+    pub fn quantile_of(block: &[u64], buckets: &LogBuckets, q: f64) -> Option<f64> {
+        let (min, max) = LogHistogram::observed_of(block)?;
         let q = q.clamp(0.0, 1.0);
         // Rank of the target observation, 1-based, ceil semantics.
-        let rank = ((q * self.total as f64).ceil() as u64).max(1);
+        let rank = ((q * block[0] as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in block[HEAD..].iter().enumerate() {
             seen += c;
             if seen >= rank {
-                let mid = self.buckets.midpoint(i);
-                return Some(mid.clamp(self.observed_min, self.observed_max));
+                return Some(buckets.midpoint(i).clamp(min, max));
             }
         }
-        Some(self.observed_max)
+        Some(max)
     }
 
     /// The three quartiles `(q25, median, q75)`; `None` when empty.
     pub fn quartiles(&self) -> Option<(f64, f64, f64)> {
+        LogHistogram::quartiles_of(&self.block, &self.buckets)
+    }
+
+    /// [`LogHistogram::quartiles`] over a bare block laid out on
+    /// `buckets`.
+    pub fn quartiles_of(block: &[u64], buckets: &LogBuckets) -> Option<(f64, f64, f64)> {
         Some((
-            self.quantile(0.25)?,
-            self.quantile(0.50)?,
-            self.quantile(0.75)?,
+            LogHistogram::quantile_of(block, buckets, 0.25)?,
+            LogHistogram::quantile_of(block, buckets, 0.50)?,
+            LogHistogram::quantile_of(block, buckets, 0.75)?,
         ))
     }
 
     /// Per-bucket counts — the serialization surface, together with the
     /// layout and observed range.
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        LogHistogram::counts_of(&self.block)
+    }
+
+    /// A bare block's per-bucket counts.
+    pub fn counts_of(block: &[u64]) -> &[u64] {
+        &block[HEAD..]
     }
 
     /// Rebuild a histogram from raw parts (the deserialization path): a
@@ -256,47 +293,59 @@ impl LogHistogram {
         observed_min: f64,
         observed_max: f64,
     ) -> LogHistogram {
+        let mut h = LogHistogram::with_buckets(buckets);
+        LogHistogram::fill_block(&mut h.block, &buckets, &counts, observed_min, observed_max);
+        h
+    }
+
+    /// [`LogHistogram::from_parts`] into a bare block laid out on
+    /// `buckets`.
+    pub fn fill_block(
+        block: &mut [u64],
+        buckets: &LogBuckets,
+        counts: &[u64],
+        observed_min: f64,
+        observed_max: f64,
+    ) {
         assert_eq!(counts.len(), buckets.len(), "layout mismatch");
         let total: u64 = counts.iter().sum();
-        let sum = counts
+        let sum: f64 = counts
             .iter()
             .enumerate()
             .map(|(i, &c)| c as f64 * buckets.midpoint(i))
             .sum();
-        let (observed_min, observed_max) = if total == 0 {
-            (f64::INFINITY, f64::NEG_INFINITY)
-        } else {
-            (observed_min, observed_max)
-        };
-        LogHistogram {
-            buckets,
-            counts,
-            total,
-            sum,
-            observed_min,
-            observed_max,
+        block.fill(0);
+        block[0] = total;
+        block[1] = sum.to_bits();
+        if total > 0 {
+            block[2] = observed_min.to_bits();
+            block[3] = observed_max.to_bits();
         }
+        block[HEAD..].copy_from_slice(counts);
     }
 
     /// Merge another histogram with identical configuration.
     pub fn merge(&mut self, other: &LogHistogram) {
         assert_eq!(self.buckets, other.buckets, "config mismatch");
-        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        let (a, b) = (&mut self.block, &other.block);
+        for (x, &y) in a[HEAD..].iter_mut().zip(&b[HEAD..]) {
+            *x += y;
         }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.observed_min = self.observed_min.min(other.observed_min);
-        self.observed_max = self.observed_max.max(other.observed_max);
+        let observed = match (LogHistogram::observed_of(a), LogHistogram::observed_of(b)) {
+            (Some((x0, x1)), Some((y0, y1))) => (x0.min(y0), x1.max(y1)),
+            (Some(x), None) => x,
+            (None, Some(y)) => y,
+            (None, None) => (0.0, 0.0),
+        };
+        a[0] += b[0];
+        a[1] = (f64::from_bits(a[1]) + f64::from_bits(b[1])).to_bits();
+        a[2] = observed.0.to_bits();
+        a[3] = observed.1.to_bits();
     }
 
     /// Reset to empty, keeping the bucket configuration.
     pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.total = 0;
-        self.sum = 0.0;
-        self.observed_min = f64::INFINITY;
-        self.observed_max = f64::NEG_INFINITY;
+        self.block.fill(0);
     }
 }
 

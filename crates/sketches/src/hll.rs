@@ -51,27 +51,42 @@ impl HyperLogLog {
     /// Add a pre-hashed item (lets callers share one hash computation
     /// across several sketches).
     pub fn insert_hash(&mut self, hash: u64) {
-        let idx = (hash >> (64 - self.p)) as usize;
+        HyperLogLog::insert_hash_into(&mut self.registers, hash);
+    }
+
+    /// The insert kernel over a bare register array of `2^p` registers
+    /// (`p` is read off the length): what [`HyperLogLog::insert_hash`]
+    /// does to its own registers, for callers that keep registers in a
+    /// block of their own.
+    pub fn insert_hash_into(registers: &mut [u8], hash: u64) {
+        let p = registers.len().trailing_zeros();
+        let idx = (hash >> (64 - p)) as usize;
         // Rank = position of the leftmost 1 in the remaining bits, 1-based.
-        let rest = hash << self.p;
-        let rank = (rest.leading_zeros() as u8).min(64 - self.p) + 1;
-        if rank > self.registers[idx] {
-            self.registers[idx] = rank;
+        let rest = hash << p;
+        let rank = (rest.leading_zeros().min(64 - p) + 1) as u8;
+        if rank > registers[idx] {
+            registers[idx] = rank;
         }
     }
 
     /// Estimated cardinality.
     pub fn estimate(&self) -> f64 {
-        let m = self.m() as f64;
+        HyperLogLog::estimate_of(&self.registers)
+    }
+
+    /// The estimate kernel over a bare register array of `2^p`
+    /// registers (see [`HyperLogLog::insert_hash_into`]).
+    pub fn estimate_of(registers: &[u8]) -> f64 {
+        let m = registers.len() as f64;
         let mut sum = 0.0f64;
         let mut zeros = 0usize;
-        for &r in &self.registers {
+        for &r in registers {
             sum += 1.0 / (1u64 << r) as f64;
             if r == 0 {
                 zeros += 1;
             }
         }
-        let alpha = match self.m() {
+        let alpha = match registers.len() {
             16 => 0.673,
             32 => 0.697,
             64 => 0.709,
@@ -97,7 +112,13 @@ impl HyperLogLog {
     /// Merge another sketch of the same precision (register-wise max).
     pub fn merge(&mut self, other: &HyperLogLog) {
         assert_eq!(self.p, other.p, "precisions must match to merge");
-        for (a, &b) in self.registers.iter_mut().zip(&other.registers) {
+        HyperLogLog::merge_into(&mut self.registers, &other.registers);
+    }
+
+    /// The merge kernel over bare register arrays of one length: the
+    /// register-wise max of `from` into `into`.
+    pub fn merge_into(into: &mut [u8], from: &[u8]) {
+        for (a, &b) in into.iter_mut().zip(from) {
             if b > *a {
                 *a = b;
             }

@@ -9,23 +9,32 @@
 
 /// Tracks counts for up to `capacity` distinct `u64` values, evicting the
 /// least frequent when full.
+///
+/// The tracker is one flat table of words, `[observed, len, value₀,
+/// count₀, value₁, count₁, …]` with room for `capacity` pairs — the form
+/// the slice kernels ([`TopValues::record_into`],
+/// [`TopValues::top_n_with_share_of`]) work on, so a caller that keeps
+/// many tables in one block of words shares this implementation.
 #[derive(Debug, Clone)]
 pub struct TopValues {
-    capacity: usize,
-    /// (value, count) pairs; linear scan is fine for capacities ≤ ~64.
-    slots: Vec<(u64, u64)>,
-    observed: u64,
+    table: Vec<u64>,
 }
+
+/// Words of a table's header: `observed`, then the slot count.
+const HEAD: usize = 2;
 
 impl TopValues {
     /// Track up to `capacity` distinct values exactly.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         TopValues {
-            capacity,
-            slots: Vec::with_capacity(capacity),
-            observed: 0,
+            table: vec![0; TopValues::table_words(capacity)],
         }
+    }
+
+    /// Words of a table with room for `capacity` slots.
+    pub fn table_words(capacity: usize) -> usize {
+        HEAD + 2 * capacity
     }
 
     /// Record one occurrence of `value`.
@@ -35,42 +44,81 @@ impl TopValues {
 
     /// Record `n` occurrences of `value`.
     pub fn record_n(&mut self, value: u64, n: u64) {
-        self.observed += n;
-        if let Some(slot) = self.slots.iter_mut().find(|(v, _)| *v == value) {
-            slot.1 += n;
-            return;
+        TopValues::record_into(&mut self.table, value, n);
+    }
+
+    /// The record kernel over a bare table (see the type's layout): add
+    /// `n` occurrences of `value`. A tracked value gains `n`; a new one
+    /// takes a free slot, or else the first least-frequent slot if `n`
+    /// beats its count — a 1-count newcomer never displaces an
+    /// established value.
+    pub fn record_into(table: &mut [u64], value: u64, n: u64) {
+        table[0] += n;
+        let len = table[1] as usize;
+        let (head, slots) = table.split_at_mut(HEAD);
+        let mut min_at = 0;
+        for i in 0..len {
+            if slots[2 * i] == value {
+                slots[2 * i + 1] += n;
+                return;
+            }
+            if slots[2 * i + 1] < slots[2 * min_at + 1] {
+                min_at = i;
+            }
         }
-        if self.slots.len() < self.capacity {
-            self.slots.push((value, n));
-            return;
+        if 2 * len < slots.len() {
+            slots[2 * len] = value;
+            slots[2 * len + 1] = n;
+            head[1] += 1;
+        } else if n > slots[2 * min_at + 1] {
+            slots[2 * min_at] = value;
+            slots[2 * min_at + 1] = n;
         }
-        // Evict the current minimum only if the newcomer would beat it;
-        // a 1-count newcomer never displaces an established value.
-        let (min_idx, &(_, min_count)) = self
-            .slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, c))| *c)
-            .expect("capacity > 0");
-        if n > min_count {
-            self.slots[min_idx] = (value, n);
+    }
+
+    /// Write `(value, count)` slots, in order, over a bare table's slots
+    /// (at most its capacity of them), with `observed` occurrences in all.
+    pub fn fill_table(table: &mut [u64], observed: u64, slots: &[(u64, u64)]) {
+        assert!(
+            HEAD + 2 * slots.len() <= table.len(),
+            "slots exceed capacity"
+        );
+        table.fill(0);
+        table[0] = observed;
+        table[1] = slots.len() as u64;
+        for (pair, &(v, c)) in table[HEAD..].chunks_exact_mut(2).zip(slots) {
+            pair[0] = v;
+            pair[1] = c;
         }
+    }
+
+    /// A bare table's occupied `(value, count)` slots, in slot order.
+    pub fn slots_of(table: &[u64]) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+        let len = table[1] as usize;
+        table[HEAD..HEAD + 2 * len]
+            .chunks_exact(2)
+            .map(|pair| (pair[0], pair[1]))
     }
 
     /// Total number of recorded occurrences (including evicted ones).
     pub fn observed(&self) -> u64 {
-        self.observed
+        self.table[0]
     }
 
     /// Slot capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        TopValues::capacity_of(&self.table)
     }
 
-    /// The raw `(value, count)` slots in insertion order — the
+    /// A bare table's slot capacity.
+    pub fn capacity_of(table: &[u64]) -> usize {
+        (table.len() - HEAD) / 2
+    }
+
+    /// The occupied `(value, count)` slots in slot order — the
     /// serialization surface.
-    pub fn slots(&self) -> &[(u64, u64)] {
-        &self.slots
+    pub fn slots(&self) -> impl ExactSizeIterator<Item = (u64, u64)> + '_ {
+        TopValues::slots_of(&self.table)
     }
 
     /// Rebuild a tracker from raw parts previously obtained via
@@ -79,18 +127,14 @@ impl TopValues {
     /// distinct values, at most `capacity` slots, slot counts summing to
     /// at most `observed`.
     pub fn from_parts(capacity: usize, observed: u64, slots: Vec<(u64, u64)>) -> TopValues {
-        assert!(capacity > 0);
-        assert!(slots.len() <= capacity, "slots exceed capacity");
-        TopValues {
-            capacity,
-            slots,
-            observed,
-        }
+        let mut t = TopValues::new(capacity);
+        TopValues::fill_table(&mut t.table, observed, &slots);
+        t
     }
 
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.observed == 0
+        self.observed() == 0
     }
 
     /// The most frequent value, `None` when empty.
@@ -101,47 +145,56 @@ impl TopValues {
     /// All tracked values with counts, most frequent first; ties broken by
     /// smaller value for determinism.
     pub fn ranked(&self) -> Vec<(u64, u64)> {
-        let mut v = self.slots.clone();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        TopValues::ranked_of(&self.table)
+    }
+
+    /// The rank kernel: a bare table's slots, most frequent first, ties
+    /// to the smaller value.
+    pub fn ranked_of(table: &[u64]) -> Vec<(u64, u64)> {
+        let mut v: Vec<(u64, u64)> = TopValues::slots_of(table).collect();
+        TopValues::rank(&mut v);
         v
+    }
+
+    /// Sort `(value, count)` pairs most frequent first, ties to the
+    /// smaller value: the one ranking of every table, and the order in
+    /// which an over-capacity table is cut back.
+    pub fn rank(slots: &mut [(u64, u64)]) {
+        slots.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     }
 
     /// The top `n` values with their share of all observations.
     pub fn top_n_with_share(&self, n: usize) -> Vec<(u64, f64)> {
-        if self.observed == 0 {
+        TopValues::top_n_with_share_of(&self.table, n)
+    }
+
+    /// [`TopValues::top_n_with_share`] over a bare table.
+    pub fn top_n_with_share_of(table: &[u64], n: usize) -> Vec<(u64, f64)> {
+        let observed = table[0];
+        if observed == 0 {
             return Vec::new();
         }
-        self.ranked()
+        TopValues::ranked_of(table)
             .into_iter()
             .take(n)
-            .map(|(v, c)| (v, c as f64 / self.observed as f64))
+            .map(|(v, c)| (v, c as f64 / observed as f64))
             .collect()
     }
 
-    /// Merge another tracker into this one.
+    /// Merge another tracker into this one: each of its slots is
+    /// recorded here, and its evicted occurrences count as observed.
     pub fn merge(&mut self, other: &TopValues) {
-        for &(v, c) in &other.slots {
-            self.observed += c;
-            // record_n would double-count observed; inline the merge.
-            if let Some(slot) = self.slots.iter_mut().find(|(sv, _)| *sv == v) {
-                slot.1 += c;
-            } else if self.slots.len() < self.capacity {
-                self.slots.push((v, c));
-            } else if let Some((min_idx, &(_, min_count))) =
-                self.slots.iter().enumerate().min_by_key(|(_, (_, cc))| *cc)
-            {
-                if c > min_count {
-                    self.slots[min_idx] = (v, c);
-                }
-            }
+        let mut slotted = 0;
+        for (v, c) in other.slots() {
+            self.record_n(v, c);
+            slotted += c;
         }
-        self.observed += other.observed - other.slots.iter().map(|(_, c)| c).sum::<u64>();
+        self.table[0] += other.observed() - slotted;
     }
 
     /// Reset to empty.
     pub fn clear(&mut self) {
-        self.slots.clear();
-        self.observed = 0;
+        self.table.fill(0);
     }
 }
 

@@ -116,11 +116,7 @@ fn merge_features_into(a: &mut FeatureState, b: &FeatureState) -> Result<(), Sta
         *x = (*x).max(y);
     }
     for (x, y) in a.hlls.iter_mut().zip(&b.hlls) {
-        for (r, &s) in x.registers.iter_mut().zip(&y.registers) {
-            if s > *r {
-                *r = s;
-            }
-        }
+        sketches::HyperLogLog::merge_into(&mut x.registers, &y.registers);
     }
     a.sources = merge_sorted_u16(&a.sources, &b.sources);
     for (x, y) in a.tops.iter_mut().zip(&b.tops) {

@@ -121,7 +121,7 @@ impl TopValuesState {
         TopValuesState {
             capacity: t.capacity() as u64,
             observed: t.observed(),
-            slots: t.slots().to_vec(),
+            slots: t.slots().collect(),
         }
     }
 
