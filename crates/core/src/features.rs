@@ -988,4 +988,34 @@ mod tests {
         assert_eq!(row.data_share(), 0.0);
         assert!(row.top_ttl().is_none());
     }
+
+    /// The two inputs a block layout cannot take: a table wider than
+    /// the slot bound (its words would be allocated for the declared
+    /// capacity) and registers that do not fit their precision.
+    #[test]
+    fn from_state_refuses_what_it_cannot_lay_out() {
+        let state = folded(0.5).to_state();
+        assert!(FeatureSet::from_state(&state).is_ok());
+        let mut wide = state.clone();
+        wide.tops[0].capacity = MAX_TOP_SLOTS + 1;
+        assert!(FeatureSet::from_state(&wide).is_err());
+        wide.tops[0].capacity = MAX_TOP_SLOTS;
+        assert!(FeatureSet::from_state(&wide).is_ok());
+        let mut short = state.clone();
+        short.hlls[3].registers.pop();
+        assert!(FeatureSet::from_state(&short).is_err());
+        let mut high = state;
+        high.hlls[3].registers[0] = 65 - high.hlls[3].p + 1;
+        assert!(FeatureSet::from_state(&high).is_err());
+    }
+
+    /// One layout per thread serves every set built alike.
+    #[test]
+    fn sets_built_alike_share_one_layout() {
+        let a = FeatureSet::new(FeatureConfig::default());
+        let b = FeatureSet::from_state(&a.to_state()).unwrap();
+        assert!(Arc::ptr_eq(&a.layout, &b.layout));
+        assert_eq!(a.words.len(), 254);
+        assert_eq!(a.registers.len(), STATE_HLLS << 7);
+    }
 }

@@ -504,3 +504,60 @@ fn merged_state_rendering_is_pinned() {
         "rendered rows moved: {rendered}"
     );
 }
+
+/// Real summaries, botnet-heavy so names and answers vary, for the
+/// feature-set properties to pick from.
+fn summary_pool() -> &'static [TxSummary] {
+    static POOL: std::sync::OnceLock<Vec<TxSummary>> = std::sync::OnceLock::new();
+    POOL.get_or_init(|| {
+        let psl = psl::Psl::embedded();
+        let cfg = simnet::SimConfig {
+            weight_botnet: 10.0,
+            ..simnet::SimConfig::small()
+        };
+        let mut pool = Vec::new();
+        simnet::Simulation::from_config(cfg).run(2.0, &mut |tx| {
+            pool.push(TxSummary::from_transaction(tx, &psl));
+        });
+        pool
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A reset set is a new one: after folding arbitrary summaries, a
+    /// reset set exports what a new set exports, and a fold after the
+    /// reset equals the same fold on a new set, in the export and in the
+    /// rendered row. Every state a set exports rebuilds into a set that
+    /// exports it again.
+    #[test]
+    fn reset_is_fresh_and_states_round_trip(
+        picks in prop::collection::vec((0usize..1 << 16, 0u16..64), 0..300),
+        split in 0.0f64..=1.0,
+    ) {
+        let pool = summary_pool();
+        let summaries: Vec<TxSummary> = picks
+            .iter()
+            .map(|&(i, contributor)| TxSummary { contributor, ..pool[i % pool.len()].clone() })
+            .collect();
+        let (before, after) = summaries.split_at((split * summaries.len() as f64) as usize);
+        let cfg = FeatureConfig::default();
+        let round_trip = |fs: &FeatureSet| FeatureSet::from_state(&fs.to_state()).unwrap().to_state();
+
+        let mut recycled = FeatureSet::new(cfg);
+        before.iter().for_each(|s| recycled.fold(s));
+        prop_assert_eq!(round_trip(&recycled), recycled.to_state());
+        recycled.reset();
+        prop_assert_eq!(recycled.to_state(), FeatureSet::new(cfg).to_state());
+
+        let mut new = FeatureSet::new(cfg);
+        for s in after {
+            recycled.fold(s);
+            new.fold(s);
+        }
+        prop_assert_eq!(recycled.to_state(), new.to_state());
+        prop_assert_eq!(format!("{:?}", recycled.row()), format!("{:?}", new.row()));
+        prop_assert_eq!(round_trip(&new), new.to_state());
+    }
+}
