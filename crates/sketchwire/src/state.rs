@@ -77,11 +77,6 @@ impl HllState {
         }
     }
 
-    /// Rebuild a live sketch (state is pre-validated by `decode`).
-    pub fn to_sketch(&self) -> sketches::HyperLogLog {
-        sketches::HyperLogLog::from_registers(self.p, self.registers.clone())
-    }
-
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(self.p);
         out.extend_from_slice(&self.registers);
@@ -116,15 +111,6 @@ pub struct TopValuesState {
 }
 
 impl TopValuesState {
-    /// Capture a live tracker.
-    pub fn from_sketch(t: &sketches::TopValues) -> TopValuesState {
-        TopValuesState {
-            capacity: t.capacity() as u64,
-            observed: t.observed(),
-            slots: t.slots().collect(),
-        }
-    }
-
     fn encode(&self, out: &mut Vec<u8>) {
         write_varint(self.capacity, out);
         write_varint(self.observed, out);
@@ -200,18 +186,6 @@ impl HistogramState {
             observed_min: h.min_value().unwrap_or(f64::INFINITY),
             observed_max: h.max_value().unwrap_or(f64::NEG_INFINITY),
         }
-    }
-
-    /// Rebuild a live histogram (quantiles exact, mean approximated —
-    /// see [`sketches::LogHistogram::from_parts`]).
-    pub fn to_sketch(&self) -> sketches::LogHistogram {
-        let buckets = sketches::LogBuckets::from_parts(self.min, self.base, self.counts.len());
-        sketches::LogHistogram::from_parts(
-            buckets,
-            self.counts.clone(),
-            self.observed_min,
-            self.observed_max,
-        )
     }
 
     /// Total recorded observations.
