@@ -121,16 +121,6 @@ pub struct TxSummary {
     pub tld: Option<String>,
 }
 
-/// The QNAME's label count, eTLD and eSLD (presentation form), from one
-/// PSL walk: both exist when the public suffix is shorter than the name
-/// ([`Psl::etld`], [`Psl::esld`]).
-fn psl_split(qname: &Name, psl: &Psl) -> (u8, Option<String>, Option<String>) {
-    let labels = qname.label_count();
-    let suffix = psl.suffix_len(qname).filter(|&n| n < labels);
-    let part = |n: usize| qname.suffix(n).to_ascii();
-    (labels as u8, suffix.map(part), suffix.map(|n| part(n + 1)))
-}
-
 impl TxSummary {
     /// Summarize a simulator transaction (structured fast path).
     pub fn from_transaction(tx: &Transaction, psl: &Psl) -> TxSummary {
@@ -140,15 +130,14 @@ impl TxSummary {
             .cloned()
             .unwrap_or_else(|| dnswire::Question::new(Name::root(), RecordType::Any));
         let do_flag = tx.query.edns.as_ref().map(|e| e.dnssec_ok).unwrap_or(false);
-        let (qdots, etld, esld) = psl_split(&q.qname, psl);
         let mut s = TxSummary {
             time: tx.time,
             resolver: tx.resolver,
             contributor: tx.contributor,
             nameserver: tx.nameserver,
-            qdots,
-            etld,
-            esld,
+            qdots: q.qname.label_count() as u8,
+            etld: psl.etld(&q.qname).map(|n| n.to_ascii()),
+            esld: psl.esld(&q.qname).map(|n| n.to_ascii()),
             tld: (!q.qname.is_root()).then(|| q.qname.suffix(1).to_ascii()),
             qname: q.qname,
             qtype: q.qtype,
@@ -202,15 +191,14 @@ impl TxSummary {
                 .ok()?;
         let q = query.question()?.clone();
         let do_flag = query.edns.as_ref().map(|e| e.dnssec_ok).unwrap_or(false);
-        let (qdots, etld, esld) = psl_split(&q.qname, psl);
         let mut s = TxSummary {
             time,
             resolver: qdg.ip.src,
             contributor,
             nameserver: qdg.ip.dst,
-            qdots,
-            etld,
-            esld,
+            qdots: q.qname.label_count() as u8,
+            etld: psl.etld(&q.qname).map(|n| n.to_ascii()),
+            esld: psl.esld(&q.qname).map(|n| n.to_ascii()),
             tld: (!q.qname.is_root()).then(|| q.qname.suffix(1).to_ascii()),
             qname: q.qname,
             qtype: q.qtype,

@@ -235,18 +235,17 @@ impl Name {
         })
     }
 
-    /// Keep only the rightmost `n` labels (n=0 gives the root): the
-    /// tail of the wire form, copied once.
+    /// Keep only the rightmost `n` labels (n=0 gives the root).
     pub fn suffix(&self, n: usize) -> Name {
-        let mut skip = self.label_count().saturating_sub(n);
-        let mut at = 0;
-        while skip > 0 {
-            at += 1 + self.wire[at] as usize;
-            skip -= 1;
+        let total = self.label_count();
+        if n >= total {
+            return self.clone();
         }
-        Name {
-            wire: self.wire[at..].to_vec(),
+        let mut name = self.clone();
+        for _ in 0..total - n {
+            name = name.parent().expect("counted labels");
         }
+        name
     }
 
     /// True if `self` equals `other` or is a subdomain of it.

@@ -32,8 +32,6 @@ use std::collections::HashMap;
 
 mod rules;
 
-pub use rules::EMBEDDED_RULES;
-
 /// Outcome of matching a name against the rule set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RuleKind {
@@ -53,7 +51,7 @@ pub struct Psl {
     /// Lowercase dotted suffix → rule kind. Wildcard rules are stored
     /// under their base (the part after `*.`); exceptions under the full
     /// name (without `!`).
-    rules: HashMap<Box<[u8]>, RuleKind>,
+    rules: HashMap<String, RuleKind>,
     /// Longest rule length in labels, to bound the matching walk.
     max_labels: usize,
 }
@@ -85,13 +83,13 @@ impl Psl {
             }
             let labels = body.split('.').count() + usize::from(kind == RuleKind::Wildcard);
             max_labels = max_labels.max(labels);
-            rules.insert(body.into_bytes().into_boxed_slice(), kind);
+            rules.insert(body, kind);
         }
         Psl { rules, max_labels }
     }
 
     /// The embedded snapshot of common ICANN suffixes (see
-    /// [`EMBEDDED_RULES`] for the list).
+    /// [`rules::EMBEDDED_RULES`] for the list).
     pub fn embedded() -> Psl {
         Psl::from_rules(rules::EMBEDDED_RULES.iter().copied())
     }
@@ -139,41 +137,31 @@ impl Psl {
             .unwrap_or(false)
     }
 
-    /// Length (in labels) of the public suffix of `name`: the walk
-    /// behind [`Psl::etld`] and [`Psl::esld`], for a caller that wants
-    /// both from one walk. `None` for the root.
-    ///
-    /// The name is lowercased once into a stack buffer in dotted form,
-    /// and each candidate suffix is a tail of it, looked up in place.
-    pub fn suffix_len(&self, name: &Name) -> Option<usize> {
-        let wire = name.as_wire();
-        // Dotted form: one byte per wire byte, the length octets turned
-        // into dots (the first one dropped); a label starts one past
-        // each of them.
-        let mut dotted = [0u8; dnswire::MAX_NAME_LEN];
-        let mut starts = [0usize; dnswire::MAX_NAME_LEN / 2];
-        let mut total = 0;
-        let mut at = 0;
-        while wire[at] != 0 {
-            let len = wire[at] as usize;
-            starts[total] = at;
-            total += 1;
-            if at > 0 {
-                dotted[at - 1] = b'.';
-            }
-            for (d, &b) in dotted[at..at + len].iter_mut().zip(&wire[at + 1..]) {
-                *d = b.to_ascii_lowercase();
-            }
-            at += 1 + len;
-        }
+    /// Length (in labels) of the public suffix of `name`.
+    fn suffix_len(&self, name: &Name) -> Option<usize> {
+        let total = name.label_count();
         if total == 0 {
             return None;
         }
-        let dotted = &dotted[..at - 1];
+        // Collect lowered labels right-to-left once.
+        let labels: Vec<String> = name
+            .labels()
+            .map(|l| String::from_utf8_lossy(l.as_bytes()).to_ascii_lowercase())
+            .collect();
 
         let mut best = 1; // implicit "*" rule: the bare TLD
-        for take in 1..=total.min(self.max_labels) {
-            match self.rules.get(&dotted[starts[total - take]..]) {
+        let upper = total.min(self.max_labels);
+        let mut candidate = String::new();
+        for take in 1..=upper {
+            // Build the dotted suffix of `take` labels.
+            candidate.clear();
+            for (i, label) in labels[total - take..].iter().enumerate() {
+                if i > 0 {
+                    candidate.push('.');
+                }
+                candidate.push_str(label);
+            }
+            match self.rules.get(candidate.as_str()) {
                 Some(RuleKind::Normal) => best = best.max(take),
                 Some(RuleKind::Wildcard) => best = best.max(take + 1),
                 Some(RuleKind::Exception) => {
