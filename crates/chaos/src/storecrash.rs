@@ -177,7 +177,7 @@ pub fn store_fold(s: &Store) -> Result<BTreeMap<String, TopKState>, StoreError> 
         let (_, states) = s.read_segment(&meta)?;
         all.extend(states);
     }
-    fold_states(&all).map_err(|e| StoreError::Merge {
+    fold_states(all).map_err(|e| StoreError::Merge {
         context: "chaos store fold".to_string(),
         source: e,
     })
@@ -221,7 +221,7 @@ pub fn run_seed(
     scratch: &Path,
 ) -> Result<StoreCrashOutcome, StoreDivergence> {
     let flat: Vec<WindowState> = batches.iter().flatten().cloned().collect();
-    let reference = fold_states(&flat).map_err(|e| StoreError::Merge {
+    let reference = fold_states(flat).map_err(|e| StoreError::Merge {
         context: "chaos reference fold".to_string(),
         source: e,
     })?;

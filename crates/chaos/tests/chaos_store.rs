@@ -120,8 +120,7 @@ fn crash_at_first_op_is_a_clean_no_op() {
     // the sweep may remove that empty tmp file, nothing else.
     assert!(report.removed_orphans.is_empty());
     assert_eq!(s.segments().len(), 12, "no inputs may be lost");
-    let reference =
-        store::fold_states(&batches.iter().flatten().cloned().collect::<Vec<_>>()).expect("fold");
+    let reference = store::fold_states(batches.iter().flatten().cloned().collect()).expect("fold");
     assert_eq!(store_fold(&s).expect("fold"), reference);
     store::compact(&mut s, &policy).expect("clean resume");
     assert_eq!(store_fold(&s).expect("fold"), reference);

@@ -3,7 +3,7 @@
 //! Every answer states the merged Space-Saving error bound it carries.
 
 use crate::flags::{self, Flag, Parsed};
-use crate::session::{open_store, store_failed};
+use crate::session::{load_store, store_failed};
 use crate::{fail, Done};
 use dns_observatory::analysis::ttl::{detect_changes, ChangeCategory};
 use dns_observatory::{render_state, WindowDump};
@@ -19,7 +19,7 @@ fn secs_us(p: &Parsed, flag: &Flag) -> Option<u64> {
 
 pub fn query(p: &Parsed, kind: &str) -> Done {
     let started = Instant::now();
-    let store = open_store(&p.req::<PathBuf>(&flags::STORE))?;
+    let store = load_store(&p.req::<PathBuf>(&flags::STORE))?;
     let t0_us = secs_us(p, &flags::FROM).unwrap_or(0);
     let t1_us = secs_us(p, &flags::TO)
         .or_else(|| store.frontier_us().map(|f| f.saturating_add(1)))
@@ -31,7 +31,7 @@ pub fn query(p: &Parsed, kind: &str) -> Done {
         _ => topk(p, &store, &dataset),
     }?;
     println!(
-        "answered in {:.2} ms ({} of {} segment(s) decoded, {} record(s); pruned {} time, {} dataset, {} bloom)",
+        "answered in {:.2} ms ({} of {} segment(s) scanned, {} record(s) decoded; pruned {} time, {} dataset, {} bloom)",
         started.elapsed().as_secs_f64() * 1e3,
         stats.segments_scanned,
         stats.segments_total,

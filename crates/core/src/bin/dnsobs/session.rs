@@ -116,9 +116,17 @@ fn dump_recorder(path: Option<&Path>, why: &str) {
     }
 }
 
-/// Open a store directory (created empty when missing) with its counters
-/// mirrored into the global registry. Recovery leftovers are printed —
-/// ledgered, never silent.
+/// Open an existing store directory for reading. Nothing on disk
+/// changes, so this is safe beside a live writer; a missing store is an
+/// error.
+pub fn load_store(dir: &Path) -> Done<Store> {
+    Store::load(dir)
+        .map_err(|e| store_failed(format_args!("cannot open store {}", dir.display()), &e))
+}
+
+/// Open a store directory for writing (created empty when missing) with
+/// its counters mirrored into the global registry. Recovery leftovers are
+/// printed — ledgered, never silent.
 pub fn open_store(dir: &Path) -> Done<Store> {
     let (store, report) = Store::open(dir)
         .map_err(|e| store_failed(format_args!("cannot open store {}", dir.display()), &e))?;

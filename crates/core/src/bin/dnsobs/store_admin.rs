@@ -1,7 +1,7 @@
 //! `store`: admin verbs for a store directory.
 
 use crate::flags::{self, Parsed};
-use crate::session::open_store;
+use crate::session::{load_store, open_store};
 use crate::sinks;
 use crate::{fail, misuse, Done};
 use dns_observatory::synth::{renumber_truth, SynthConfig, SynthStream};
@@ -104,7 +104,7 @@ pub fn synth(p: &Parsed) -> Done {
 
 /// `store info`: one-page manifest summary of a store directory.
 pub fn info(p: &Parsed) -> Done {
-    let store = open_store(&p.req::<PathBuf>(&flags::DIR))?;
+    let store = load_store(&p.req::<PathBuf>(&flags::DIR))?;
     println!("generation: {}", store.generation());
     println!("segments:   {}", store.segments().len());
     let mut by_level: BTreeMap<u8, (usize, u64, u64)> = BTreeMap::new();

@@ -280,3 +280,29 @@ fn kill_restart_resume_equals_uninterrupted_run() {
 fn status_ok(out: &std::process::Output) -> bool {
     out.status.success()
 }
+
+/// The read-only verbs never create a store: `query` and `store info` on
+/// a directory without one fail and leave nothing behind.
+#[test]
+fn readers_refuse_a_missing_store() {
+    let dir = temp_dir("missing").join("no-store");
+    let store = dir.to_str().unwrap();
+    for args in [
+        vec![
+            "query",
+            "topk",
+            "--store",
+            store,
+            "--dataset",
+            "qtype",
+            "--at",
+            "2",
+        ],
+        vec!["store", "info", "--dir", store],
+    ] {
+        let out = dnsobs().args(&args).output().expect("spawn");
+        assert!(!status_ok(&out), "{args:?} answered from no store: {out:?}");
+        assert!(!dir.exists(), "{args:?} created the store");
+    }
+    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+}

@@ -131,6 +131,18 @@ pub trait FrameCodec {
 pub fn take_frame<C: FrameCodec>(
     bytes: &mut &[u8],
 ) -> std::result::Result<Option<C::Frame>, C::Error> {
+    match split_frame::<C>(bytes)? {
+        Some(frame) => C::decode(frame).map(Some),
+        None => Ok(None),
+    }
+}
+
+/// [`take_frame`] without the decode: the whole undecoded frame at the
+/// head of `bytes`, header included, for a reader that decodes it in
+/// steps of its own.
+pub fn split_frame<'a, C: FrameCodec>(
+    bytes: &mut &'a [u8],
+) -> std::result::Result<Option<&'a [u8]>, C::Error> {
     if bytes.len() < C::HEADER {
         return Ok(None);
     }
@@ -141,7 +153,7 @@ pub fn take_frame<C: FrameCodec>(
     }
     let (frame, rest) = bytes.split_at(len);
     *bytes = rest;
-    C::decode(frame).map(Some)
+    Ok(Some(frame))
 }
 
 /// Incremental reader for a framed byte stream.

@@ -12,12 +12,15 @@
 //! length or version is caught just like flipped payload bytes. Decoding never
 //! panics: every failure is a typed [`FeedError`]. Records are read
 //! through the one framed-stream reader ([`RecordReader`]) or, from a
-//! complete image, by [`read_all`] over the same codec.
+//! complete image, by [`read_all`] over the same codec. A reader that
+//! wants only some records decodes in two steps: [`open_record`] checks
+//! the CRC, then [`decode_payload`] parses the [`RecordHead`] and, only
+//! if the head is wanted, the body.
 
 use feed::framing::{self, FrameCodec, FrameReader};
 use feed::{crc32::crc32, ByteReader, FeedError, FeedItem};
 
-use crate::state::WindowState;
+use crate::state::{RecordHead, WindowState};
 
 /// Record stream magic.
 pub const RECORD_MAGIC: [u8; 4] = *b"SKW1";
@@ -97,19 +100,40 @@ impl FrameCodec for RecordCodec {
     }
 
     fn decode(frame: &[u8]) -> Result<WindowState, FeedError> {
-        let (covered, trailer) = frame[4..].split_at(frame.len() - 8);
-        let expected = u32::from_le_bytes(trailer.try_into().expect("4 crc bytes"));
-        let computed = crc32(covered);
-        if expected != computed {
-            return Err(FeedError::Crc { expected, computed });
-        }
-        let mut r = ByteReader::new(&covered[5..]);
-        let ws = WindowState::decode(&mut r)?;
-        if !r.is_empty() {
-            return Err(FeedError::TrailingBytes(r.remaining()));
-        }
-        Ok(ws)
+        let ws = decode_payload(open_record(frame)?, |_| true)?;
+        Ok(ws.expect("a record kept by its head decodes its body"))
     }
+}
+
+/// Check the CRC of one whole record frame (as [`RecordCodec::frame_len`]
+/// measured it) and return its payload.
+pub fn open_record(frame: &[u8]) -> Result<&[u8], FeedError> {
+    let (covered, trailer) = frame[4..].split_at(frame.len() - 8);
+    let expected = u32::from_le_bytes(trailer.try_into().expect("4 crc bytes"));
+    let computed = crc32(covered);
+    if expected != computed {
+        return Err(FeedError::Crc { expected, computed });
+    }
+    Ok(&covered[5..])
+}
+
+/// Decode a payload that [`open_record`] returned: its [`RecordHead`]
+/// always, the body only when `keep` accepts the head. `None` is a
+/// record skipped by its head, whose body is CRC-checked but not parsed.
+pub fn decode_payload(
+    payload: &[u8],
+    keep: impl FnOnce(&RecordHead<'_>) -> bool,
+) -> Result<Option<WindowState>, FeedError> {
+    let mut r = ByteReader::new(payload);
+    let head = RecordHead::decode(&mut r)?;
+    if !keep(&head) {
+        return Ok(None);
+    }
+    let ws = WindowState::decode_body(head, &mut r)?;
+    if !r.is_empty() {
+        return Err(FeedError::TrailingBytes(r.remaining()));
+    }
+    Ok(Some(ws))
 }
 
 /// Incremental decoder for a record stream: push bytes in, pull whole

@@ -48,15 +48,21 @@ fn read_string(
     max: usize,
     what: &'static str,
 ) -> Result<String, FeedError> {
+    read_str(r, max, what).map(str::to_string)
+}
+
+/// [`read_string`] borrowing from the input.
+fn read_str<'a>(
+    r: &mut ByteReader<'a>,
+    max: usize,
+    what: &'static str,
+) -> Result<&'a str, FeedError> {
     let len = r.count(1, what)?;
     if len > max {
         return Err(FeedError::Invalid(what));
     }
     let bytes = r.bytes(len, what)?;
-    match std::str::from_utf8(bytes) {
-        Ok(s) => Ok(s.to_string()),
-        Err(_) => Err(FeedError::Invalid(what)),
-    }
+    std::str::from_utf8(bytes).map_err(|_| FeedError::Invalid(what))
 }
 
 /// One HyperLogLog's serialized registers.
@@ -636,9 +642,9 @@ impl TopKState {
         }
     }
 
-    /// Decode and validate one tracker state.
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<TopKState, FeedError> {
-        let dataset = read_string(r, MAX_DATASET_BYTES, "dataset name")?;
+    /// Decode and validate the rest of one tracker state, whose dataset
+    /// name [`RecordHead::decode`] read.
+    fn decode_after_name(dataset: String, r: &mut ByteReader<'_>) -> Result<TopKState, FeedError> {
         let capacity = r.varint()?;
         if capacity == 0 {
             return Err(FeedError::Invalid("topk capacity zero"));
@@ -738,6 +744,60 @@ impl WindowState {
         self.encode(&mut out);
         out
     }
+
+    /// Decode the tracker body that follows `head`: the second half of
+    /// [`FeedItem::decode`], for a reader that looked at the head first.
+    pub(crate) fn decode_body(
+        head: RecordHead<'_>,
+        r: &mut ByteReader<'_>,
+    ) -> Result<WindowState, FeedError> {
+        let topk = TopKState::decode_after_name(head.dataset.to_string(), r)?;
+        Ok(WindowState {
+            upstream: head.upstream,
+            start: head.start,
+            length: head.length,
+            topk,
+        })
+    }
+}
+
+/// The leading fields of a [`WindowState`] encoding — upstream, window
+/// and dataset — decoded and validated without the tracker body, so a
+/// reader can decide from them whether the body is worth decoding.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecordHead<'a> {
+    /// Originating collector id.
+    pub upstream: u64,
+    /// Window start, seconds.
+    pub start: f64,
+    /// Window length, seconds.
+    pub length: f64,
+    /// Dataset name, borrowed from the encoding.
+    pub dataset: &'a str,
+}
+
+impl<'a> RecordHead<'a> {
+    /// Decode and validate the head; `r` is left at the tracker body.
+    /// The one parser of these fields: [`FeedItem::decode`] of a
+    /// [`WindowState`] reads them through it too.
+    pub(crate) fn decode(r: &mut ByteReader<'a>) -> Result<RecordHead<'a>, FeedError> {
+        let upstream = r.varint()?;
+        let start = r.f64("window start")?;
+        if !(start.is_finite() && start >= 0.0) {
+            return Err(FeedError::Invalid("window start out of range"));
+        }
+        let length = r.f64("window length")?;
+        if !(length.is_finite() && length > 0.0) {
+            return Err(FeedError::Invalid("window length out of range"));
+        }
+        let dataset = read_str(r, MAX_DATASET_BYTES, "dataset name")?;
+        Ok(RecordHead {
+            upstream,
+            start,
+            length,
+            dataset,
+        })
+    }
 }
 
 impl FeedItem for WindowState {
@@ -749,22 +809,8 @@ impl FeedItem for WindowState {
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<WindowState, FeedError> {
-        let upstream = r.varint()?;
-        let start = r.f64("window start")?;
-        if !(start.is_finite() && start >= 0.0) {
-            return Err(FeedError::Invalid("window start out of range"));
-        }
-        let length = r.f64("window length")?;
-        if !(length.is_finite() && length > 0.0) {
-            return Err(FeedError::Invalid("window length out of range"));
-        }
-        let topk = TopKState::decode(r)?;
-        Ok(WindowState {
-            upstream,
-            start,
-            length,
-            topk,
-        })
+        let head = RecordHead::decode(r)?;
+        WindowState::decode_body(head, r)
     }
 
     fn order_time(&self) -> f64 {

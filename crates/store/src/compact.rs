@@ -2,8 +2,8 @@
 //!
 //! The compactor never re-scans raw transactions: a coarser window is
 //! the `sketchwire` merge of its finer inputs' serialized sketch state
-//! (`merge_chunks` to reassemble, `merge_topk`/`merge_features` to
-//! fold), so per-window feature counters sum exactly and the stated
+//! (`assemble_chunks` to reassemble, `merge_topk`/`merge_features` to
+//! fold, all by move through [`fold_states`]), so per-window feature counters sum exactly and the stated
 //! Space-Saving error bound of every rolled window is the *sum* of its
 //! inputs' bounds — conservative at every level, never understated.
 //!
@@ -256,7 +256,7 @@ fn roll_bucket(
         states.append(&mut s);
     }
     let upstream = states.iter().map(|ws| ws.upstream).min().unwrap_or(0);
-    let folded = fold_states(&states).map_err(|source| StoreError::Merge {
+    let folded = fold_states(states).map_err(|source| StoreError::Merge {
         context: format!("bucket {start_us} -> level {target}"),
         source,
     })?;

@@ -12,9 +12,11 @@
 //! * [`manifest`] — the store's single mutable file: a checksummed text
 //!   manifest listing live segments, replaced only by write-temp +
 //!   rename, so every crash leaves either the old or the new store view.
-//! * [`store`] — open/append/scan plus crash recovery: orphan segments
-//!   and temp files are swept into a [`RecoveryReport`] (ledgered, never
-//!   silent), and the newest durable window defines the resume frontier.
+//! * [`store`] — open/append/scan plus crash recovery: the writer's
+//!   [`Store::open`] sweeps orphan segments and temp files into a
+//!   [`RecoveryReport`] (ledgered, never silent), a reader's
+//!   [`Store::load`] touches nothing, and the newest durable window
+//!   defines the resume frontier.
 //! * [`compact`] — rolls fine segments up the hour/day/month hierarchy by
 //!   *merging serialized sketch state* with `sketchwire`'s associative
 //!   merge operators — raw transactions are never re-scanned, and the
@@ -23,9 +25,10 @@
 //!   [`compact::CrashFs`] so the chaos suite can kill the compactor at
 //!   any seeded syscall.
 //! * [`query`] — window reassembly and fold helpers behind `dnsobs
-//!   query`: bloom- and time-pruned segment selection, per-window chunk
-//!   reassembly, and the whole-store reference fold the chaos
-//!   differential compares against.
+//!   query`: segment selection pruned by time, dataset and bloom, records
+//!   skipped by their heads so only the answered bodies are decoded,
+//!   per-window chunk reassembly, and the whole-store reference fold the
+//!   chaos differential compares against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,6 +75,16 @@ pub enum StoreError {
         /// What was wrong.
         what: &'static str,
     },
+    /// A segment file carries a format version this build does not read:
+    /// the file may be sound, so it is not flagged for quarantine.
+    UnsupportedVersion {
+        /// File name of the segment.
+        segment: String,
+        /// Version byte found in the header.
+        got: u8,
+        /// Version this build reads.
+        want: u8,
+    },
     /// The manifest failed to parse or checksum.
     Manifest {
         /// What was wrong.
@@ -104,6 +117,10 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt { segment, what } => {
                 write!(f, "bad segment {segment}: {what}")
             }
+            StoreError::UnsupportedVersion { segment, got, want } => write!(
+                f,
+                "segment {segment} has format version {got}; this build reads version {want}"
+            ),
             StoreError::Manifest { what } => write!(f, "bad manifest: {what}"),
             StoreError::MissingSegment { segment } => {
                 write!(f, "manifest references missing segment {segment}")
@@ -129,7 +146,8 @@ impl std::error::Error for StoreError {
 
 impl StoreError {
     /// The segment file name this error points at, if any — what `dnsobs
-    /// query` prints so the operator knows which file to quarantine.
+    /// query` prints so the operator knows which file to quarantine. A
+    /// segment of an unsupported version is not bad, so it is not named.
     pub fn bad_segment(&self) -> Option<&str> {
         match self {
             StoreError::Segment { segment, .. }

@@ -1,18 +1,24 @@
 //! Query planning and sketch-state folding over the store.
 //!
-//! Queries answer from two index tiers before touching any record body:
-//! the manifest's per-segment time ranges, then the footer's dataset
-//! list and key bloom. Only segments that survive both prunes are
-//! decoded. All folding goes through the same `sketchwire` merge
+//! Queries prune in four tiers before decoding any record body: the
+//! manifest's per-segment time ranges, then the footer's dataset list,
+//! then its key bloom, then each record's head (dataset and window). A
+//! segment that survives the first three is read once, every record in
+//! it is CRC-checked and counted against the footer, and only the
+//! records whose head names the queried dataset inside the range have
+//! their bodies decoded. All folding goes through the same `sketchwire` merge
 //! operators the compactor uses, so a query over mixed granularities
 //! (10-min level-0 tail + hourly/daily/monthly rollups) is exact with a
 //! stated bound: per-window feature counters are exact sums, and each
 //! window's Space-Saving `error_bound` is the sum of whatever inputs
 //! were merged into it, at any compaction level.
 
+use crate::segment::{self, window_us};
 use crate::store::Store;
 use crate::StoreError;
-use sketchwire::{merge_chunks, merge_topk_into, StateError, TopKState, WindowState};
+use sketchwire::{
+    assemble_chunks, merge_topk_into, RecordHead, StateError, TopKState, WindowState,
+};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
@@ -28,9 +34,11 @@ pub struct QueryStats {
     pub pruned_dataset: usize,
     /// Skipped because the footer bloom excludes the key.
     pub pruned_bloom: usize,
-    /// Segments whose record body was decoded.
+    /// Segments whose record region was walked.
     pub segments_scanned: usize,
-    /// Records decoded across scanned segments.
+    /// Record bodies decoded across scanned segments: the records of the
+    /// queried dataset inside the range. Every other record in a scanned
+    /// segment is CRC-checked and skipped by its head.
     pub records_decoded: usize,
 }
 
@@ -72,26 +80,21 @@ pub struct HistoryPoint {
 /// the *entire* store versus the original appended states — compaction
 /// must not change its result.
 ///
-/// Duplicate (window, upstream, dataset, chunk) records are a chunk
-/// conflict, so an accidentally double-appended window is a typed error,
-/// never a silent double count.
-pub fn fold_states(states: &[WindowState]) -> Result<BTreeMap<String, TopKState>, StateError> {
+/// Takes the states by move: chunks are reassembled with
+/// [`assemble_chunks`], so no entry is cloned. Duplicate (window,
+/// upstream, dataset, chunk) records are a chunk conflict, so an
+/// accidentally double-appended window is a typed error, never a silent
+/// double count.
+pub fn fold_states(states: Vec<WindowState>) -> Result<BTreeMap<String, TopKState>, StateError> {
     // (dataset, window_us, upstream) → chunks.
-    let mut groups: BTreeMap<(String, u64, u64), Vec<&WindowState>> = BTreeMap::new();
+    let mut groups: BTreeMap<(String, u64, u64), Vec<TopKState>> = BTreeMap::new();
     for ws in states {
-        groups
-            .entry((
-                ws.topk.dataset.clone(),
-                crate::segment::window_us(ws.start),
-                ws.upstream,
-            ))
-            .or_default()
-            .push(ws);
+        let group = (ws.topk.dataset.clone(), window_us(ws.start), ws.upstream);
+        groups.entry(group).or_default().push(ws.topk);
     }
     let mut folded: BTreeMap<String, TopKState> = BTreeMap::new();
-    for ((dataset, _, _), group) in groups {
-        let parts: Vec<&TopKState> = group.iter().map(|ws| &ws.topk).collect();
-        let assembled = merge_chunks(&parts)?;
+    for ((dataset, _, _), parts) in groups {
+        let assembled = assemble_chunks(parts)?;
         match folded.entry(dataset) {
             Entry::Vacant(slot) => {
                 slot.insert(assembled);
@@ -105,6 +108,10 @@ pub fn fold_states(states: &[WindowState]) -> Result<BTreeMap<String, TopKState>
 /// All windows of `dataset` intersecting `[t0_us, t1_us)`, each
 /// chunk-reassembled and merged across upstreams. `key` (canonical key
 /// bytes) additionally prunes segments through the footer blooms.
+///
+/// A scanned segment is read once; its footer and its records come from
+/// the same bytes, and only the records of `dataset` in the range have
+/// their bodies decoded.
 pub fn windows_in(
     store: &Store,
     dataset: &str,
@@ -123,7 +130,8 @@ pub fn windows_in(
             stats.pruned_time += 1;
             continue;
         }
-        let footer = store.read_footer(meta)?;
+        let bytes = store.read_image(meta)?;
+        let (footer, body) = segment::read_footer(&bytes, &meta.name)?;
         if !footer.datasets.iter().any(|d| d == dataset) {
             stats.pruned_dataset += 1;
             continue;
@@ -134,20 +142,17 @@ pub fn windows_in(
                 continue;
             }
         }
-        let (_, states) = store.read_segment(meta)?;
+        let wanted = |head: &RecordHead<'_>| {
+            head.dataset == dataset
+                && window_us(head.start + head.length) > t0_us
+                && window_us(head.start) < t1_us
+        };
+        let states = segment::decode_records(&bytes[body], &footer, &meta.name, wanted)?;
         stats.segments_scanned += 1;
         stats.records_decoded += states.len();
         for ws in states {
-            if ws.topk.dataset != dataset {
-                continue;
-            }
-            let w_us = crate::segment::window_us(ws.start);
-            let end_us = crate::segment::window_us(ws.start + ws.length);
-            if end_us <= t0_us || w_us >= t1_us {
-                continue;
-            }
             windows
-                .entry(w_us)
+                .entry(window_us(ws.start))
                 .or_insert_with(|| (ws.length, meta.level, Vec::new()))
                 .2
                 .push(ws);
@@ -155,7 +160,7 @@ pub fn windows_in(
     }
     let mut out = Vec::with_capacity(windows.len());
     for (w_us, (length, level, states)) in windows {
-        let mut folded = fold_states(&states).map_err(|source| StoreError::Merge {
+        let mut folded = fold_states(states).map_err(|source| StoreError::Merge {
             context: format!("window {w_us} of {dataset}"),
             source,
         })?;

@@ -17,6 +17,11 @@
 //! worth decoding. The trailer's length-then-magic lets a reader find
 //! the footer with one seek from the end.
 //!
+//! The records are read by one walk, [`decode_records`]: every record is
+//! CRC-checked and counted against the footer and its head is decoded,
+//! and a caller's filter on the head decides whose body is decoded too.
+//! [`decode_segment`] is that walk keeping every record.
+//!
 //! Decoding is total: every malformed input — truncated file, flipped
 //! byte, impossible length — maps to a typed [`StoreError`] naming the
 //! segment, never a panic.
@@ -24,9 +29,9 @@
 use crate::bloom::KeyBloom;
 use crate::StoreError;
 use feed::crc32::crc32;
-use feed::framing::take_frame;
+use feed::framing::split_frame;
 use feed::ByteReader;
-use sketchwire::{RecordCodec, WindowState};
+use sketchwire::{decode_payload, open_record, RecordCodec, RecordHead, WindowState};
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
@@ -191,7 +196,11 @@ pub fn read_footer(
         return Err(corrupt(segment, "bad segment magic"));
     }
     if bytes[4] != SEGMENT_VERSION {
-        return Err(corrupt(segment, "unsupported segment version"));
+        return Err(StoreError::UnsupportedVersion {
+            segment: segment.to_string(),
+            got: bytes[4],
+            want: SEGMENT_VERSION,
+        });
     }
     let header_level = bytes[5];
     if bytes[6] != 0 || bytes[7] != 0 {
@@ -275,22 +284,44 @@ pub fn decode_segment(
     segment: &str,
 ) -> Result<(SegmentFooter, Vec<WindowState>), StoreError> {
     let (footer, body) = read_footer(bytes, segment)?;
-    let mut rest = &bytes[body];
-    let mut states = Vec::with_capacity(footer.records as usize);
+    let states = decode_records(&bytes[body], &footer, segment, |_| true)?;
+    Ok((footer, states))
+}
+
+/// Walk the record region `records` of a segment whose footer
+/// [`read_footer`] parsed, keeping the records whose head `keep` accepts.
+///
+/// Every record is CRC-checked and counted, and the count must equal the
+/// footer's; every record's [`RecordHead`] is decoded and validated. Only
+/// a kept record's body is decoded: a skipped record's body is covered by
+/// its CRC but not parsed.
+pub fn decode_records(
+    records: &[u8],
+    footer: &SegmentFooter,
+    segment: &str,
+    mut keep: impl FnMut(&RecordHead<'_>) -> bool,
+) -> Result<Vec<WindowState>, StoreError> {
     let bad_record = |source| StoreError::Segment {
         segment: segment.to_string(),
         source,
     };
-    while let Some(ws) = take_frame::<RecordCodec>(&mut rest).map_err(bad_record)? {
-        states.push(ws);
+    let mut rest = records;
+    let mut seen = 0usize;
+    let mut states = Vec::new();
+    while let Some(frame) = split_frame::<RecordCodec>(&mut rest).map_err(bad_record)? {
+        seen += 1;
+        let payload = open_record(frame).map_err(bad_record)?;
+        if let Some(ws) = decode_payload(payload, &mut keep).map_err(bad_record)? {
+            states.push(ws);
+        }
     }
     if !rest.is_empty() {
         return Err(corrupt(segment, "trailing bytes in record region"));
     }
-    if states.len() != footer.records as usize {
+    if seen != footer.records as usize {
         return Err(corrupt(segment, "footer record count disagrees with body"));
     }
-    Ok((footer, states))
+    Ok(states)
 }
 
 #[cfg(test)]
@@ -360,6 +391,21 @@ mod tests {
         let (full_footer, back) = decode_segment(&bytes, "t.seg").expect("decode");
         assert_eq!(full_footer, footer);
         assert_eq!(back, states);
+    }
+
+    #[test]
+    fn other_version_is_unsupported_not_corrupt() {
+        let (mut bytes, _) = encode_segment(0, &[tiny_state(0.0, "esld", &["a"])]);
+        bytes[4] = 2;
+        let err = decode_segment(&bytes, "t.seg").expect_err("version 2");
+        assert!(
+            matches!(
+                err,
+                StoreError::UnsupportedVersion { ref segment, got: 2, want: 1 } if segment == "t.seg"
+            ),
+            "{err}"
+        );
+        assert_eq!(err.bad_segment(), None, "a sound file is not quarantined");
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! silently kept — while a *referenced but missing* segment is a hard
 //! typed error (that store lost data and must not answer queries).
 //!
+//! Only the store's one writer sweeps. A reader opens with
+//! [`Store::load`], which reads the manifest and checks that the
+//! segments it references exist, and changes nothing on disk: the temp
+//! files and not-yet-referenced segments it sees may be a live writer's
+//! append in flight.
+//!
 //! [`MANIFEST`]: crate::manifest::MANIFEST_NAME
 
 use crate::compact::CrashFs;
@@ -21,6 +27,7 @@ use crate::segment::{self, window_us, SegmentFooter};
 use crate::StoreError;
 use sketchwire::WindowState;
 use std::borrow::Borrow;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use telemetry::trace::{TraceEvent, TraceKind, TraceRing};
 use telemetry::{Counter, Registry};
@@ -108,52 +115,39 @@ pub struct Store {
 }
 
 impl Store {
-    /// Open `dir`, creating an empty store if it does not exist yet, and
-    /// sweep crash leftovers. See the module docs for the recovery
-    /// contract.
+    /// Open `dir` for writing, creating an empty store if it does not
+    /// exist yet, and sweep crash leftovers. See the module docs for the
+    /// recovery contract. Only the store's one writer may call this: the
+    /// sweep removes the temp files and unreferenced segments of a write
+    /// in flight.
     pub fn open(dir: &Path) -> Result<(Store, RecoveryReport), StoreError> {
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
-        let manifest_path = dir.join(MANIFEST_NAME);
-        let manifest = match std::fs::read(&manifest_path) {
-            Ok(bytes) => {
-                let text = String::from_utf8(bytes).map_err(|_| StoreError::Manifest {
-                    what: "manifest is not UTF-8".into(),
-                })?;
-                Manifest::decode(&text)?
+        let manifest = read_manifest(dir)?;
+        let files = StoreFiles::list(dir)?;
+        let manifest = match manifest {
+            Some(manifest) => manifest,
+            // A fresh directory gets an empty manifest — but segment
+            // files without any manifest mean the commit record was
+            // destroyed, which recovery must not paper over.
+            None if !files.segments.is_empty() => {
+                return Err(StoreError::Manifest {
+                    what: "manifest missing but segment files present".into(),
+                })
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // A fresh directory gets an empty manifest — but segment
-                // files without any manifest mean the commit record was
-                // destroyed, which recovery must not paper over.
-                if dir_has_segments(dir)? {
-                    return Err(StoreError::Manifest {
-                        what: "manifest missing but segment files present".into(),
-                    });
-                }
+            None => {
                 let empty = Manifest::default();
                 write_atomic(dir, MANIFEST_NAME, empty.encode().as_bytes())?;
                 empty
             }
-            Err(e) => return Err(StoreError::io(&manifest_path, e)),
         };
 
         let mut report = RecoveryReport::default();
-        let mut present = std::collections::BTreeSet::new();
-        let entries = std::fs::read_dir(dir).map_err(|e| StoreError::io(dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| StoreError::io(dir, e))?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name == MANIFEST_NAME {
-                continue;
-            }
-            if name.ends_with(".tmp") {
-                std::fs::remove_file(entry.path()).map_err(|e| StoreError::io(&entry.path(), e))?;
-                report.removed_tmp.push(name);
-            } else if name.ends_with(".seg") {
-                present.insert(name);
-            }
-            // Anything else in the directory is not ours to touch.
+        for name in files.tmp {
+            let path = dir.join(&name);
+            std::fs::remove_file(&path).map_err(|e| StoreError::io(&path, e))?;
+            report.removed_tmp.push(name);
         }
+        let mut present = files.segments;
         for meta in &manifest.segments {
             if !present.remove(&meta.name) {
                 return Err(StoreError::MissingSegment {
@@ -166,19 +160,39 @@ impl Store {
             std::fs::remove_file(&path).map_err(|e| StoreError::io(&path, e))?;
             report.removed_orphans.push(orphan);
         }
-        report.removed_tmp.sort();
-        report.removed_orphans.sort();
+        Ok((Store::with_manifest(dir, manifest), report))
+    }
 
-        Ok((
-            Store {
-                dir: dir.to_path_buf(),
-                manifest,
-                metrics: None,
-                trace: TraceRing::disabled(),
-                now_us: 0,
-            },
-            report,
-        ))
+    /// Open an existing store for reading: read and decode its manifest
+    /// and check that every referenced segment exists. Nothing in `dir`
+    /// is created, written or removed, so a reader may open a store its
+    /// writer is appending to. A directory without a manifest is an
+    /// error, not a new empty store.
+    pub fn load(dir: &Path) -> Result<Store, StoreError> {
+        let manifest = read_manifest(dir)?.ok_or_else(|| StoreError::Manifest {
+            what: format!("no store at {}: {MANIFEST_NAME} missing", dir.display()),
+        })?;
+        let files = StoreFiles::list(dir)?;
+        if let Some(meta) = manifest
+            .segments
+            .iter()
+            .find(|meta| !files.segments.contains(&meta.name))
+        {
+            return Err(StoreError::MissingSegment {
+                segment: meta.name.clone(),
+            });
+        }
+        Ok(Store::with_manifest(dir, manifest))
+    }
+
+    fn with_manifest(dir: &Path, manifest: Manifest) -> Store {
+        Store {
+            dir: dir.to_path_buf(),
+            manifest,
+            metrics: None,
+            trace: TraceRing::disabled(),
+            now_us: 0,
+        }
     }
 
     /// Mirror store counters into `registry` (builder style). Pass the
@@ -389,26 +403,18 @@ impl Store {
         &self,
         meta: &SegmentMeta,
     ) -> Result<(SegmentFooter, Vec<WindowState>), StoreError> {
-        let path = self.dir.join(&meta.name);
-        let bytes = std::fs::read(&path).map_err(|e| match e.kind() {
-            std::io::ErrorKind::NotFound => StoreError::MissingSegment {
-                segment: meta.name.clone(),
-            },
-            _ => StoreError::io(&path, e),
-        })?;
-        segment::decode_segment(&bytes, &meta.name)
+        segment::decode_segment(&self.read_image(meta)?, &meta.name)
     }
 
-    /// Read only a segment's footer index (no record decoding).
-    pub fn read_footer(&self, meta: &SegmentMeta) -> Result<SegmentFooter, StoreError> {
+    /// The bytes of one live segment file, undecoded.
+    pub(crate) fn read_image(&self, meta: &SegmentMeta) -> Result<Vec<u8>, StoreError> {
         let path = self.dir.join(&meta.name);
-        let bytes = std::fs::read(&path).map_err(|e| match e.kind() {
+        std::fs::read(&path).map_err(|e| match e.kind() {
             std::io::ErrorKind::NotFound => StoreError::MissingSegment {
                 segment: meta.name.clone(),
             },
             _ => StoreError::io(&path, e),
-        })?;
-        segment::read_footer(&bytes, &meta.name).map(|(f, _)| f)
+        })
     }
 
     /// The newest durable window: its start time and all of its states
@@ -455,15 +461,48 @@ fn refuse_empty(records: usize) -> Result<(), StoreError> {
     }
 }
 
-fn dir_has_segments(dir: &Path) -> Result<bool, StoreError> {
-    let entries = std::fs::read_dir(dir).map_err(|e| StoreError::io(dir, e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| StoreError::io(dir, e))?;
-        if entry.file_name().to_string_lossy().ends_with(".seg") {
-            return Ok(true);
+/// The manifest of the store at `dir`, or `None` when there is none.
+fn read_manifest(dir: &Path) -> Result<Option<Manifest>, StoreError> {
+    let path = dir.join(MANIFEST_NAME);
+    match std::fs::read(&path) {
+        Ok(bytes) => {
+            let text = String::from_utf8(bytes).map_err(|_| StoreError::Manifest {
+                what: "manifest is not UTF-8".into(),
+            })?;
+            Manifest::decode(&text).map(Some)
         }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(StoreError::io(&path, e)),
     }
-    Ok(false)
+}
+
+/// The store's files in its directory, apart from the manifest. Anything
+/// else in the directory is not the store's to touch.
+struct StoreFiles {
+    /// `*.seg` file names.
+    segments: BTreeSet<String>,
+    /// `*.tmp` file names.
+    tmp: BTreeSet<String>,
+}
+
+impl StoreFiles {
+    fn list(dir: &Path) -> Result<StoreFiles, StoreError> {
+        let mut files = StoreFiles {
+            segments: BTreeSet::new(),
+            tmp: BTreeSet::new(),
+        };
+        let entries = std::fs::read_dir(dir).map_err(|e| StoreError::io(dir, e))?;
+        for entry in entries {
+            let entry = entry.map_err(|e| StoreError::io(dir, e))?;
+            let name = entry.file_name().to_string_lossy().into_owned();
+            if name.ends_with(".tmp") {
+                files.tmp.insert(name);
+            } else if name.ends_with(".seg") {
+                files.segments.insert(name);
+            }
+        }
+        Ok(files)
+    }
 }
 
 /// Plain durable temp-write + rename, for paths outside fault injection.

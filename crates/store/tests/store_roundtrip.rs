@@ -47,6 +47,74 @@ fn open_append_reopen_roundtrip() {
     assert_eq!(last, want);
 }
 
+/// A reader's open changes nothing on disk: a temp file and an orphan
+/// segment — a live writer's append in flight — survive it, and the
+/// writer's own open still sweeps both. A missing store is an error for
+/// a reader, not a new empty one.
+#[test]
+fn reader_open_never_sweeps() {
+    let dir = temp_store("reader");
+    assert!(Store::load(&dir).is_err(), "no store yet");
+    assert!(!dir.exists(), "a reader created the store");
+
+    let (mut writer, _) = Store::open(&dir).expect("open");
+    writer
+        .append(&MiniSynth::new(&["esld"], 2).next_window())
+        .expect("append");
+    let tmp = "L0-0000000600000000-g000002.seg.tmp";
+    let orphan = "L0-0000000600000000-g000002.seg";
+    std::fs::write(dir.join(tmp), b"half a segment").expect("write tmp");
+    std::fs::write(dir.join(orphan), b"a segment not yet committed").expect("write orphan");
+
+    let reader = Store::load(&dir).expect("load");
+    assert_eq!(reader.segments(), writer.segments());
+    assert!(dir.join(tmp).exists() && dir.join(orphan).exists());
+
+    let (_, report) = Store::open(&dir).expect("reopen");
+    assert_eq!(report.removed_tmp, vec![tmp.to_string()]);
+    assert_eq!(report.removed_orphans, vec![orphan.to_string()]);
+    assert!(!dir.join(tmp).exists() && !dir.join(orphan).exists());
+
+    // A referenced segment that is gone fails the reader's open too.
+    std::fs::remove_file(dir.join(&writer.segments()[0].name)).expect("unlink");
+    assert!(matches!(
+        Store::load(&dir),
+        Err(StoreError::MissingSegment { .. })
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Readers opening and querying in a loop beside a live appender never
+/// break an append, and every open they make answers.
+#[test]
+fn readers_beside_a_live_writer() {
+    let dir = temp_store("live-writer");
+    let (mut writer, _) = Store::open(&dir).expect("open");
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut opens = 0;
+            while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                let store = Store::load(&dir).expect("a reader's open");
+                store::query::windows_in(&store, "esld", 0, u64::MAX, None).expect("query");
+                opens += 1;
+            }
+            opens
+        });
+        let mut synth = MiniSynth::new(&["esld"], 2);
+        for _ in 0..300 {
+            writer
+                .append(&synth.next_window())
+                .expect("append beside a reader");
+        }
+        done.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(reader.join().expect("reader") > 0);
+    });
+    let (_, report) = Store::open(&dir).expect("reopen");
+    assert!(report.is_clean(), "{report:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn generation_advances_and_empty_append_rejected() {
     let dir = temp_store("gen");
@@ -90,8 +158,8 @@ fn compaction_preserves_fold_and_conserves_windows() {
     // exactly one live segment's range, and total records shrink while
     // the fold stays byte-equal.
     let after = all_states(&store);
-    let folded_after = fold_states(&after).expect("fold store");
-    let folded_raw = fold_states(&raw).expect("fold raw");
+    let folded_after = fold_states(after.clone()).expect("fold store");
+    let folded_raw = fold_states(raw.clone()).expect("fold raw");
     assert_eq!(
         folded_after, folded_raw,
         "compaction must not change the fold"
@@ -155,8 +223,8 @@ fn hierarchical_rollup_is_byte_identical_to_oneshot() {
     assert_eq!(a_days, b_days, "rollup association order leaked into bytes");
     // And both agree with the pure in-memory fold.
     assert_eq!(
-        fold_states(&all_states(&a)).expect("fold a"),
-        fold_states(&all_states(&b)).expect("fold b"),
+        fold_states(all_states(&a)).expect("fold a"),
+        fold_states(all_states(&b)).expect("fold b"),
     );
 }
 
@@ -186,7 +254,7 @@ fn crash_at_every_op_recovers_without_losing_windows() {
     compact_with(&mut reference, &policy, &mut durable).expect("reference compaction");
     let total_ops = durable.ops();
     assert!(total_ops >= 6, "two ripe hour buckets → several ops");
-    let reference_fold = fold_states(&raw).expect("reference fold");
+    let reference_fold = fold_states(raw).expect("reference fold");
     let frontier = reference.frontier_us();
 
     for op in 0..total_ops {
@@ -216,7 +284,7 @@ fn crash_at_every_op_recovers_without_losing_windows() {
             frontier,
             "crash op {op} moved the frontier"
         );
-        let fold = fold_states(&all_states(&recovered)).expect("recovered fold");
+        let fold = fold_states(all_states(&recovered)).expect("recovered fold");
         assert_eq!(
             fold, reference_fold,
             "crash op {op} lost or double-counted a window"
@@ -224,7 +292,7 @@ fn crash_at_every_op_recovers_without_losing_windows() {
         // And the recovered store finishes the job cleanly.
         let (mut recovered, _) = Store::open(&dir).expect("reopen");
         compact(&mut recovered, &policy).expect("resume compaction");
-        let fold = fold_states(&all_states(&recovered)).expect("resumed fold");
+        let fold = fold_states(all_states(&recovered)).expect("resumed fold");
         assert_eq!(fold, reference_fold);
     }
 }
@@ -292,8 +360,8 @@ fn query_history_topk_and_stats() {
 
     // The whole-store fold still matches the raw fold after queries.
     assert_eq!(
-        fold_states(&all_states(&store)).expect("fold"),
-        fold_states(&raw).expect("raw fold"),
+        fold_states(all_states(&store)).expect("fold"),
+        fold_states(raw).expect("raw fold"),
     );
 }
 
@@ -363,7 +431,7 @@ fn expire_crash_at_every_op_never_loses_live_windows() {
         .expect("reference expiry");
     let total_ops = durable.ops();
     assert!(total_ops >= 3, "manifest swap plus unlinks");
-    let reference_fold = fold_states(&all_states(&reference)).expect("reference fold");
+    let reference_fold = fold_states(all_states(&reference)).expect("reference fold");
 
     for op in 0..total_ops {
         let mut victim = build(&format!("expire-crash-{op}"));
@@ -392,7 +460,7 @@ fn expire_crash_at_every_op_never_loses_live_windows() {
         // Re-running the expiry converges to the reference state.
         let (mut recovered, _) = Store::open(&dir).expect("reopen");
         recovered.expire_before(horizon).expect("resume expiry");
-        let fold = fold_states(&all_states(&recovered)).expect("recovered fold");
+        let fold = fold_states(all_states(&recovered)).expect("recovered fold");
         assert_eq!(fold, reference_fold, "crash op {op} diverged");
     }
 }

@@ -14,7 +14,9 @@
 //! * a CRC-framed format never yields a frame it was not sent, and every
 //!   flip or splice inside CRC-covered bytes is an error;
 //! * DOF1 and DOP1 consume a bad frame whose length is intact, and the
-//!   frame after it still decodes.
+//!   frame after it still decodes;
+//! * a DOSG image fails the same way whether its records are all decoded
+//!   or all skipped by their heads.
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -495,16 +497,30 @@ fn skw1_streams() {
     }
 }
 
-#[test]
-fn dosg_segment_images() {
-    use store::segment::{decode_segment, encode_segment};
+/// Two segment images of different levels, and the states of each.
+fn dosg_images() -> [(Vec<u8>, Vec<WindowState>); 2] {
+    use store::segment::encode_segment;
     let a = vec![
         window(1, 0.0, "esld", &[("a.example", 5), ("b.example", 2)]),
         window(1, 0.0, "qtype", &[("A", 9)]),
     ];
     let b = vec![window(2, 60.0, "esld", &[("c.example", 7)])];
-    let (img_a, _) = encode_segment(0, &a);
-    let (img_b, _) = encode_segment(1, &b);
+    [(encode_segment(0, &a).0, a), (encode_segment(1, &b).0, b)]
+}
+
+/// The segment a store error names: a bad one, or one of a version this
+/// build does not read (named, but not flagged for quarantine).
+fn segment_named(e: &store::StoreError) -> Option<&str> {
+    match e {
+        store::StoreError::UnsupportedVersion { segment, .. } => Some(segment),
+        e => e.bad_segment(),
+    }
+}
+
+#[test]
+fn dosg_segment_images() {
+    use store::segment::decode_segment;
+    let [(img_a, a), (img_b, b)] = dosg_images();
     for (img, states, donor) in [(&img_a, &a, &img_b), (&img_b, &b, &img_a)] {
         let (_, back) = decode_segment(img, "t.seg").expect("valid image");
         assert_eq!(&back, states);
@@ -517,7 +533,37 @@ fn dosg_segment_images() {
                     "{:?}: a mutated image decoded",
                     m.kind
                 ),
-                Err(e) => assert_eq!(e.bad_segment(), Some("t.seg"), "{:?}: {e}", m.kind),
+                Err(e) => assert_eq!(segment_named(&e), Some("t.seg"), "{:?}: {e}", m.kind),
+            }
+        }
+    }
+}
+
+/// The record walk a query runs, keeping no record: every record is still
+/// CRC-checked and counted against the footer, so every flip and every
+/// truncation fails it, just as it fails the whole decode.
+#[test]
+fn dosg_walk_keeping_nothing() {
+    use store::segment::{decode_records, read_footer};
+    let walk = |bytes: &[u8]| {
+        let (footer, body) = read_footer(bytes, "t.seg")?;
+        decode_records(&bytes[body], &footer, "t.seg", |_| false)
+    };
+    let [(img_a, _), (img_b, _)] = dosg_images();
+    for (img, donor) in [(&img_a, &img_b), (&img_b, &img_a)] {
+        assert_eq!(walk(img).expect("valid image"), vec![]);
+        for m in mutations(std::slice::from_ref(img), std::slice::from_ref(donor)) {
+            match walk(&m.bytes) {
+                Ok(kept) => {
+                    assert!(
+                        matches!(m.kind, Kind::Append | Kind::Splice { .. })
+                            && (m.bytes == img_a || m.bytes == img_b),
+                        "{:?}: a mutated image walked cleanly",
+                        m.kind
+                    );
+                    assert!(kept.is_empty(), "{:?}: kept a record", m.kind);
+                }
+                Err(e) => assert_eq!(segment_named(&e), Some("t.seg"), "{:?}: {e}", m.kind),
             }
         }
     }
