@@ -1,49 +1,33 @@
-//! Time aggregation (paper §2.4, step F): minutely windows roll up into
-//! 10-minute, hourly, daily, … files, with retention limits per level.
+//! Time aggregation (paper §2.4, step F): the rows of several windows of
+//! one dataset merge by key, into one coarser window ([`rollup`], which
+//! `dnsobs` writes as a `10win-` file every ten windows) or into a whole
+//! run's totals ([`TimeSeriesStore::cumulative`]). Both are one routine,
+//! [`merge_windows`].
 //!
-//! Aggregation semantics follow the paper exactly: counters aggregate as
-//! the *mean rate per sub-window*, filling 0 for sub-windows where the
-//! object is missing; non-counter features (cardinality estimates,
-//! quartiles, averages) aggregate as the mean over the sub-windows where
-//! the object is *present*.
+//! Each feature merges by the rule its line of the feature table names
+//! ([`crate::features`]):
+//! - counters ([`Sum`]) add up; a rollup then divides them by the window
+//!   count, so they become the mean rate per window, 0 where the object
+//!   is missing;
+//! - estimates and `sources` ([`Mean`]) average over the windows where
+//!   the object is present;
+//! - `qdots`, `lvl` and `nslvl` ([`Weighted`]) average weighted by each
+//!   window's hits, as the means of transactions they are;
+//! - `qdots_max` ([`Max`]) keeps the largest;
+//! - the top-3 lists ([`Tops`]) merge their shares weighted by hits and
+//!   keep the three largest;
+//! - quartiles ([`Quartiles`]) average over the windows where they have a
+//!   value, skipping NaN.
+//!
+//! [`TimeSeriesStore::cumulative`]: crate::timeseries::TimeSeriesStore::cumulative
 
 use crate::features::FeatureRow;
-use crate::timeseries::WindowDump;
+use crate::timeseries::{sort_rows, WindowDump};
 use std::collections::HashMap;
 
-/// One rollup level, e.g. "10 windows of the level below".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Level {
-    /// Human name (`10min`, `hour`, …).
-    pub name: &'static str,
-    /// How many windows of the previous level form one of this level.
-    pub fan_in: usize,
-    /// How many aggregated windows to retain (older ones are deleted).
-    pub retention: usize,
-}
-
-/// The paper's ladder: minute → 10 min → hour → day.
-pub const DEFAULT_LEVELS: &[Level] = &[
-    Level {
-        name: "10min",
-        fan_in: 10,
-        retention: 144,
-    },
-    Level {
-        name: "hour",
-        fan_in: 6,
-        retention: 72,
-    },
-    Level {
-        name: "day",
-        fan_in: 24,
-        retention: 60,
-    },
-];
-
-/// Aggregate `fan_in` consecutive window dumps of one dataset into one
-/// coarser dump. Counters become mean-per-subwindow (missing → 0);
-/// everything else becomes mean over present subwindows.
+/// Aggregate consecutive window dumps of one dataset into one coarser
+/// dump: counters become the mean per window, everything else merges by
+/// its rule (module docs).
 pub fn rollup(windows: &[WindowDump]) -> WindowDump {
     assert!(!windows.is_empty(), "cannot roll up zero windows");
     let dataset = windows[0].dataset.clone();
@@ -51,140 +35,132 @@ pub fn rollup(windows: &[WindowDump]) -> WindowDump {
         windows.iter().all(|w| w.dataset == dataset),
         "mixed datasets in rollup"
     );
-    let n = windows.len() as f64;
-    let mut acc: HashMap<String, (FeatureRow, u64)> = HashMap::new();
-    for w in windows {
-        for (key, row) in &w.rows {
-            match acc.get_mut(key) {
-                None => {
-                    acc.insert(key.clone(), (row.clone(), 1));
-                }
-                Some((total, present)) => {
-                    crate::timeseries::merge_rows(total, row);
-                    *present += 1;
-                }
-            }
-        }
-    }
-    let mut rows: Vec<(String, FeatureRow)> = acc
-        .into_iter()
-        .map(|(key, (mut row, present))| {
-            scale_row(&mut row, present, n);
-            (key, row)
-        })
-        .collect();
-    rows.sort_by(|a, b| b.1.hits.cmp(&a.1.hits).then_with(|| a.0.cmp(&b.0)));
     WindowDump {
+        rows: merge_windows(windows, true),
         dataset,
         start: windows[0].start,
         length: windows.iter().map(|w| w.length).sum(),
         kept: windows.iter().map(|w| w.kept).sum(),
         dropped: windows.iter().map(|w| w.dropped).sum(),
         filtered: windows.iter().map(|w| w.filtered).sum(),
-        rows,
     }
 }
 
-/// Counters: divide by the total sub-window count (missing → 0).
-/// Non-counters: divide by the number of sub-windows present.
-fn scale_row(row: &mut FeatureRow, present: u64, n: f64) {
-    // The merged row already holds sums over present windows.
-    // Counters use n (fill-zero); means use `present`.
-    let div_counter = n;
-    row.hits = (row.hits as f64 / div_counter).round() as u64;
-    row.unans = (row.unans as f64 / div_counter).round() as u64;
-    row.ok = (row.ok as f64 / div_counter).round() as u64;
-    row.nxd = (row.nxd as f64 / div_counter).round() as u64;
-    row.rfs = (row.rfs as f64 / div_counter).round() as u64;
-    row.fail = (row.fail as f64 / div_counter).round() as u64;
-    row.ok_ans = (row.ok_ans as f64 / div_counter).round() as u64;
-    row.ok_ns = (row.ok_ns as f64 / div_counter).round() as u64;
-    row.ok_add = (row.ok_add as f64 / div_counter).round() as u64;
-    row.ok_nil = (row.ok_nil as f64 / div_counter).round() as u64;
-    row.ok6 = (row.ok6 as f64 / div_counter).round() as u64;
-    row.ok6nil = (row.ok6nil as f64 / div_counter).round() as u64;
-    row.ok_sec = (row.ok_sec as f64 / div_counter).round() as u64;
-    let p = present as f64;
-    for v in [
-        &mut row.srvips,
-        &mut row.srcips,
-        &mut row.sources,
-        &mut row.qnamesa,
-        &mut row.qnames,
-        &mut row.tlds,
-        &mut row.eslds,
-        &mut row.qtypes,
-        &mut row.ip4s,
-        &mut row.ip6s,
-    ] {
-        *v /= p;
-    }
-    for arr in [
-        &mut row.resp_delays,
-        &mut row.network_hops,
-        &mut row.resp_size,
-    ] {
-        for v in arr.iter_mut() {
-            *v /= p;
+/// Merge the rows of `windows` by key, each feature by its rule; with
+/// `per_window`, counters are divided by the window count. Rows come out
+/// hits descending, then key ascending.
+pub(crate) fn merge_windows<'a>(
+    windows: impl IntoIterator<Item = &'a WindowDump>,
+    per_window: bool,
+) -> Vec<(String, FeatureRow)> {
+    let mut by_key: HashMap<&str, Vec<&FeatureRow>> = HashMap::new();
+    let mut count = 0;
+    for w in windows {
+        count += 1;
+        for (key, row) in &w.rows {
+            by_key.entry(key).or_default().push(row);
         }
     }
+    let per_window = per_window.then_some(count as f64);
+    let mut rows: Vec<(String, FeatureRow)> = by_key
+        .into_iter()
+        .map(|(key, rows)| (key.to_string(), FeatureRow::merged(&rows, per_window)))
+        .collect();
+    sort_rows(&mut rows);
+    rows
 }
 
-/// A rolling aggregator: feed minutely dumps, get coarser dumps out as
-/// they complete, with per-level retention.
-#[derive(Debug)]
-pub struct Aggregator {
-    levels: Vec<Level>,
-    /// Pending (not yet complete) windows per level; level 0 receives the
-    /// raw minutely input.
-    pending: Vec<Vec<WindowDump>>,
-    /// Completed windows per level, trimmed to retention.
-    complete: Vec<Vec<WindowDump>>,
+// The merge rules the feature table names. Each takes one feature's
+// values of one key, in window order, with the hits behind each, and the
+// window count when counters become rates per window.
+
+/// Counters: summed, then divided per window in a rollup.
+pub(crate) fn sum<'a>(
+    values: impl Iterator<Item = (&'a u64, f64)>,
+    per_window: Option<f64>,
+) -> u64 {
+    let total: u64 = values.map(|(v, _)| v).sum();
+    per_window.map_or(total, |n| (total as f64 / n).round() as u64)
 }
 
-impl Aggregator {
-    /// Build an aggregator with the given ladder (see [`DEFAULT_LEVELS`]).
-    pub fn new(levels: &[Level]) -> Aggregator {
-        assert!(!levels.is_empty());
-        Aggregator {
-            levels: levels.to_vec(),
-            pending: vec![Vec::new(); levels.len()],
-            complete: vec![Vec::new(); levels.len()],
-        }
-    }
+/// Estimates: the mean over the windows where the key is present.
+pub(crate) fn mean<'a>(values: impl Iterator<Item = (&'a f64, f64)>, _: Option<f64>) -> f64 {
+    let (sum, present) = values.fold((0.0, 0.0), |(sum, n), (v, _)| (sum + v, n + 1.0));
+    sum / present
+}
 
-    /// Feed one minutely dump; cascades completed rollups upward.
-    pub fn push(&mut self, dump: WindowDump) {
-        self.push_level(0, dump);
-    }
-
-    fn push_level(&mut self, level: usize, dump: WindowDump) {
-        if level >= self.levels.len() {
-            return;
+/// Means over transactions: weighted by each window's hits.
+pub(crate) fn weighted<'a>(
+    mut values: impl Iterator<Item = (&'a f64, f64)>,
+    _: Option<f64>,
+) -> f64 {
+    let (&first, mut hits) = values.next().expect("a merged key has a row");
+    values.fold(first, |mean, (&v, w)| {
+        let (w_mean, sum) = (hits, hits + w);
+        hits = sum;
+        if sum > 0.0 {
+            (mean * w_mean + v * w) / sum
+        } else {
+            mean
         }
-        self.pending[level].push(dump);
-        if self.pending[level].len() >= self.levels[level].fan_in {
-            let batch: Vec<WindowDump> = self.pending[level].drain(..).collect();
-            let rolled = rollup(&batch);
-            self.complete[level].push(rolled.clone());
-            let retention = self.levels[level].retention;
-            let len = self.complete[level].len();
-            if len > retention {
-                self.complete[level].drain(0..len - retention);
+    })
+}
+
+/// Maxima: the largest.
+pub(crate) fn max<'a>(values: impl Iterator<Item = (&'a u8, f64)>, _: Option<f64>) -> u8 {
+    values.map(|(&v, _)| v).max().unwrap_or(0)
+}
+
+/// Top-3 lists: shares merged weighted by hits, the three largest kept
+/// (ties to the smaller value).
+pub(crate) fn tops<'a>(
+    mut values: impl Iterator<Item = (&'a Vec<(u64, f64)>, f64)>,
+    _: Option<f64>,
+) -> Vec<(u64, f64)> {
+    let (first, mut hits) = values.next().expect("a merged key has a row");
+    values.fold(first.clone(), |list, (other, w)| {
+        let (w_list, sum) = (hits, hits + w);
+        hits = sum;
+        if sum <= 0.0 {
+            return list;
+        }
+        let mut merged: HashMap<u64, f64> = HashMap::new();
+        for &(v, s) in &list {
+            *merged.entry(v).or_default() += s * w_list / sum;
+        }
+        for &(v, s) in other {
+            *merged.entry(v).or_default() += s * w / sum;
+        }
+        let mut list: Vec<(u64, f64)> = merged.into_iter().collect();
+        list.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        list.truncate(3);
+        list
+    })
+}
+
+/// Quartiles: NaN (no value) skipped, the sum divided by the windows
+/// where the key is present.
+pub(crate) fn quartiles<'a>(
+    values: impl Iterator<Item = (&'a [f64; 3], f64)>,
+    _: Option<f64>,
+) -> [f64; 3] {
+    let (mut sum, mut valued, mut present) = ([0.0; 3], [0; 3], 0.0);
+    for (v, _) in values {
+        present += 1.0;
+        for i in 0..3 {
+            if !v[i].is_nan() {
+                sum[i] += v[i];
+                valued[i] += 1;
             }
-            self.push_level(level + 1, rolled);
         }
     }
-
-    /// Completed windows at a level (0 = first rollup, e.g. 10 min).
-    pub fn completed(&self, level: usize) -> &[WindowDump] {
-        &self.complete[level]
-    }
-
-    /// Names of the configured levels.
-    pub fn level_names(&self) -> Vec<&'static str> {
-        self.levels.iter().map(|l| l.name).collect()
-    }
+    std::array::from_fn(|i| {
+        if valued[i] == 0 {
+            f64::NAN
+        } else {
+            sum[i] / present
+        }
+    })
 }
 
 #[cfg(test)]
@@ -262,45 +238,5 @@ mod tests {
         d2.dataset = "qname".into();
         let d1 = dump(0.0, vec![("k".into(), r)]);
         rollup(&[d1, d2]);
-    }
-
-    #[test]
-    fn aggregator_cascades() {
-        let r = row(0.3, 5);
-        let mut agg = Aggregator::new(&[
-            Level {
-                name: "2min",
-                fan_in: 2,
-                retention: 10,
-            },
-            Level {
-                name: "4min",
-                fan_in: 2,
-                retention: 10,
-            },
-        ]);
-        for i in 0..4 {
-            agg.push(dump(i as f64 * 60.0, vec![("k".into(), r.clone())]));
-        }
-        assert_eq!(agg.completed(0).len(), 2, "two 2-min windows");
-        assert_eq!(agg.completed(1).len(), 1, "one 4-min window");
-        assert_eq!(agg.completed(1)[0].length, 240.0);
-        assert_eq!(agg.level_names(), vec!["2min", "4min"]);
-    }
-
-    #[test]
-    fn retention_trims_old_windows() {
-        let r = row(0.3, 6);
-        let mut agg = Aggregator::new(&[Level {
-            name: "2min",
-            fan_in: 2,
-            retention: 3,
-        }]);
-        for i in 0..12 {
-            agg.push(dump(i as f64 * 60.0, vec![("k".into(), r.clone())]));
-        }
-        assert_eq!(agg.completed(0).len(), 3, "retention caps history");
-        // The oldest retained window starts at minute 6 (windows 0-5 gone).
-        assert_eq!(agg.completed(0)[0].start, 6.0 * 60.0);
     }
 }

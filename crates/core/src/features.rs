@@ -5,11 +5,14 @@
 //! window. At window boundaries the set is rendered into a plain-number
 //! [`FeatureRow`] and reset, without disturbing the top-k list itself.
 
+use crate::aggregate;
 use crate::summarize::{Outcome, TxSummary};
+use crate::tsv::Cell;
 use serde::{Deserialize, Serialize};
 use sketches::{HyperLogLog, LogBuckets, LogHistogram, TopValues};
-use sketchwire::StateError;
+use sketchwire::{HistogramState, HllState, StateError, TopValuesState};
 use std::cell::RefCell;
+use std::io;
 use std::net::IpAddr;
 use std::sync::{Arc, OnceLock};
 
@@ -136,58 +139,43 @@ impl FoldDigest {
     }
 }
 
-/// Word indices of the counters (`adds`, in state order) and of the
-/// one max in a [`FeatureSet`]'s word block.
+/// Consecutive indices from 0, one constant per name, in the order
+/// given: one block's slots in state order.
+macro_rules! slots {
+    ($($name:ident),*) => { slots!(@ 0, $($name,)*); };
+    (@ $at:expr, $name:ident, $($rest:ident,)*) => {
+        pub const $name: usize = $at;
+        slots!(@ $at + 1, $($rest,)*);
+    };
+    (@ $at:expr,) => {};
+}
+
+/// Word indices of the counters (`adds`, in state order), then of the
+/// one max, in a [`FeatureSet`]'s word block.
 mod add {
-    pub const HITS: usize = 0;
-    pub const UNANS: usize = 1;
-    pub const OK: usize = 2;
-    pub const NXD: usize = 3;
-    pub const RFS: usize = 4;
-    pub const FAIL: usize = 5;
-    pub const OK_ANS: usize = 6;
-    pub const OK_NS: usize = 7;
-    pub const OK_ADD: usize = 8;
-    pub const OK_NIL: usize = 9;
-    pub const OK6: usize = 10;
-    pub const OK6NIL: usize = 11;
-    pub const OK_SEC: usize = 12;
-    pub const QDOTS_SUM: usize = 13;
-    pub const LVL_SUM: usize = 14;
-    pub const NSLVL_SUM: usize = 15;
-    pub const ANSWERED: usize = 16;
-    /// The max follows the counters.
-    pub const QDOTS_MAX: usize = super::STATE_ADDS;
+    slots! {
+        HITS, UNANS, OK, NXD, RFS, FAIL, OK_ANS, OK_NS, OK_ADD, OK_NIL, OK6, OK6NIL, OK_SEC,
+        QDOTS_SUM, LVL_SUM, NSLVL_SUM, ANSWERED, QDOTS_MAX
+    }
+    const _: () = assert!(
+        QDOTS_MAX == super::STATE_ADDS,
+        "the max follows the counters"
+    );
 }
 
 /// Indices of the HyperLogLogs, in state order.
 mod hll {
-    pub const SRVIPS: usize = 0;
-    pub const SRCIPS: usize = 1;
-    pub const QNAMESA: usize = 2;
-    pub const QNAMES: usize = 3;
-    pub const TLDS: usize = 4;
-    pub const ESLDS: usize = 5;
-    pub const QTYPES: usize = 6;
-    pub const IP4S: usize = 7;
-    pub const IP6S: usize = 8;
+    slots! { SRVIPS, SRCIPS, QNAMESA, QNAMES, TLDS, ESLDS, QTYPES, IP4S, IP6S }
 }
 
 /// Indices of the top-value tables, in state order.
 mod top {
-    pub const TTL: usize = 0;
-    pub const TTL_A: usize = 1;
-    pub const NSTTL: usize = 2;
-    pub const NEGTTL: usize = 3;
-    pub const A_DATA: usize = 4;
-    pub const NS_NAMES: usize = 5;
+    slots! { TTL, TTL_A, NSTTL, NEGTTL, A_DATA, NS_NAMES }
 }
 
 /// Indices of the histograms, in state order.
 mod hist {
-    pub const DELAYS: usize = 0;
-    pub const HOPS: usize = 1;
-    pub const SIZES: usize = 2;
+    slots! { DELAYS, HOPS, SIZES }
 }
 
 /// Widest top-value table [`FeatureSet::from_state`] builds: a table's
@@ -421,61 +409,44 @@ impl FeatureSet {
         }
     }
 
-    /// Render the current state as plain numbers.
-    pub fn row(&self) -> FeatureRow {
-        let w = &self.words;
-        let avg = |sum: usize, n: usize| {
-            if w[n] == 0 {
-                0.0
-            } else {
-                w[sum] as f64 / w[n] as f64
-            }
-        };
-        let est = |i: usize| HyperLogLog::estimate_of(self.hll(i));
-        let tv = |i: usize| TopValues::top_n_with_share_of(self.top(i), 3);
-        let quart = |i: usize| {
-            LogHistogram::quartiles_of(self.hist(i), &self.layout.buckets[i])
-                .map(|(a, b, c)| [a, b, c])
-                .unwrap_or([f64::NAN; 3])
-        };
-        FeatureRow {
-            hits: w[add::HITS],
-            unans: w[add::UNANS],
-            ok: w[add::OK],
-            nxd: w[add::NXD],
-            rfs: w[add::RFS],
-            fail: w[add::FAIL],
-            ok_ans: w[add::OK_ANS],
-            ok_ns: w[add::OK_NS],
-            ok_add: w[add::OK_ADD],
-            ok_nil: w[add::OK_NIL],
-            ok6: w[add::OK6],
-            ok6nil: w[add::OK6NIL],
-            ok_sec: w[add::OK_SEC],
-            srvips: est(hll::SRVIPS),
-            srcips: est(hll::SRCIPS),
-            sources: self.sources.len() as f64,
-            qnamesa: est(hll::QNAMESA),
-            qnames: est(hll::QNAMES),
-            tlds: est(hll::TLDS),
-            eslds: est(hll::ESLDS),
-            qtypes: est(hll::QTYPES),
-            ip4s: est(hll::IP4S),
-            ip6s: est(hll::IP6S),
-            qdots: avg(add::QDOTS_SUM, add::HITS),
-            qdots_max: w[add::QDOTS_MAX] as u8,
-            lvl: avg(add::LVL_SUM, add::ANSWERED),
-            nslvl: avg(add::NSLVL_SUM, add::ANSWERED),
-            ttl_top: tv(top::TTL),
-            ttl_a_top: tv(top::TTL_A),
-            nsttl_top: tv(top::NSTTL),
-            negttl_top: tv(top::NEGTTL),
-            a_data_top: tv(top::A_DATA),
-            ns_names_top: tv(top::NS_NAMES),
-            resp_delays: quart(hist::DELAYS),
-            network_hops: quart(hist::HOPS),
-            resp_size: quart(hist::SIZES),
+    /// Counter `i`.
+    fn count(&self, i: usize) -> u64 {
+        self.words[i]
+    }
+
+    /// Word `i`, which holds a label count.
+    fn byte(&self, i: usize) -> u8 {
+        self.words[i] as u8
+    }
+
+    /// Word `sum` over word `n`, 0 when `n` is.
+    fn ratio(&self, sum: usize, n: usize) -> f64 {
+        match self.words[n] {
+            0 => 0.0,
+            n => self.words[sum] as f64 / n as f64,
         }
+    }
+
+    /// HyperLogLog `i`'s estimate.
+    fn estimate(&self, i: usize) -> f64 {
+        HyperLogLog::estimate_of(self.hll(i))
+    }
+
+    /// The exact contributor count.
+    fn contributors(&self) -> f64 {
+        self.sources.len() as f64
+    }
+
+    /// Table `i`'s three most frequent values with their shares.
+    fn top3(&self, i: usize) -> Vec<(u64, f64)> {
+        TopValues::top_n_with_share_of(self.top(i), 3)
+    }
+
+    /// Histogram `i`'s quartiles, NaN when it is empty.
+    fn quartiles(&self, i: usize) -> [f64; 3] {
+        LogHistogram::quartiles_of(self.hist(i), &self.layout.buckets[i])
+            .map(|(a, b, c)| [a, b, c])
+            .unwrap_or([f64::NAN; 3])
     }
 
     /// Reset all statistics for the next window (the object itself stays
@@ -497,7 +468,7 @@ impl FeatureSet {
     /// Export the live sketch state as a wire-ready [`FeatureState`],
     /// following the positional layout contract (`STATE_*` constants).
     pub fn to_state(&self) -> sketchwire::FeatureState {
-        use sketchwire::{FeatureState, HistogramState, HllState, TopValuesState};
+        use sketchwire::FeatureState;
         let hll = |i: usize| {
             let registers = self.hll(i);
             HllState {
@@ -548,44 +519,29 @@ impl FeatureSet {
     /// that declares a table wider than 4 096 slots, is a
     /// [`StateError::LayoutMismatch`].
     pub fn from_state(state: &sketchwire::FeatureState) -> Result<FeatureSet, StateError> {
-        if state.adds.len() != STATE_ADDS {
-            return Err(StateError::LayoutMismatch("counter count"));
-        }
-        if state.maxes.len() != STATE_MAXES {
-            return Err(StateError::LayoutMismatch("max count"));
-        }
-        if state.hlls.len() != STATE_HLLS {
-            return Err(StateError::LayoutMismatch("hll count"));
-        }
-        if state.hlls.iter().any(|h| !(4..=16).contains(&h.p)) {
-            return Err(StateError::LayoutMismatch("hll precision"));
-        }
-        if state
-            .hlls
-            .iter()
-            .any(|h| h.registers.len() != 1 << h.p || h.registers.iter().any(|&r| r > 65 - h.p))
-        {
-            return Err(StateError::LayoutMismatch("hll registers"));
-        }
-        if state.tops.len() != STATE_TOPS {
-            return Err(StateError::LayoutMismatch("topvalues count"));
-        }
-        if state
-            .tops
-            .iter()
-            .any(|t| !(1..=MAX_TOP_SLOTS).contains(&t.capacity))
-        {
-            return Err(StateError::LayoutMismatch("topvalues capacity"));
-        }
-        if state.hists.len() != STATE_HISTS {
-            return Err(StateError::LayoutMismatch("histogram count"));
-        }
-        if state.hists.iter().any(|h| {
-            !(h.min.is_finite() && h.min > 0.0 && h.base.is_finite() && h.base > 1.0)
-                || h.counts.is_empty()
-        }) {
-            return Err(StateError::LayoutMismatch("histogram layout"));
-        }
+        // In order: a later check may rely on an earlier one.
+        let check = |sound: bool, what| sound.then_some(()).ok_or(StateError::LayoutMismatch(what));
+        check(state.adds.len() == STATE_ADDS, "counter count")?;
+        check(state.maxes.len() == STATE_MAXES, "max count")?;
+        check(state.hlls.len() == STATE_HLLS, "hll count")?;
+        let precision = |h: &HllState| (4..=16).contains(&h.p);
+        check(state.hlls.iter().all(precision), "hll precision")?;
+        let fits = |h: &HllState| {
+            h.registers.len() == 1 << h.p && h.registers.iter().all(|&r| r <= 65 - h.p)
+        };
+        check(state.hlls.iter().all(fits), "hll registers")?;
+        check(state.tops.len() == STATE_TOPS, "topvalues count")?;
+        let slots = |t: &TopValuesState| (1..=MAX_TOP_SLOTS).contains(&t.capacity);
+        check(state.tops.iter().all(slots), "topvalues capacity")?;
+        check(state.hists.len() == STATE_HISTS, "histogram count")?;
+        let buckets = |h: &HistogramState| {
+            h.min.is_finite()
+                && h.min > 0.0
+                && h.base.is_finite()
+                && h.base > 1.0
+                && !h.counts.is_empty()
+        };
+        check(state.hists.iter().all(buckets), "histogram layout")?;
         let layout = Layout::new(
             std::array::from_fn(|i| state.hlls[i].p),
             std::array::from_fn(|i| state.tops[i].capacity as usize),
@@ -627,82 +583,133 @@ impl FeatureSet {
     }
 }
 
-/// One object's features in one time window, as plain numbers — the TSV
-/// row of the paper's data files (step E).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FeatureRow {
+/// The rendered features, declared once. Each line gives a
+/// [`FeatureRow`] field (doc, name, type), its render from a
+/// [`FeatureSet`]'s blocks, its TSV column(s) and its merge rule across
+/// windows ([`crate::aggregate`]); the row struct, [`FeatureSet::row`],
+/// the TSV codec and the row merges are generated from it. A new feature
+/// is one line here, its fold in [`FeatureSet::fold_digest`] and its
+/// state slot.
+macro_rules! features {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty = $render:ident($($arg:expr),*)
+        => [$($column:literal),+] by $rule:ident,)*) => {
+        /// One object's features in one time window, as plain numbers —
+        /// the TSV row of the paper's data files (step E).
+        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        pub struct FeatureRow {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl FeatureSet {
+            /// Render the current state as plain numbers.
+            pub fn row(&self) -> FeatureRow {
+                FeatureRow { $($field: self.$render($($arg),*),)* }
+            }
+        }
+
+        impl Cell for FeatureRow {
+            fn write_cell<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
+                $(self.$field.write_cell(w)?;)*
+                Ok(())
+            }
+
+            fn parse_cell<'a>(cells: &mut impl Iterator<Item = &'a str>) -> Option<Self> {
+                Some(FeatureRow { $($field: Cell::parse_cell(cells)?,)* })
+            }
+        }
+
+        impl FeatureRow {
+            /// The TSV header: the key's column, then each feature's.
+            pub const COLUMNS: &'static [&'static str] = &["key", $($($column,)+)*];
+
+            /// Merge one key's rows of several windows, in window order,
+            /// each feature by its rule; `per_window` (the window count)
+            /// makes counters rates per window.
+            pub(crate) fn merged(rows: &[&FeatureRow], per_window: Option<f64>) -> FeatureRow {
+                FeatureRow {$(
+                    $field: aggregate::$rule(rows.iter().map(|r| (&r.$field, r.hits as f64)), per_window),
+                )*}
+            }
+        }
+    };
+}
+
+features! {
     /// Total transactions.
-    pub hits: u64,
+    hits: u64 = count(add::HITS) => ["hits"] by sum,
     /// Unanswered queries.
-    pub unans: u64,
+    unans: u64 = count(add::UNANS) => ["unans"] by sum,
     /// NoError responses.
-    pub ok: u64,
+    ok: u64 = count(add::OK) => ["ok"] by sum,
     /// NXDOMAIN responses.
-    pub nxd: u64,
+    nxd: u64 = count(add::NXD) => ["nxd"] by sum,
     /// Refused responses.
-    pub rfs: u64,
+    rfs: u64 = count(add::RFS) => ["rfs"] by sum,
     /// ServFail responses.
-    pub fail: u64,
+    fail: u64 = count(add::FAIL) => ["fail"] by sum,
     /// NoError with non-empty ANSWER.
-    pub ok_ans: u64,
+    ok_ans: u64 = count(add::OK_ANS) => ["ok_ans"] by sum,
     /// NoError with NS in AUTHORITY.
-    pub ok_ns: u64,
+    ok_ns: u64 = count(add::OK_NS) => ["ok_ns"] by sum,
     /// NoError with non-empty ADDITIONAL.
-    pub ok_add: u64,
+    ok_add: u64 = count(add::OK_ADD) => ["ok_add"] by sum,
     /// NoData responses.
-    pub ok_nil: u64,
+    ok_nil: u64 = count(add::OK_NIL) => ["ok_nil"] by sum,
     /// AAAA NoError responses.
-    pub ok6: u64,
+    ok6: u64 = count(add::OK6) => ["ok6"] by sum,
     /// AAAA NoData responses.
-    pub ok6nil: u64,
+    ok6nil: u64 = count(add::OK6NIL) => ["ok6nil"] by sum,
     /// DNSSEC-signed responses.
-    pub ok_sec: u64,
+    ok_sec: u64 = count(add::OK_SEC) => ["ok_sec"] by sum,
     /// Distinct nameserver IPs (estimate).
-    pub srvips: f64,
+    srvips: f64 = estimate(hll::SRVIPS) => ["srvips"] by mean,
     /// Distinct resolver IPs (estimate).
-    pub srcips: f64,
+    srcips: f64 = estimate(hll::SRCIPS) => ["srcips"] by mean,
     /// Distinct SIE contributors (exact).
-    pub sources: f64,
+    sources: f64 = contributors() => ["sources"] by mean,
     /// Distinct QNAMEs over all queries (estimate).
-    pub qnamesa: f64,
+    qnamesa: f64 = estimate(hll::QNAMESA) => ["qnamesa"] by mean,
     /// Distinct QNAMEs that got NoError (estimate).
-    pub qnames: f64,
+    qnames: f64 = estimate(hll::QNAMES) => ["qnames"] by mean,
     /// Distinct TLDs in NoError traffic (estimate).
-    pub tlds: f64,
+    tlds: f64 = estimate(hll::TLDS) => ["tlds"] by mean,
     /// Distinct effective SLDs in NoError traffic (estimate).
-    pub eslds: f64,
+    eslds: f64 = estimate(hll::ESLDS) => ["eslds"] by mean,
     /// Distinct QTYPEs (estimate).
-    pub qtypes: f64,
+    qtypes: f64 = estimate(hll::QTYPES) => ["qtypes"] by mean,
     /// Distinct IPv4 addresses in answers (estimate).
-    pub ip4s: f64,
+    ip4s: f64 = estimate(hll::IP4S) => ["ip4s"] by mean,
     /// Distinct IPv6 addresses in answers (estimate).
-    pub ip6s: f64,
+    ip6s: f64 = estimate(hll::IP6S) => ["ip6s"] by mean,
     /// Mean QNAME label count.
-    pub qdots: f64,
+    qdots: f64 = ratio(add::QDOTS_SUM, add::HITS) => ["qdots"] by weighted,
     /// Maximum QNAME label count (qmin detection).
-    pub qdots_max: u8,
+    qdots_max: u8 = byte(add::QDOTS_MAX) => ["qdots_max"] by max,
     /// Mean ANSWER record count.
-    pub lvl: f64,
+    lvl: f64 = ratio(add::LVL_SUM, add::ANSWERED) => ["lvl"] by weighted,
     /// Mean AUTHORITY NS record count.
-    pub nslvl: f64,
+    nslvl: f64 = ratio(add::NSLVL_SUM, add::ANSWERED) => ["nslvl"] by weighted,
     /// Top-3 ANSWER TTLs with shares.
-    pub ttl_top: Vec<(u64, f64)>,
+    ttl_top: Vec<(u64, f64)> = top3(top::TTL) => ["ttl_top"] by tops,
     /// Top-3 TTLs of A answers specifically (change detection, §4.2).
-    pub ttl_a_top: Vec<(u64, f64)>,
+    ttl_a_top: Vec<(u64, f64)> = top3(top::TTL_A) => ["ttl_a_top"] by tops,
     /// Top-3 AUTHORITY NS TTLs with shares.
-    pub nsttl_top: Vec<(u64, f64)>,
+    nsttl_top: Vec<(u64, f64)> = top3(top::NSTTL) => ["nsttl_top"] by tops,
     /// Top-3 negative-caching TTLs (SOA minimum) with shares.
-    pub negttl_top: Vec<(u64, f64)>,
+    negttl_top: Vec<(u64, f64)> = top3(top::NEGTTL) => ["negttl_top"] by tops,
     /// Top-3 ANSWER rdata hashes with shares (change detection).
-    pub a_data_top: Vec<(u64, f64)>,
+    a_data_top: Vec<(u64, f64)> = top3(top::A_DATA) => ["a_data_top"] by tops,
     /// Top-3 NS-name hashes with shares (change detection).
-    pub ns_names_top: Vec<(u64, f64)>,
+    ns_names_top: Vec<(u64, f64)> = top3(top::NS_NAMES) => ["ns_names_top"] by tops,
     /// Response delay quartiles [q25, median, q75] in ms (NaN when empty).
-    pub resp_delays: [f64; 3],
+    resp_delays: [f64; 3] = quartiles(hist::DELAYS)
+        => ["delay_q25", "delay_q50", "delay_q75"] by quartiles,
     /// Network hop quartiles.
-    pub network_hops: [f64; 3],
+    network_hops: [f64; 3] = quartiles(hist::HOPS)
+        => ["hops_q25", "hops_q50", "hops_q75"] by quartiles,
     /// Response size quartiles, bytes.
-    pub resp_size: [f64; 3],
+    resp_size: [f64; 3] = quartiles(hist::SIZES)
+        => ["size_q25", "size_q50", "size_q75"] by quartiles,
 }
 
 impl FeatureRow {

@@ -6,7 +6,7 @@ use crate::keys::Dataset;
 use serde::{Deserialize, Serialize};
 
 /// One dataset's rows for one time window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct WindowDump {
     /// Dataset name (`srvip`, `esld`, …).
     pub dataset: String,
@@ -84,155 +84,14 @@ impl TimeSeriesStore {
     }
 
     /// Merge all windows of a dataset into cumulative per-key totals:
-    /// counters summed, quartiles/cardinalities averaged over the windows
-    /// where the key appears, TTL tops merged by vote share.
+    /// counters summed, every other feature merged by its rule
+    /// ([`crate::aggregate`]), rows in [`sort_rows`] order.
     ///
     /// This is the "whole measurement period" view used by the rank
     /// analyses (Fig. 2, Table 1, Table 2).
     pub fn cumulative(&self, dataset: Dataset) -> Vec<(String, FeatureRow)> {
-        use std::collections::HashMap;
-        let mut acc: HashMap<String, (FeatureRow, u64)> = HashMap::new();
-        for w in self.dataset(dataset) {
-            for (key, row) in &w.rows {
-                match acc.get_mut(key) {
-                    None => {
-                        acc.insert(key.clone(), (row.clone(), 1));
-                    }
-                    Some((total, n)) => {
-                        merge_rows(total, row);
-                        *n += 1;
-                    }
-                }
-            }
-        }
-        let mut out: Vec<(String, FeatureRow)> = acc
-            .into_iter()
-            .map(|(key, (mut row, n))| {
-                finish_merge(&mut row, n);
-                (key, row)
-            })
-            .collect();
-        sort_rows(&mut out);
-        out
+        crate::aggregate::merge_windows(self.dataset(dataset), false)
     }
-}
-
-/// Accumulate `other` into `total`: counters add; means/cardinalities/
-/// quartiles add (divided by the window count in `finish_merge`);
-/// TTL tops merge weighted by hits.
-pub(crate) fn merge_rows(total: &mut FeatureRow, other: &FeatureRow) {
-    let w_total = total.hits as f64;
-    let w_other = other.hits as f64;
-    total.hits += other.hits;
-    total.unans += other.unans;
-    total.ok += other.ok;
-    total.nxd += other.nxd;
-    total.rfs += other.rfs;
-    total.fail += other.fail;
-    total.ok_ans += other.ok_ans;
-    total.ok_ns += other.ok_ns;
-    total.ok_add += other.ok_add;
-    total.ok_nil += other.ok_nil;
-    total.ok6 += other.ok6;
-    total.ok6nil += other.ok6nil;
-    total.ok_sec += other.ok_sec;
-    // Cardinalities and averages: keep running sums; finish divides.
-    total.srvips += other.srvips;
-    total.srcips += other.srcips;
-    total.sources += other.sources;
-    total.qnamesa += other.qnamesa;
-    total.qnames += other.qnames;
-    total.tlds += other.tlds;
-    total.eslds += other.eslds;
-    total.qtypes += other.qtypes;
-    total.ip4s += other.ip4s;
-    total.ip6s += other.ip6s;
-    // Hit-weighted means.
-    let wsum = w_total + w_other;
-    if wsum > 0.0 {
-        total.qdots = (total.qdots * w_total + other.qdots * w_other) / wsum;
-        total.lvl = (total.lvl * w_total + other.lvl * w_other) / wsum;
-        total.nslvl = (total.nslvl * w_total + other.nslvl * w_other) / wsum;
-    }
-    total.qdots_max = total.qdots_max.max(other.qdots_max);
-    merge_tops(&mut total.ttl_top, &other.ttl_top, w_total, w_other);
-    merge_tops(&mut total.ttl_a_top, &other.ttl_a_top, w_total, w_other);
-    merge_tops(&mut total.nsttl_top, &other.nsttl_top, w_total, w_other);
-    merge_tops(&mut total.negttl_top, &other.negttl_top, w_total, w_other);
-    merge_tops(&mut total.a_data_top, &other.a_data_top, w_total, w_other);
-    merge_tops(
-        &mut total.ns_names_top,
-        &other.ns_names_top,
-        w_total,
-        w_other,
-    );
-    for i in 0..3 {
-        total.resp_delays[i] = nan_add(total.resp_delays[i], other.resp_delays[i]);
-        total.network_hops[i] = nan_add(total.network_hops[i], other.network_hops[i]);
-        total.resp_size[i] = nan_add(total.resp_size[i], other.resp_size[i]);
-    }
-}
-
-fn finish_merge(row: &mut FeatureRow, n: u64) {
-    if n <= 1 {
-        return;
-    }
-    let n = n as f64;
-    // Cardinalities stay per-window averages (the paper aggregates
-    // non-counters as means over present data points).
-    for v in [
-        &mut row.srvips,
-        &mut row.srcips,
-        &mut row.sources,
-        &mut row.qnamesa,
-        &mut row.qnames,
-        &mut row.tlds,
-        &mut row.eslds,
-        &mut row.qtypes,
-        &mut row.ip4s,
-        &mut row.ip6s,
-    ] {
-        *v /= n;
-    }
-    for arr in [
-        &mut row.resp_delays,
-        &mut row.network_hops,
-        &mut row.resp_size,
-    ] {
-        for v in arr.iter_mut() {
-            *v /= n;
-        }
-    }
-}
-
-/// NaN-aware addition: missing (NaN) data points are skipped, matching
-/// the paper's rule for non-counter features.
-fn nan_add(a: f64, b: f64) -> f64 {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => f64::NAN,
-        (true, false) => b,
-        (false, true) => a,
-        (false, false) => a + b,
-    }
-}
-
-/// Merge two weighted top-value lists, keeping the top 3.
-fn merge_tops(total: &mut Vec<(u64, f64)>, other: &[(u64, f64)], w_total: f64, w_other: f64) {
-    let wsum = w_total + w_other;
-    if wsum <= 0.0 {
-        return;
-    }
-    let mut merged: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
-    for &(v, s) in total.iter() {
-        *merged.entry(v).or_default() += s * w_total / wsum;
-    }
-    for &(v, s) in other {
-        *merged.entry(v).or_default() += s * w_other / wsum;
-    }
-    let mut list: Vec<(u64, f64)> = merged.into_iter().collect();
-    list.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    list.truncate(3);
-    *total = list;
 }
 
 #[cfg(test)]
@@ -324,24 +183,27 @@ mod tests {
         a.hits = 900;
         b.ttl_top = vec![(60, 1.0)];
         b.hits = 100;
-        let mut total = a.clone();
-        merge_rows(&mut total, &b);
+        let total = FeatureRow::merged(&[&a, &b], None);
         assert_eq!(total.ttl_top[0].0, 300, "majority TTL wins");
         assert!((total.ttl_top[0].1 - 0.9).abs() < 1e-9);
     }
 
     #[test]
     fn nan_quartiles_skipped() {
-        let mut a = sample_row(0.5, 7);
-        let b = {
-            let mut r = a.clone();
-            r.resp_delays = [f64::NAN; 3];
-            r
+        let a = sample_row(0.5, 7);
+        let b = FeatureRow {
+            resp_delays: [f64::NAN; 3],
+            ..a.clone()
         };
-        let before = a.resp_delays[1];
-        merge_rows(&mut a, &b);
-        // NaN input leaves the sum equal to the original value.
-        assert_eq!(a.resp_delays[1], before);
+        let both = FeatureRow::merged(&[&b, &b], None);
+        assert!(both.resp_delays.iter().all(|q| q.is_nan()));
+        // Where the NaN window falls does not matter.
+        let (ab, ba) = (
+            FeatureRow::merged(&[&a, &b], None),
+            FeatureRow::merged(&[&b, &a], None),
+        );
+        assert!(a.resp_delays[1] > 0.0);
+        assert_eq!(ab.resp_delays, ba.resp_delays);
     }
 
     #[test]

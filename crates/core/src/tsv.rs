@@ -8,87 +8,86 @@ use crate::timeseries::{TimeSeriesStore, WindowDump};
 use std::io::{self, BufRead, Write};
 
 /// Column names, in file order.
-pub const COLUMNS: &[&str] = &[
-    "key",
-    "hits",
-    "unans",
-    "ok",
-    "nxd",
-    "rfs",
-    "fail",
-    "ok_ans",
-    "ok_ns",
-    "ok_add",
-    "ok_nil",
-    "ok6",
-    "ok6nil",
-    "ok_sec",
-    "srvips",
-    "srcips",
-    "sources",
-    "qnamesa",
-    "qnames",
-    "tlds",
-    "eslds",
-    "qtypes",
-    "ip4s",
-    "ip6s",
-    "qdots",
-    "qdots_max",
-    "lvl",
-    "nslvl",
-    "ttl_top",
-    "ttl_a_top",
-    "nsttl_top",
-    "negttl_top",
-    "a_data_top",
-    "ns_names_top",
-    "delay_q25",
-    "delay_q50",
-    "delay_q75",
-    "hops_q25",
-    "hops_q50",
-    "hops_q75",
-    "size_q25",
-    "size_q50",
-    "size_q75",
-];
+pub const COLUMNS: &[&str] = FeatureRow::COLUMNS;
 
-fn fmt_tops(tops: &[(u64, f64)]) -> String {
-    if tops.is_empty() {
-        return "-".to_string();
-    }
-    tops.iter()
-        .map(|(v, s)| format!("{v}:{s:.4}"))
-        .collect::<Vec<_>>()
-        .join("|")
+/// One feature's TSV cell(s), each written after a tab: counts as
+/// integers, other numbers to 3 decimals (`-` for NaN), a top-3 list as
+/// `value:share|…` (`-` when empty), a quartile triple as three cells,
+/// a [`FeatureRow`] as its features' cells in column order.
+pub(crate) trait Cell: Sized {
+    /// Write the cell(s), each after a tab.
+    fn write_cell<W: Write>(&self, w: &mut W) -> io::Result<()>;
+    /// Parse the cell(s) from the next field(s) of a row.
+    fn parse_cell<'a>(cells: &mut impl Iterator<Item = &'a str>) -> Option<Self>;
 }
 
-fn parse_tops(s: &str) -> Option<Vec<(u64, f64)>> {
-    if s == "-" {
-        return Some(Vec::new());
-    }
-    s.split('|')
-        .map(|pair| {
-            let (v, share) = pair.split_once(':')?;
-            Some((v.parse().ok()?, share.parse().ok()?))
-        })
-        .collect()
+macro_rules! integer_cells {
+    ($($t:ty),*) => {$(
+        impl Cell for $t {
+            fn write_cell<W: Write>(&self, w: &mut W) -> io::Result<()> {
+                write!(w, "\t{self}")
+            }
+
+            fn parse_cell<'a>(cells: &mut impl Iterator<Item = &'a str>) -> Option<Self> {
+                cells.next()?.parse().ok()
+            }
+        }
+    )*};
 }
 
-fn fmt_f(v: f64) -> String {
-    if v.is_nan() {
-        "-".to_string()
-    } else {
-        format!("{v:.3}")
+integer_cells!(u64, u8);
+
+impl Cell for f64 {
+    fn write_cell<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        if self.is_nan() {
+            w.write_all(b"\t-")
+        } else {
+            write!(w, "\t{self:.3}")
+        }
+    }
+
+    fn parse_cell<'a>(cells: &mut impl Iterator<Item = &'a str>) -> Option<Self> {
+        match cells.next()? {
+            "-" => Some(f64::NAN),
+            cell => cell.parse().ok(),
+        }
     }
 }
 
-fn parse_f(s: &str) -> Option<f64> {
-    if s == "-" {
-        Some(f64::NAN)
-    } else {
-        s.parse().ok()
+impl Cell for Vec<(u64, f64)> {
+    fn write_cell<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        if self.is_empty() {
+            return w.write_all(b"\t-");
+        }
+        for (i, (value, share)) in self.iter().enumerate() {
+            let sep = if i == 0 { '\t' } else { '|' };
+            write!(w, "{sep}{value}:{share:.4}")?;
+        }
+        Ok(())
+    }
+
+    fn parse_cell<'a>(cells: &mut impl Iterator<Item = &'a str>) -> Option<Self> {
+        match cells.next()? {
+            "-" => Some(Vec::new()),
+            cell => cell
+                .split('|')
+                .map(|pair| {
+                    let (value, share) = pair.split_once(':')?;
+                    Some((value.parse().ok()?, share.parse().ok()?))
+                })
+                .collect(),
+        }
+    }
+}
+
+impl Cell for [f64; 3] {
+    fn write_cell<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        self.iter().try_for_each(|v| v.write_cell(w))
+    }
+
+    fn parse_cell<'a>(cells: &mut impl Iterator<Item = &'a str>) -> Option<Self> {
+        let [q25, q50, q75] = [(); 3].map(|()| f64::parse_cell(cells));
+        Some([q25?, q50?, q75?])
     }
 }
 
@@ -97,61 +96,14 @@ fn parse_f(s: &str) -> Option<f64> {
 pub fn write_window<W: Write>(w: &mut W, dump: &WindowDump) -> io::Result<()> {
     writeln!(w, "{}", COLUMNS.join("\t"))?;
     for (key, row) in &dump.rows {
-        write_row(w, key, row)?;
+        w.write_all(key.as_bytes())?;
+        row.write_cell(w)?;
+        w.write_all(b"\n")?;
     }
     writeln!(
         w,
         "#totals\tdataset={}\tstart={}\tlength={}\tkept={}\tdropped={}\tfiltered={}",
         dump.dataset, dump.start, dump.length, dump.kept, dump.dropped, dump.filtered
-    )
-}
-
-fn write_row<W: Write>(w: &mut W, key: &str, r: &FeatureRow) -> io::Result<()> {
-    writeln!(
-        w,
-        "{key}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        r.hits,
-        r.unans,
-        r.ok,
-        r.nxd,
-        r.rfs,
-        r.fail,
-        r.ok_ans,
-        r.ok_ns,
-        r.ok_add,
-        r.ok_nil,
-        r.ok6,
-        r.ok6nil,
-        r.ok_sec,
-        fmt_f(r.srvips),
-        fmt_f(r.srcips),
-        fmt_f(r.sources),
-        fmt_f(r.qnamesa),
-        fmt_f(r.qnames),
-        fmt_f(r.tlds),
-        fmt_f(r.eslds),
-        fmt_f(r.qtypes),
-        fmt_f(r.ip4s),
-        fmt_f(r.ip6s),
-        fmt_f(r.qdots),
-        r.qdots_max,
-        fmt_f(r.lvl),
-        fmt_f(r.nslvl),
-        fmt_tops(&r.ttl_top),
-        fmt_tops(&r.ttl_a_top),
-        fmt_tops(&r.nsttl_top),
-        fmt_tops(&r.negttl_top),
-        fmt_tops(&r.a_data_top),
-        fmt_tops(&r.ns_names_top),
-        fmt_f(r.resp_delays[0]),
-        fmt_f(r.resp_delays[1]),
-        fmt_f(r.resp_delays[2]),
-        fmt_f(r.network_hops[0]),
-        fmt_f(r.network_hops[1]),
-        fmt_f(r.network_hops[2]),
-        fmt_f(r.resp_size[0]),
-        fmt_f(r.resp_size[1]),
-        fmt_f(r.resp_size[2]),
     )
 }
 
@@ -172,48 +124,54 @@ pub fn render_store(store: &TimeSeriesStore, datasets: &[Dataset]) -> Vec<(Strin
     out
 }
 
-/// Parse a TSV produced by [`write_window`] back into a [`WindowDump`].
-pub fn read_window<R: BufRead>(r: R) -> io::Result<WindowDump> {
-    let mut lines = r.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "empty file"))??;
-    if header != COLUMNS.join("\t") {
+/// Read a file's header line, which must be `columns`.
+fn read_header(
+    lines: &mut impl Iterator<Item = io::Result<String>>,
+    columns: &[&str],
+) -> io::Result<()> {
+    let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "empty file");
+    if lines.next().ok_or_else(eof)?? != columns.join("\t") {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "unexpected header",
         ));
     }
-    let mut dump = WindowDump {
-        dataset: String::new(),
-        start: 0.0,
-        length: 0.0,
-        rows: Vec::new(),
-        kept: 0,
-        dropped: 0,
-        filtered: 0,
-    };
+    Ok(())
+}
+
+/// The `key=value` fields of a `#totals` line; `None` for any other line.
+fn totals(line: &str) -> Option<impl Iterator<Item = (&str, &str)>> {
+    let fields = line.strip_prefix("#totals\t")?.split('\t');
+    Some(fields.filter_map(|field| field.split_once('=')))
+}
+
+/// Parse a TSV produced by [`write_window`] back into a [`WindowDump`].
+pub fn read_window<R: BufRead>(r: R) -> io::Result<WindowDump> {
+    let mut lines = r.lines();
+    read_header(&mut lines, COLUMNS)?;
+    let mut dump = WindowDump::default();
     for line in lines {
         let line = line?;
-        if let Some(rest) = line.strip_prefix("#totals\t") {
-            for field in rest.split('\t') {
-                if let Some((k, v)) = field.split_once('=') {
-                    match k {
-                        "dataset" => dump.dataset = v.to_string(),
-                        "start" => dump.start = v.parse().unwrap_or(0.0),
-                        "length" => dump.length = v.parse().unwrap_or(0.0),
-                        "kept" => dump.kept = v.parse().unwrap_or(0),
-                        "dropped" => dump.dropped = v.parse().unwrap_or(0),
-                        "filtered" => dump.filtered = v.parse().unwrap_or(0),
-                        _ => {}
-                    }
+        if let Some(fields) = totals(&line) {
+            for (k, v) in fields {
+                match k {
+                    "dataset" => dump.dataset = v.to_string(),
+                    "start" => dump.start = v.parse().unwrap_or(0.0),
+                    "length" => dump.length = v.parse().unwrap_or(0.0),
+                    "kept" => dump.kept = v.parse().unwrap_or(0),
+                    "dropped" => dump.dropped = v.parse().unwrap_or(0),
+                    "filtered" => dump.filtered = v.parse().unwrap_or(0),
+                    _ => {}
                 }
             }
             continue;
         }
-        let (key, row) = parse_row(&line)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad row"))?;
-        dump.rows.push((key, row));
+        let mut cells = line.split('\t');
+        let key = cells.next().unwrap_or_default().to_string();
+        match (FeatureRow::parse_cell(&mut cells), cells.next()) {
+            (Some(row), None) => dump.rows.push((key, row)),
+            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad row")),
+        }
     }
     Ok(dump)
 }
@@ -255,24 +213,17 @@ pub type MetaWindow = (f64, f64, Vec<(String, f64)>);
 pub fn read_meta_window<R: BufRead>(r: R) -> io::Result<MetaWindow> {
     let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let mut lines = r.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "empty file"))??;
-    if header != META_COLUMNS.join("\t") {
-        return Err(bad("unexpected meta header"));
-    }
+    read_header(&mut lines, META_COLUMNS)?;
     let (mut start, mut length) = (0.0f64, 0.0f64);
     let mut rows = Vec::new();
     for line in lines {
         let line = line?;
-        if let Some(rest) = line.strip_prefix("#totals\t") {
-            for field in rest.split('\t') {
-                if let Some((k, v)) = field.split_once('=') {
-                    match k {
-                        "start" => start = v.parse().map_err(|_| bad("bad start"))?,
-                        "length" => length = v.parse().map_err(|_| bad("bad length"))?,
-                        _ => {}
-                    }
+        if let Some(fields) = totals(&line) {
+            for (k, v) in fields {
+                match k {
+                    "start" => start = v.parse().map_err(|_| bad("bad start"))?,
+                    "length" => length = v.parse().map_err(|_| bad("bad length"))?,
+                    _ => {}
                 }
             }
             continue;
@@ -284,59 +235,6 @@ pub fn read_meta_window<R: BufRead>(r: R) -> io::Result<MetaWindow> {
         ));
     }
     Ok((start, length, rows))
-}
-
-fn parse_row(line: &str) -> Option<(String, FeatureRow)> {
-    let f: Vec<&str> = line.split('\t').collect();
-    if f.len() != COLUMNS.len() {
-        return None;
-    }
-    let mut i = 0usize;
-    let mut next = || {
-        let v = f[i];
-        i += 1;
-        v
-    };
-    let key = next().to_string();
-    let row = FeatureRow {
-        hits: next().parse().ok()?,
-        unans: next().parse().ok()?,
-        ok: next().parse().ok()?,
-        nxd: next().parse().ok()?,
-        rfs: next().parse().ok()?,
-        fail: next().parse().ok()?,
-        ok_ans: next().parse().ok()?,
-        ok_ns: next().parse().ok()?,
-        ok_add: next().parse().ok()?,
-        ok_nil: next().parse().ok()?,
-        ok6: next().parse().ok()?,
-        ok6nil: next().parse().ok()?,
-        ok_sec: next().parse().ok()?,
-        srvips: parse_f(next())?,
-        srcips: parse_f(next())?,
-        sources: parse_f(next())?,
-        qnamesa: parse_f(next())?,
-        qnames: parse_f(next())?,
-        tlds: parse_f(next())?,
-        eslds: parse_f(next())?,
-        qtypes: parse_f(next())?,
-        ip4s: parse_f(next())?,
-        ip6s: parse_f(next())?,
-        qdots: parse_f(next())?,
-        qdots_max: next().parse().ok()?,
-        lvl: parse_f(next())?,
-        nslvl: parse_f(next())?,
-        ttl_top: parse_tops(next())?,
-        ttl_a_top: parse_tops(next())?,
-        nsttl_top: parse_tops(next())?,
-        negttl_top: parse_tops(next())?,
-        a_data_top: parse_tops(next())?,
-        ns_names_top: parse_tops(next())?,
-        resp_delays: [parse_f(next())?, parse_f(next())?, parse_f(next())?],
-        network_hops: [parse_f(next())?, parse_f(next())?, parse_f(next())?],
-        resp_size: [parse_f(next())?, parse_f(next())?, parse_f(next())?],
-    };
-    Some((key, row))
 }
 
 #[cfg(test)]
@@ -455,11 +353,18 @@ mod tests {
 
     #[test]
     fn empty_tops_roundtrip() {
-        assert_eq!(fmt_tops(&[]), "-");
-        assert_eq!(parse_tops("-"), Some(vec![]));
+        let cell = |tops: &Vec<(u64, f64)>| {
+            let mut bytes = Vec::new();
+            tops.write_cell(&mut bytes).unwrap();
+            String::from_utf8(bytes).unwrap()
+        };
+        let parse = |s: &str| Vec::<(u64, f64)>::parse_cell(&mut s.split('\t').skip(1));
+        assert_eq!(cell(&vec![]), "\t-");
+        assert_eq!(parse("\t-"), Some(vec![]));
         let tops = vec![(300u64, 0.75), (60u64, 0.25)];
-        let s = fmt_tops(&tops);
-        let parsed = parse_tops(&s).unwrap();
+        let s = cell(&tops);
+        assert_eq!(s, "\t300:0.7500|60:0.2500");
+        let parsed = parse(&s).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, 300);
     }

@@ -136,8 +136,7 @@ fn tsv_roundtrip_of_real_windows() {
 }
 
 #[test]
-fn aggregation_ladder_preserves_rates() {
-    use dns_observatory::aggregate::{Aggregator, Level};
+fn rollup_preserves_rates() {
     let mut sim = Simulation::from_config(SimConfig::small());
     let mut obs = Observatory::new(ObservatoryConfig {
         datasets: vec![(Dataset::Qtype, 64)],
@@ -145,30 +144,12 @@ fn aggregation_ladder_preserves_rates() {
         ..ObservatoryConfig::default()
     });
     sim.run(8.5, &mut |tx| obs.ingest(tx));
-    let store = obs.finish();
-    let minutely: Vec<_> = store.dataset(Dataset::Qtype);
-
-    let mut agg = Aggregator::new(&[
-        Level {
-            name: "4s",
-            fan_in: 4,
-            retention: 100,
-        },
-        Level {
-            name: "8s",
-            fan_in: 2,
-            retention: 100,
-        },
-    ]);
-    for w in &minutely {
-        agg.push((*w).clone());
-    }
-    assert_eq!(agg.completed(0).len(), 2);
-    assert_eq!(agg.completed(1).len(), 1);
+    let windows: Vec<_> = obs.finish().take_windows();
+    let coarse = dns_observatory::aggregate::rollup(&windows[..8]);
+    assert_eq!(coarse.length, 8.0);
     // The rolled-up A rate must equal the mean of the inputs.
-    let coarse = &agg.completed(1)[0];
     let a_rate = coarse.get("A").map(|r| r.hits).unwrap_or(0);
-    let mean_a: u64 = minutely[..8]
+    let mean_a: u64 = windows[..8]
         .iter()
         .map(|w| w.get("A").map(|r| r.hits).unwrap_or(0))
         .sum::<u64>()
