@@ -2,22 +2,23 @@
 //! one dataset merge by key, into one coarser window ([`rollup`], which
 //! `dnsobs` writes as a `10win-` file every ten windows) or into a whole
 //! run's totals ([`TimeSeriesStore::cumulative`]). Both are one routine,
-//! [`merge_windows`].
+//! `merge_windows`.
 //!
 //! Each feature merges by the rule its line of the feature table names
 //! ([`crate::features`]):
-//! - counters ([`Sum`]) add up; a rollup then divides them by the window
+//! - counters (`sum`) add up; a rollup then divides them by the window
 //!   count, so they become the mean rate per window, 0 where the object
 //!   is missing;
-//! - estimates and `sources` ([`Mean`]) average over the windows where
+//! - estimates and `sources` (`mean`) average over the windows where
 //!   the object is present;
-//! - `qdots`, `lvl` and `nslvl` ([`Weighted`]) average weighted by each
+//! - `qdots`, `lvl` and `nslvl` (`weighted`) average weighted by each
 //!   window's hits, as the means of transactions they are;
-//! - `qdots_max` ([`Max`]) keeps the largest;
-//! - the top-3 lists ([`Tops`]) merge their shares weighted by hits and
+//! - `qdots_max` (`max`) keeps the largest;
+//! - the top-3 lists (`tops`) merge their shares weighted by hits and
 //!   keep the three largest;
-//! - quartiles ([`Quartiles`]) average over the windows where they have a
-//!   value, skipping NaN.
+//! - quartiles (`quartiles`) average over the windows where they have a
+//!   value: a window where the object got no response (NaN) counts
+//!   neither as 0 nor in the divisor.
 //!
 //! [`TimeSeriesStore::cumulative`]: crate::timeseries::TimeSeriesStore::cumulative
 
@@ -138,29 +139,23 @@ pub(crate) fn tops<'a>(
     })
 }
 
-/// Quartiles: NaN (no value) skipped, the sum divided by the windows
-/// where the key is present.
+/// Quartiles: the mean over the windows where they have a value (NaN
+/// is none), NaN where no window has one.
 pub(crate) fn quartiles<'a>(
     values: impl Iterator<Item = (&'a [f64; 3], f64)>,
     _: Option<f64>,
 ) -> [f64; 3] {
-    let (mut sum, mut valued, mut present) = ([0.0; 3], [0; 3], 0.0);
+    let (mut sum, mut valued) = ([0.0; 3], [0.0; 3]);
     for (v, _) in values {
-        present += 1.0;
         for i in 0..3 {
             if !v[i].is_nan() {
                 sum[i] += v[i];
-                valued[i] += 1;
+                valued[i] += 1.0;
             }
         }
     }
-    std::array::from_fn(|i| {
-        if valued[i] == 0 {
-            f64::NAN
-        } else {
-            sum[i] / present
-        }
-    })
+    // 0 / 0 is NaN: no window had a value.
+    std::array::from_fn(|i| sum[i] / valued[i])
 }
 
 #[cfg(test)]
@@ -228,6 +223,31 @@ mod tests {
         let rolled = rollup(&[d1, d2]);
         assert_eq!(rolled.rows[0].1.hits, r.hits);
         assert!((rolled.rows[0].1.resp_delays[1] - r.resp_delays[1]).abs() < 1e-9);
+    }
+
+    /// A window where the key got no response has no quartiles: it must
+    /// not pull the others' mean down, in a rollup or cumulatively.
+    #[test]
+    fn a_window_without_responses_keeps_the_quartiles() {
+        let answered = FeatureRow {
+            resp_delays: [4.0, 8.0, 12.0],
+            ..row(0.3, 7)
+        };
+        let silent = FeatureRow {
+            resp_delays: [f64::NAN; 3],
+            ..answered.clone()
+        };
+        let windows = [
+            dump(0.0, vec![("k".into(), answered)]),
+            dump(60.0, vec![("k".into(), silent.clone())]),
+        ];
+        assert_eq!(rollup(&windows).rows[0].1.resp_delays, [4.0, 8.0, 12.0]);
+        let mut store = crate::timeseries::TimeSeriesStore::new();
+        windows.into_iter().for_each(|w| store.push(w));
+        let cumulative = store.cumulative(crate::keys::Dataset::Esld);
+        assert_eq!(cumulative[0].1.resp_delays, [4.0, 8.0, 12.0]);
+        let none = rollup(&[dump(0.0, vec![("k".into(), silent)])]);
+        assert!(none.rows[0].1.resp_delays.iter().all(|q| q.is_nan()));
     }
 
     #[test]

@@ -1,5 +1,13 @@
 //! Time-series production (paper §2.4, step E): per-window dumps of every
 //! dataset, held in memory and/or streamed to TSV files.
+//!
+//! [`TimeSeriesStore::cumulative`] merges a dataset's windows per key with
+//! the rollup's routine ([`crate::aggregate`]), without turning counters
+//! into rates: counters sum, estimates and `sources` average over the
+//! windows where the key is present, `qdots`/`lvl`/`nslvl` average
+//! weighted by hits, `qdots_max` is the max, the top-3 lists merge their
+//! shares weighted by hits, and quartiles average over the windows where
+//! they have a value.
 
 use crate::features::FeatureRow;
 use crate::keys::Dataset;
@@ -85,7 +93,7 @@ impl TimeSeriesStore {
 
     /// Merge all windows of a dataset into cumulative per-key totals:
     /// counters summed, every other feature merged by its rule
-    /// ([`crate::aggregate`]), rows in [`sort_rows`] order.
+    /// ([`crate::aggregate`]), rows hits descending, then key ascending.
     ///
     /// This is the "whole measurement period" view used by the rank
     /// analyses (Fig. 2, Table 1, Table 2).
@@ -202,8 +210,9 @@ mod tests {
             FeatureRow::merged(&[&a, &b], None),
             FeatureRow::merged(&[&b, &a], None),
         );
-        assert!(a.resp_delays[1] > 0.0);
         assert_eq!(ab.resp_delays, ba.resp_delays);
+        // The window without a value is skipped, not counted as 0.
+        assert_eq!(ab.resp_delays, a.resp_delays);
     }
 
     #[test]

@@ -69,8 +69,8 @@ fn tsv_bytes_are_pinned() {
         got,
         [
             1_909_903_077_314_120_718,
-            12_396_080_661_372_996_382,
-            8_556_197_834_560_826_605
+            17_293_466_243_504_965_690,
+            13_585_885_725_500_667_330
         ],
         "TSV bytes moved (windows, rollups, cumulative)"
     );
