@@ -35,8 +35,8 @@ pub use aggregator::{
 };
 pub use merge::{assemble_chunks, merge_chunks, merge_features, merge_topk, merge_topk_into};
 pub use record::{
-    decode_payload, open_record, read_all, write_record, write_record_bytes, RecordCodec,
-    RecordReader, MAX_RECORD, RECORD_MAGIC, RECORD_VERSION,
+    decode_payload, open_record, read_all, take_record, write_record, write_record_bytes,
+    RecordCodec, RecordReader, MAX_RECORD, RECORD_MAGIC, RECORD_VERSION,
 };
 pub use state::{
     FeatureState, GateState, HistogramState, HllState, RecordHead, StateError, TopKEntry,

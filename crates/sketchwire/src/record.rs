@@ -14,8 +14,9 @@
 //! through the one framed-stream reader ([`RecordReader`]) or, from a
 //! complete image, by [`read_all`] over the same codec. A reader that
 //! wants only some records decodes in two steps: [`open_record`] checks
-//! the CRC, then [`decode_payload`] parses the [`RecordHead`] and, only
-//! if the head is wanted, the body.
+//! the CRC and the version ([`take_record`] splits and opens a record of
+//! any version), then [`decode_payload`] parses the [`RecordHead`] and,
+//! only if the head is wanted, the body.
 
 use feed::framing::{self, FrameCodec, FrameReader};
 use feed::{crc32::crc32, ByteReader, FeedError, FeedItem};
@@ -82,21 +83,7 @@ impl FrameCodec for RecordCodec {
     const HEADER: usize = HEADER;
 
     fn frame_len(header: &[u8]) -> Result<usize, FeedError> {
-        let magic: [u8; 4] = header[..4].try_into().expect("4 bytes");
-        if magic != RECORD_MAGIC {
-            return Err(FeedError::BadMagic(magic));
-        }
-        if header[4] != RECORD_VERSION {
-            return Err(FeedError::BadItemVersion {
-                got: header[4],
-                want: RECORD_VERSION,
-            });
-        }
-        let len = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes")) as usize;
-        if len > MAX_RECORD {
-            return Err(FeedError::Invalid("record payload too large"));
-        }
-        Ok(HEADER + len + 4)
+        record_len(header, true)
     }
 
     fn decode(frame: &[u8]) -> Result<WindowState, FeedError> {
@@ -105,8 +92,54 @@ impl FrameCodec for RecordCodec {
     }
 }
 
+/// SKW1 records of any version, split by magic and length alone: the
+/// walk of [`take_record`], which checks a record's CRC before its
+/// version.
+struct AnyVersion;
+
+impl FrameCodec for AnyVersion {
+    type Frame = WindowState;
+    type Error = FeedError;
+    const HEADER: usize = HEADER;
+
+    fn frame_len(header: &[u8]) -> Result<usize, FeedError> {
+        record_len(header, false)
+    }
+
+    fn decode(frame: &[u8]) -> Result<WindowState, FeedError> {
+        RecordCodec::decode(frame)
+    }
+}
+
+/// A record's whole length from its header: the magic, then (with
+/// `check_version`) the version, then the length are checked.
+fn record_len(header: &[u8], check_version: bool) -> Result<usize, FeedError> {
+    let magic: [u8; 4] = header[..4].try_into().expect("4 bytes");
+    if magic != RECORD_MAGIC {
+        return Err(FeedError::BadMagic(magic));
+    }
+    if check_version {
+        version(header[4])?;
+    }
+    let len = u32::from_le_bytes(header[5..9].try_into().expect("4 bytes")) as usize;
+    if len > MAX_RECORD {
+        return Err(FeedError::Invalid("record payload too large"));
+    }
+    Ok(HEADER + len + 4)
+}
+
+fn version(got: u8) -> Result<(), FeedError> {
+    match got {
+        RECORD_VERSION => Ok(()),
+        got => Err(FeedError::BadItemVersion {
+            got,
+            want: RECORD_VERSION,
+        }),
+    }
+}
+
 /// Check the CRC of one whole record frame (as [`RecordCodec::frame_len`]
-/// measured it) and return its payload.
+/// measured it), then its version, and return its payload.
 pub fn open_record(frame: &[u8]) -> Result<&[u8], FeedError> {
     let (covered, trailer) = frame[4..].split_at(frame.len() - 8);
     let expected = u32::from_le_bytes(trailer.try_into().expect("4 crc bytes"));
@@ -114,7 +147,20 @@ pub fn open_record(frame: &[u8]) -> Result<&[u8], FeedError> {
     if expected != computed {
         return Err(FeedError::Crc { expected, computed });
     }
+    version(covered[0])?;
     Ok(&covered[5..])
+}
+
+/// Take the record at the head of `bytes`, whatever its version, and
+/// return its payload; `Ok(None)` when `bytes` holds no whole record.
+/// The CRC is checked before the version, so an intact record of another
+/// version is a [`FeedError::BadItemVersion`] and a damaged one, its
+/// version byte included, a [`FeedError::Crc`].
+pub fn take_record<'a>(bytes: &mut &'a [u8]) -> Result<Option<&'a [u8]>, FeedError> {
+    match framing::split_frame::<AnyVersion>(bytes)? {
+        Some(frame) => open_record(frame).map(Some),
+        None => Ok(None),
+    }
 }
 
 /// Decode a payload that [`open_record`] returned: its [`RecordHead`]

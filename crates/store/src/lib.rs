@@ -75,12 +75,13 @@ pub enum StoreError {
         /// What was wrong.
         what: &'static str,
     },
-    /// A segment file carries a format version this build does not read:
-    /// the file may be sound, so it is not flagged for quarantine.
+    /// A segment file, or an intact record in it, carries a format version
+    /// this build does not read: the file may be sound, so it is not
+    /// flagged for quarantine.
     UnsupportedVersion {
         /// File name of the segment.
         segment: String,
-        /// Version byte found in the header.
+        /// Version byte found in the segment's or the record's header.
         got: u8,
         /// Version this build reads.
         want: u8,
@@ -119,7 +120,7 @@ impl fmt::Display for StoreError {
             }
             StoreError::UnsupportedVersion { segment, got, want } => write!(
                 f,
-                "segment {segment} has format version {got}; this build reads version {want}"
+                "segment {segment} holds format version {got}; this build reads version {want}"
             ),
             StoreError::Manifest { what } => write!(f, "bad manifest: {what}"),
             StoreError::MissingSegment { segment } => {

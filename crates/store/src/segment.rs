@@ -29,9 +29,8 @@
 use crate::bloom::KeyBloom;
 use crate::StoreError;
 use feed::crc32::crc32;
-use feed::framing::split_frame;
-use feed::ByteReader;
-use sketchwire::{decode_payload, open_record, RecordCodec, RecordHead, WindowState};
+use feed::{ByteReader, FeedError};
+use sketchwire::{decode_payload, take_record, RecordHead, WindowState};
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
@@ -294,23 +293,33 @@ pub fn decode_segment(
 /// Every record is CRC-checked and counted, and the count must equal the
 /// footer's; every record's [`RecordHead`] is decoded and validated. Only
 /// a kept record's body is decoded: a skipped record's body is covered by
-/// its CRC but not parsed.
+/// its CRC but not parsed. A record's CRC is checked before its version,
+/// so an intact record of another version is
+/// [`StoreError::UnsupportedVersion`], which is not flagged for
+/// quarantine, and a damaged one a [`StoreError::Segment`].
 pub fn decode_records(
     records: &[u8],
     footer: &SegmentFooter,
     segment: &str,
     mut keep: impl FnMut(&RecordHead<'_>) -> bool,
 ) -> Result<Vec<WindowState>, StoreError> {
-    let bad_record = |source| StoreError::Segment {
-        segment: segment.to_string(),
-        source,
+    let bad_record = |source| match source {
+        // An intact record of another version: the file may be sound.
+        FeedError::BadItemVersion { got, want } => StoreError::UnsupportedVersion {
+            segment: segment.to_string(),
+            got,
+            want,
+        },
+        source => StoreError::Segment {
+            segment: segment.to_string(),
+            source,
+        },
     };
     let mut rest = records;
     let mut seen = 0usize;
     let mut states = Vec::new();
-    while let Some(frame) = split_frame::<RecordCodec>(&mut rest).map_err(bad_record)? {
+    while let Some(payload) = take_record(&mut rest).map_err(bad_record)? {
         seen += 1;
-        let payload = open_record(frame).map_err(bad_record)?;
         if let Some(ws) = decode_payload(payload, &mut keep).map_err(bad_record)? {
             states.push(ws);
         }
@@ -406,6 +415,41 @@ mod tests {
             "{err}"
         );
         assert_eq!(err.bad_segment(), None, "a sound file is not quarantined");
+    }
+
+    /// The first record's version byte set to 2, its CRC patched to match
+    /// when `sound`.
+    fn record_version_2(sound: bool) -> Vec<u8> {
+        let (mut bytes, _) = encode_segment(0, &[tiny_state(0.0, "esld", &["a"])]);
+        let at = HEADER_LEN + 4;
+        bytes[at] = 2;
+        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+        let crc_at = at + 5 + len;
+        if sound {
+            let crc = crc32(&bytes[at..crc_at]);
+            bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn record_of_other_version_is_unsupported_not_corrupt() {
+        let err = decode_segment(&record_version_2(true), "t.seg").expect_err("version 2");
+        assert!(
+            matches!(
+                err,
+                StoreError::UnsupportedVersion { ref segment, got: 2, want: 1 } if segment == "t.seg"
+            ),
+            "{err}"
+        );
+        assert_eq!(err.bad_segment(), None, "a sound file is not quarantined");
+    }
+
+    #[test]
+    fn record_version_failing_its_crc_is_flagged() {
+        let err = decode_segment(&record_version_2(false), "t.seg").expect_err("bad crc");
+        assert!(matches!(err, StoreError::Segment { .. }), "{err}");
+        assert_eq!(err.bad_segment(), Some("t.seg"));
     }
 
     #[test]
