@@ -133,7 +133,7 @@ pub(crate) fn tops<'a>(
             *merged.entry(v).or_default() += s * w / sum;
         }
         let mut list: Vec<(u64, f64)> = merged.into_iter().collect();
-        list.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        list.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         list.truncate(3);
         list
     })
