@@ -16,8 +16,8 @@
 
 use dns_observatory::{Dataset, ObservatoryConfig, StateExporter};
 use pubsub::{
-    encode_frame_vec, Action, BrokerConfig, BrokerCore, Frame, ServeConfig, Server, ServerHandle,
-    Topic, PROTOCOL_VERSION,
+    encode_frame_vec, Action, BrokerConfig, BrokerCore, Frame, Server, ServerHandle, Topic,
+    PROTOCOL_VERSION,
 };
 use simnet::{SimConfig, Simulation};
 use sketchwire::{AggregatorConfig, AggregatorCore, GlobalWindow, WindowState};
@@ -188,13 +188,8 @@ fn measure_paced(arrival: &[&WindowState], clients: usize, rate_hz: u64) -> Pace
     let mut handle = None;
     let mut drains = Vec::new();
     if clients > 0 {
-        let mut s = Server::bind(
-            "127.0.0.1:0",
-            ServeConfig::default(),
-            &registry,
-            TraceRing::disabled(),
-        )
-        .expect("bind serving tier");
+        let mut s = Server::bind("127.0.0.1:0", &registry, TraceRing::disabled())
+            .expect("bind serving tier");
         handle = s.take_handle();
         let addr = s.local_addr();
         drains = (0..clients).map(|_| spawn_drain_client(addr)).collect();

@@ -7,7 +7,7 @@ use crate::flags::{self, Parsed};
 use crate::session::Session;
 use crate::sinks::{Sinks, DEFAULT_OUT};
 use crate::{fail, misuse, Done};
-use feed::{Collector, CollectorConfig};
+use feed::{Collector, CollectorConfig, Merged};
 use sketchwire::{AggregatorConfig, AggregatorCore, GlobalWindow, Uplink, WindowState};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -20,7 +20,9 @@ pub fn aggregate(p: &Parsed) -> Done {
         let records = read_state_files(&inputs)?;
         let upstreams: BTreeSet<u64> = records.iter().map(|r| r.upstream).collect();
         // Files are folded whole: nothing in them can be late.
-        let items = records.into_iter().map(|ws| Uplink::State(Arc::new(ws)));
+        let items = records
+            .into_iter()
+            .map(|ws| Merged::Item(Uplink::State(Arc::new(ws))));
         return fold(p, &session, items, upstreams.len().max(1), false);
     }
     let Some(listen) = p.opt::<String>(&flags::LISTEN) else {
@@ -36,18 +38,20 @@ pub fn aggregate(p: &Parsed) -> Done {
     let on = collector.local_addr();
     eprintln!("aggregating {upstreams} upstream(s) on {on}");
     let feed = collector.take_output();
-    let done = fold(p, &session, feed.iter(), upstreams, true);
+    let done = fold(p, &session, feed.events(), upstreams, true);
+    drop(feed);
     print_feed_report(&collector.finish());
     done
 }
 
 /// Fold the uplink `items` of `upstreams` sources into sealed global
 /// windows and hand each to the sinks; `live` seals each window as soon as
-/// every upstream has closed it instead of only at the end.
+/// every upstream has closed it (or said BYE: the feed's sensor id is the
+/// upstream id) instead of only at the end.
 fn fold(
     p: &Parsed,
     session: &Session,
-    items: impl Iterator<Item = Uplink>,
+    items: impl Iterator<Item = Merged<Uplink>>,
     upstreams: usize,
     live: bool,
 ) -> Done {
@@ -70,8 +74,13 @@ fn fold(
     let mut sealed = Vec::new();
     for item in items {
         core.set_now_us(telemetry::Clock::now_us(&clock));
-        if let Err(e) = core.on_uplink(item) {
-            eprintln!("rejected window-state record: {e}");
+        match item {
+            Merged::Item(item) => {
+                if let Err(e) = core.on_uplink(item) {
+                    eprintln!("rejected window-state record: {e}");
+                }
+            }
+            Merged::Bye { sensor } => core.on_closed(sensor),
         }
         if live {
             core.poll(&mut sealed);

@@ -45,6 +45,8 @@ pub fn collect(p: &Parsed) -> Done {
         let obs = obs.with_trace(session.ring("pipeline"));
         run(&mut session, sinks, feed.iter(), obs)
     };
+    // A fold that failed leaves the feed unread: let it go first.
+    drop(feed);
     print_feed_report(&collector.finish());
     done
 }

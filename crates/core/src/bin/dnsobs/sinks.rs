@@ -7,7 +7,7 @@ use crate::{fail, Done};
 use dns_observatory::aggregate::rollup;
 use dns_observatory::{render_state, tsv, MetaReporter, WindowDump};
 use feed::{Sensor, SensorConfig, SensorReport};
-use pubsub::{EvictReason, SealedRecord, ServeConfig, Server, ServerHandle};
+use pubsub::{EvictReason, SealedRecord, Server, ServerHandle};
 use sketchwire::{TopKState, Uplink, WindowState};
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -204,8 +204,8 @@ impl Sinks {
         };
         let serve = match p.opt::<String>(&flags::SERVE) {
             Some(addr) => {
-                let (config, ring) = (ServeConfig::default(), session.ring("pubsub"));
-                let mut server = Server::bind(&addr, config, &Registry::global(), ring)
+                let ring = session.ring("pubsub");
+                let mut server = Server::bind(&addr, &Registry::global(), ring)
                     .map_err(|e| fail(format_args!("cannot serve on {addr}: {e}")))?;
                 eprintln!("serving live windows on {}", server.local_addr());
                 let handle = server.take_handle().expect("fresh server has its handle");

@@ -987,3 +987,64 @@ fn forward_and_serve_deliver_the_same_windows() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An upstream that says BYE stops holding the global view. Two
+/// forwarding collectors feed one `aggregate --out`; collector 0's sensor
+/// sends three windows and finishes, and collector 0 says BYE upstream.
+/// Collector 1's sensor sends seven windows and stays open, so collector 1
+/// closes its first six. Window 5, two windows after collector 0's last,
+/// must reach `--out` while collector 1 is still open.
+#[test]
+fn a_departed_upstream_stops_holding_later_windows() {
+    use dns_observatory::TxSummary;
+
+    let dir = temp_dir("departure");
+    let global = dir.join("global");
+    let agg_addr = free_addr();
+    let agg_args = [
+        "aggregate",
+        "--listen",
+        &agg_addr,
+        "--upstreams",
+        "2",
+        "--out",
+        global.to_str().unwrap(),
+    ];
+    let aggregate = Proc::spawn(&dir, &agg_args);
+    let forward = |upstream: &str| {
+        let args = ["--window", "1", "--topk", "300", "--forward", &agg_addr];
+        Proc::collect(&dir, &[&args[..], &["--upstream", upstream]].concat())
+    };
+    let ((early_collect, early_addr), (open_collect, open_addr)) = (forward("0"), forward("1"));
+
+    let psl = psl::Psl::embedded();
+    let mut sim = simnet::Simulation::from_config(simnet::SimConfig::small());
+    let summaries: Vec<TxSummary> = (sim.collect(7.0).iter())
+        .map(|tx| TxSummary::from_transaction(tx, &psl))
+        .collect();
+    let first = summaries[0].time.floor();
+    let early: Vec<TxSummary> = (summaries.iter())
+        .filter(|s| s.time < first + 3.0)
+        .cloned()
+        .collect();
+    let open = feed::Sensor::connect(open_addr, feed::SensorConfig::new(0));
+    send_paced(&open, &summaries);
+    let leaving = feed::Sensor::connect(early_addr, feed::SensorConfig::new(0));
+    send_paced(&leaving, &early);
+    assert_eq!(leaving.finish().dropped_frames, 0);
+    early_collect.join();
+
+    let window5 = global.join(format!("rcode-{:05}.tsv", first as u64 + 5));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !window5.exists() {
+        assert!(
+            Instant::now() < deadline,
+            "window 5 was not sealed after upstream 0 left"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(open.finish().dropped_frames, 0);
+    open_collect.join();
+    aggregate.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

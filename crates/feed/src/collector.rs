@@ -3,40 +3,43 @@
 //! sequence numbers, and merges the concurrent streams into one
 //! time-ordered feed.
 //!
-//! Structure (std threads joined by crossbeam channels):
+//! Structure: the sans-io [`CollectorCore`] on the thread that owns a
+//! [`Hub`] (the one server shell, see [`crate::hub`]):
 //!
 //! ```text
-//! accept thread ──spawns──▶ reader thread per connection
-//!                                │  decoded frames / errors
-//!                                ▼
-//!                          merge thread ──▶ output channel (merged items,
-//!                                           one message per frame)
+//! hub: accept thread ──spawns──▶ reader thread per connection (decode)
+//!                                   │  (conn, frame | bad frame | closed)
+//!                                   ▼  bounded, QUEUE_FRAMES deep
+//!                 core thread: CollectorCore ──▶ merged output (bounded,
+//!                                   QUEUE_FRAMES messages, one per frame,
+//!                                   each sensor's BYE after its items)
 //! ```
 //!
-//! The merge thread owns the [`TimeMerger`] and one [`SensorLedger`] per
-//! sensor; for time-merged items it releases items only when every live
-//! sensor has something to compare against, so the merged order is
+//! The core owns the [`TimeMerger`] and one [`SensorLedger`] per sensor;
+//! for time-merged items it releases items only when every live sensor
+//! has something to compare against, so the merged order is
 //! deterministic regardless of how the network interleaves the streams.
 //! Items whose [`FeedItem::MERGE`] is [`crate::MergeOrder::Arrival`]
 //! leave as their frame arrives, each sensor's in order. The thread stops
-//! once the configured number of BYE frames has arrived (or every
-//! connection is gone).
+//! once the configured number of BYE frames has arrived.
+//!
+//! Every hand-off is bounded: when the consumer of the merged output
+//! falls behind, the core blocks on it, the hub's input channel fills,
+//! the readers block, TCP fills, and each sensor's send buffer sheds
+//! into its ledger.
 
 use std::collections::BTreeMap;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::SocketAddr;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use telemetry::trace::{TraceEvent, TraceKind, TraceRing};
 use telemetry::{Clock, FlightRecorder, RateLimiter, Registry, SystemClock};
 
 use crate::codec::FeedItem;
 use crate::error::FeedError;
-use crate::frame::{Frame, FrameReader};
+use crate::frame::{FeedCodec, Frame};
+use crate::hub::{self, Event, Hub, Inbox, QUEUE_FRAMES};
 use crate::merge::TimeMerger;
 use crate::metrics::{CollectorMetrics, CollectorTotals};
 
@@ -208,28 +211,17 @@ impl SensorLedger {
 /// Collector tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectorConfig {
-    /// BYE frames to wait for before the merged output ends (normally
-    /// the number of sensors in the deployment).
-    pub expected_byes: u64,
-    /// Distinct sensors that must say HELLO before any item is released:
-    /// an early sensor must not drain ahead of peers that are still
-    /// connecting, or the merged order would depend on connect timing.
-    pub expected_sensors: u64,
-    /// Socket read timeout (also the readers' stop-poll interval).
-    pub read_timeout: Duration,
-    /// Accept-loop poll interval.
-    pub poll_interval: Duration,
+    /// Sensors in the deployment. Each must say HELLO before any item is
+    /// released (an early sensor must not drain ahead of peers that are
+    /// still connecting, or the merged order would depend on connect
+    /// timing), and the merged output ends after this many BYEs.
+    pub sensors: u64,
 }
 
 impl CollectorConfig {
-    /// Defaults for a deployment of `expected_byes` sensors.
-    pub fn new(expected_byes: u64) -> CollectorConfig {
-        CollectorConfig {
-            expected_byes,
-            expected_sensors: expected_byes,
-            read_timeout: Duration::from_millis(25),
-            poll_interval: Duration::from_millis(2),
-        }
+    /// A deployment of `sensors` sensors.
+    pub fn new(sensors: u64) -> CollectorConfig {
+        CollectorConfig { sensors }
     }
 }
 
@@ -265,19 +257,8 @@ impl CollectorReport {
     }
 }
 
-enum Event<T> {
-    Frame { conn: u64, frame: Frame<T> },
-    BadFrame { conn: u64, error: FeedError },
-    Disconnect { conn: u64 },
-}
-
 /// Stage name on collector trace events.
 const STAGE: &str = "collector";
-
-/// Io-edge thread stack size: explicit and bounded, so the collector's
-/// one-reader-per-sensor fan-out cannot exhaust a small container's
-/// address space (the thread-spawn ENOMEM seen at 10k top-k caps).
-pub(crate) const IO_STACK_BYTES: usize = telemetry::IO_THREAD_STACK_BYTES;
 
 /// What [`CollectorCore::on_frame`] did with a frame — the observability
 /// hook the chaos differential oracle audits frame-by-frame.
@@ -328,7 +309,7 @@ impl FrameOutcome {
 }
 
 /// Sans-io heart of the collector: per-sensor ledgers, connection→sensor
-/// attribution, and the gap-free time merge — everything the merge
+/// attribution, and the gap-free time merge — everything the core
 /// thread does, minus the sockets and channels.
 ///
 /// The TCP [`Collector`] drives one instance from its event loop; the
@@ -348,18 +329,16 @@ pub struct CollectorCore<T> {
     unheralded_frames: u64,
     anonymous_disconnects: u64,
     byes: u64,
-    expected_sensors: u64,
-    expected_byes: u64,
+    sensors: u64,
     metrics: CollectorMetrics,
     trace: TraceRing,
     now_us: u64,
 }
 
 impl<T: FeedItem> CollectorCore<T> {
-    /// Core expecting `config.expected_sensors` distinct sensors before
-    /// releasing items and `config.expected_byes` BYEs before
-    /// [`CollectorCore::done`] reports completion. Telemetry goes to the
-    /// global registry.
+    /// Core expecting `config.sensors` distinct sensors before releasing
+    /// items and as many BYEs before [`CollectorCore::done`] reports
+    /// completion. Telemetry goes to the global registry.
     pub fn new(config: &CollectorConfig) -> CollectorCore<T> {
         CollectorCore::with_registry(config, &Registry::global())
     }
@@ -378,8 +357,7 @@ impl<T: FeedItem> CollectorCore<T> {
             unheralded_frames: 0,
             anonymous_disconnects: 0,
             byes: 0,
-            expected_sensors: config.expected_sensors,
-            expected_byes: config.expected_byes,
+            sensors: config.sensors,
             metrics,
             trace: TraceRing::disabled(),
             now_us: 0,
@@ -591,7 +569,7 @@ impl<T: FeedItem> CollectorCore<T> {
 
     /// True once the expected number of BYEs has arrived.
     pub fn done(&self) -> bool {
-        self.expected_byes > 0 && self.byes >= self.expected_byes
+        self.sensors > 0 && self.byes >= self.sensors
     }
 
     /// Close every stream, drain the remainder into `out`, and return
@@ -627,7 +605,7 @@ impl<T: FeedItem> CollectorCore<T> {
     fn drain_into(&mut self, out: &mut Vec<T>) {
         // An early sensor must not drain ahead of peers still connecting,
         // or the merged order would depend on connect timing.
-        if (self.ledgers.len() as u64) < self.expected_sensors {
+        if (self.ledgers.len() as u64) < self.sensors {
             return;
         }
         let drained = self.merger.drain_ready();
@@ -636,64 +614,65 @@ impl<T: FeedItem> CollectorCore<T> {
     }
 }
 
-/// The collector's merged, time-ordered output. The merge thread hands
+/// What the merged feed carries, in order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Merged<T> {
+    /// The next item in merged order.
+    Item(T),
+    /// `sensor` said BYE: nothing more comes from it, and the items it
+    /// sent are all above.
+    Bye {
+        /// The departed sensor.
+        sensor: u64,
+    },
+}
+
+/// The collector's merged, time-ordered output. The core thread hands
 /// over everything a frame released as one message (one channel
-/// round-trip per frame, not per item); [`MergedFeed::iter`] flattens
-/// that back into items.
+/// round-trip per frame, not per item), with the sensor whose BYE it was;
+/// [`MergedFeed::iter`] and [`MergedFeed::events`] flatten that back.
 pub struct MergedFeed<T> {
-    batches: Receiver<Vec<T>>,
+    batches: Receiver<(Vec<T>, Option<u64>)>,
 }
 
 impl<T> MergedFeed<T> {
     /// The merged items, blocking for more until the feed has ended.
     pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
-        self.batches.iter().flatten()
+        self.batches.iter().flat_map(|(items, _)| items)
+    }
+
+    /// The merged items and each sensor's departure, blocking for more
+    /// until the feed has ended.
+    pub fn events(&self) -> impl Iterator<Item = Merged<T>> + '_ {
+        self.batches.iter().flat_map(|(items, bye)| {
+            let bye = bye.map(|sensor| Merged::Bye { sensor });
+            items.into_iter().map(Merged::Item).chain(bye)
+        })
     }
 }
 
-/// TCP feed server: accepts sensors, merges their streams, and hands the
-/// merged items out through a channel.
-pub struct Collector<T> {
+/// TCP feed server: accepts sensors on a [`Hub`], merges their streams
+/// on the hub's thread, and hands the merged items out through a bounded
+/// channel.
+pub struct Collector<T: FeedItem> {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Inbox<Frame<T>, ()>,
     output: Option<MergedFeed<T>>,
-    accept: Option<JoinHandle<()>>,
-    merge: Option<JoinHandle<CollectorReport>>,
+    core: Option<JoinHandle<CollectorReport>>,
 }
 
 impl<T: FeedItem> Collector<T> {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start accepting sensors.
     pub fn bind(addr: &str, config: CollectorConfig) -> std::io::Result<Collector<T>> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let (event_tx, event_rx) = unbounded::<Event<T>>();
-        let (out_tx, out_rx) = unbounded::<Vec<T>>();
-
-        let accept = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("feed-accept".into())
-                .stack_size(IO_STACK_BYTES)
-                .spawn(move || accept_loop(listener, event_tx, stop, config))
-                .expect("spawn collector accept thread")
-        };
-        let merge = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("feed-merge".into())
-                .stack_size(IO_STACK_BYTES)
-                .spawn(move || merge_loop(event_rx, out_tx, &stop, config))
-                .expect("spawn collector merge thread")
-        };
-
+        let hub = Hub::<FeedCodec<T>, ()>::bind(addr, "feed")?;
+        let (addr, stop) = (hub.local_addr(), hub.inbox());
+        let (out, batches) = sync_channel(QUEUE_FRAMES);
+        let core = hub::spawn("feed-collector", move || run(hub, &out, config))?;
         Ok(Collector {
-            addr: local,
+            addr,
             stop,
-            output: Some(MergedFeed { batches: out_rx }),
-            accept: Some(accept),
-            merge: Some(merge),
+            output: Some(MergedFeed { batches }),
+            core: Some(core),
         })
     }
 
@@ -709,135 +688,34 @@ impl<T: FeedItem> Collector<T> {
     }
 
     /// Wait for the feed to complete and return the accounting. Call
-    /// after draining (or dropping) the output channel.
+    /// after draining (or dropping) the output: the core thread waits for
+    /// room in it.
     pub fn finish(mut self) -> CollectorReport {
-        let report = self
-            .merge
+        self.core
             .take()
-            .map(|h| h.join().expect("collector merge thread panicked"))
-            .unwrap_or_default();
-        // The merge thread set `stop` on its way out; the accept loop and
-        // readers notice within a poll interval.
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        report
+            .map(|h| h.join().expect("collector core thread panicked"))
+            .unwrap_or_default()
     }
 }
 
-impl<T> Drop for Collector<T> {
+impl<T: FeedItem> Drop for Collector<T> {
+    /// Stop the core thread, which drops the hub. A taken output must be
+    /// dropped (or drained) first.
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.merge.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        drop(self.output.take());
+        if let Some(core) = self.core.take() {
+            self.stop.send(());
+            let _ = core.join();
         }
     }
 }
 
-fn accept_loop<T: FeedItem>(
-    listener: TcpListener,
-    events: Sender<Event<T>>,
-    stop: Arc<AtomicBool>,
-    config: CollectorConfig,
-) {
-    let mut readers = Vec::new();
-    let mut next_conn = 0u64;
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn = next_conn;
-                next_conn += 1;
-                let events = events.clone();
-                let stop = Arc::clone(&stop);
-                let handle = std::thread::Builder::new()
-                    .name(format!("feed-reader-{conn}"))
-                    .stack_size(IO_STACK_BYTES)
-                    .spawn(move || reader_loop(stream, conn, events, stop, config))
-                    .expect("spawn collector reader thread");
-                readers.push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.poll_interval);
-            }
-            Err(_) => std::thread::sleep(config.poll_interval),
-        }
-    }
-    drop(events);
-    for h in readers {
-        let _ = h.join();
-    }
-}
-
-fn reader_loop<T: FeedItem>(
-    mut stream: TcpStream,
-    conn: u64,
-    events: Sender<Event<T>>,
-    stop: Arc<AtomicBool>,
-    config: CollectorConfig,
-) {
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let mut reader = FrameReader::<T>::new();
-    let mut buf = [0u8; 16 * 1024];
-    let mut heralded = false;
-    'conn: loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let n = match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        };
-        reader.push(&buf[..n]);
-        loop {
-            match reader.next_frame() {
-                Ok(Some(frame)) => {
-                    // A data frame before a valid HELLO poisons the
-                    // connection: the merge core will reject it (and
-                    // count it), and dropping the connection forces the
-                    // sensor to reconnect and re-announce its sequence
-                    // position so the loss surfaces as a gap.
-                    let fatal = !heralded && !matches!(frame, Frame::Hello { .. });
-                    heralded = heralded || matches!(frame, Frame::Hello { .. });
-                    if events.send(Event::Frame { conn, frame }).is_err() {
-                        break 'conn;
-                    }
-                    if fatal {
-                        break 'conn;
-                    }
-                }
-                Ok(None) => break,
-                Err(error) => {
-                    let fatal = matches!(error, FeedError::Framing(_));
-                    if events.send(Event::BadFrame { conn, error }).is_err() {
-                        break 'conn;
-                    }
-                    if fatal {
-                        // A corrupt length prefix poisons the stream;
-                        // drop the connection, the sensor will reconnect.
-                        break 'conn;
-                    }
-                }
-            }
-        }
-    }
-    let _ = events.send(Event::Disconnect { conn });
-}
-
-fn merge_loop<T: FeedItem>(
-    events: Receiver<Event<T>>,
-    output: Sender<Vec<T>>,
-    stop: &AtomicBool,
+/// The core thread: events from the hub into the [`CollectorCore`], what
+/// it releases into the merged output, until the expected BYEs (or a
+/// stop) have arrived.
+fn run<T: FeedItem>(
+    mut hub: Hub<FeedCodec<T>, ()>,
+    output: &SyncSender<(Vec<T>, Option<u64>)>,
     config: CollectorConfig,
 ) -> CollectorReport {
     let mut core = CollectorCore::<T>::new(&config)
@@ -850,17 +728,20 @@ fn merge_loop<T: FeedItem>(
     let mut warn_limit = RateLimiter::new(5_000_000);
     let mut last_gap_recorded = 0u64;
 
-    for event in events.iter() {
+    while !core.done() {
+        let event = hub.recv();
         core.set_now_us(warn_clock.now_us());
+        let mut bye = None;
         match event {
-            Event::Frame { conn, frame } => {
-                // A fatal outcome (unheralded data frame) was already
-                // handled transport-side: the reader drops such a
-                // connection on its own.
-                let _ = core.on_frame(conn, frame, &mut ready);
-            }
+            Event::Frame { conn, frame } => match core.on_frame(conn, frame, &mut ready) {
+                FrameOutcome::Bye { sensor } => bye = Some(sensor),
+                outcome if outcome.is_fatal() => hub.close(conn),
+                _ => {}
+            },
             Event::BadFrame { conn, error } => core.on_bad_frame(conn, &error),
-            Event::Disconnect { conn } => core.on_disconnect(conn, &mut ready),
+            Event::Closed { conn } => core.on_disconnect(conn, &mut ready),
+            Event::Wrote { .. } => {}
+            Event::Local(()) => break,
         }
         let gap_recorded = core.total_gap_recorded();
         if gap_recorded > last_gap_recorded {
@@ -875,20 +756,16 @@ fn merge_loop<T: FeedItem>(
         }
         // A dropped output only means nobody reads the items; the ledger
         // is kept to the end either way.
-        if !ready.is_empty() {
-            let _ = output.send(std::mem::take(&mut ready));
-        }
-        if core.done() {
-            break;
+        if !ready.is_empty() || bye.is_some() {
+            let _ = output.send((std::mem::take(&mut ready), bye));
         }
     }
 
     // Everything still buffered belongs to closed or abandoned streams.
     let report = core.finish(&mut ready);
     if !ready.is_empty() {
-        let _ = output.send(ready);
+        let _ = output.send((ready, None));
     }
-    stop.store(true, Ordering::Relaxed);
     report
 }
 
@@ -1150,9 +1027,7 @@ mod tests {
     /// dropped and *accounted* as `late_items`.
     #[test]
     fn core_accounts_late_items_after_reconnect_instead_of_reordering() {
-        let mut config = CollectorConfig::new(2);
-        config.expected_sensors = 2;
-        let mut core = CollectorCore::<TestItem>::new(&config);
+        let mut core = CollectorCore::<TestItem>::new(&CollectorConfig::new(2));
         let mut out = Vec::new();
 
         core.on_frame(0, hello(1, 0), &mut out);

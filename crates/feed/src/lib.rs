@@ -16,11 +16,14 @@
 //!   reconnect with exponential backoff plus jitter: a writer-thread
 //!   shell around the sans-io [`SensorMachine`] ([`sensor`], [`machine`],
 //!   [`backoff`]);
-//! * a [`Collector`] TCP server (std::net + threads + crossbeam channels)
-//!   that accepts many sensor connections, detects sequence gaps and CRC
-//!   failures per sensor, and merges the concurrent streams back into one
-//!   time-ordered feed, or passes each stream on as it arrives when the
-//!   item type asks for that ([`collector`], [`merge`], [`MergeOrder`]).
+//! * a [`Collector`] TCP server that accepts many sensor connections,
+//!   detects sequence gaps and CRC failures per sensor, and merges the
+//!   concurrent streams back into one time-ordered feed, or passes each
+//!   stream on as it arrives when the item type asks for that
+//!   ([`collector`], [`merge`], [`MergeOrder`]);
+//! * the one bounded TCP server shell under it and under the pub/sub
+//!   server: a listener, a reader thread per connection, writers on
+//!   demand, one bounded channel into the owner's thread ([`hub`]).
 //!
 //! The crate is deliberately generic over the item type via [`FeedItem`]:
 //! the Observatory's `TxSummary` codec lives in `dns-observatory` (which
@@ -57,6 +60,7 @@ pub mod collector;
 pub mod crc32;
 pub mod error;
 pub mod frame;
+pub mod hub;
 pub mod machine;
 pub mod merge;
 pub mod metrics;
@@ -72,7 +76,7 @@ pub use dnswire::framing;
 pub use backoff::{Backoff, BackoffConfig};
 pub use codec::{ByteReader, FeedItem, MergeOrder};
 pub use collector::{
-    Collector, CollectorConfig, CollectorCore, CollectorReport, FrameOutcome, MergedFeed,
+    Collector, CollectorConfig, CollectorCore, CollectorReport, FrameOutcome, Merged, MergedFeed,
     SensorLedger, SensorStats,
 };
 pub use error::FeedError;

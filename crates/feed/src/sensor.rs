@@ -21,8 +21,8 @@ use telemetry::{Clock, FlightRecorder, RateLimiter, Registry, SystemClock};
 
 use crate::backoff::BackoffConfig;
 use crate::codec::FeedItem;
-use crate::collector::IO_STACK_BYTES;
 use crate::frame::{encode_batch_preencoded, encode_frame, Frame};
+use crate::hub;
 use crate::machine::{SealEvent, SensorMachine, SensorOp, Wrote};
 
 /// Tuning for a [`Sensor`].
@@ -270,11 +270,10 @@ impl<T: FeedItem> Sensor<T> {
         });
         let writer = {
             let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("feed-sensor-{}", config.sensor_id))
-                .stack_size(IO_STACK_BYTES)
-                .spawn(move || writer_loop(&addr, &shared))
-                .expect("spawn sensor writer")
+            hub::spawn(format!("feed-sensor-{}", config.sensor_id), move || {
+                writer_loop(&addr, &shared)
+            })
+            .expect("spawn sensor writer")
         };
         Sensor {
             shared,

@@ -49,5 +49,5 @@ pub use delta::{
     apply_delta, apply_delta_owned, canonicalize, diff_states, strip_features, window_id_us,
     WindowDelta,
 };
-pub use server::{Ingest, ServeConfig, Server, ServerHandle};
+pub use server::{Server, ServerHandle};
 pub use subscriber::{HeldWindow, SubError, SubEvent, SubscriberCore};

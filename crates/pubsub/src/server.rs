@@ -1,82 +1,66 @@
-//! Threaded std::net shell around [`BrokerCore`].
+//! Threaded std::net shell around [`BrokerCore`], on the one server shell
+//! the feed's collector runs on too ([`feed::hub`]).
 //!
-//! Thread layout (all io threads use the shared small-stack size):
+//! ```text
+//! seal path ── ServerHandle::publish_* (try_send: a full channel drops
+//!              the batch and counts it, pubsub_ingest_dropped_total) ─┐
+//! hub readers ── (client, frame | bad frame | closed) ────────────────┤
+//! hub writers ── (client, frames written) ────────────────────────────┤
+//!                                   one bounded channel (QUEUE_FRAMES) ▼
+//!     broker thread: handshake state per client, BrokerCore, Actions
+//!                                   │ Hub::write (try_send, never blocks)
+//!     hub writer per client ◀───────┘ (bounded queue)
+//! ```
 //!
-//! * **ingest ring** — the pipeline's seal path hands sealed windows to a
-//!   bounded SPSC ring via [`ServerHandle::publish_windows`]; a full ring
-//!   drops the batch and counts it (`pubsub_ingest_dropped_total`) — the
-//!   seal path never blocks on the serving tier, full stop;
-//! * **broker thread** — drains the ring into the core, processes client
-//!   control messages, and carries out the core's actions (queue frame /
-//!   evict);
-//! * **accept thread** — non-blocking listener, one reader thread per
-//!   connection;
-//! * **per-client reader** — handshake (`Hello` + `Subscribe`, answered
-//!   with the broker's `Hello`), then watches for `Bye`/errors;
-//! * **per-client writer** — drains an unbounded channel of pre-encoded
-//!   frames into the socket, reporting each write back as a drain so the
-//!   core's egress accounting stays authoritative. The channel is
-//!   unbounded but its population is bounded by the core: it never holds
-//!   more than the client's egress window plus terminal frames.
+//! The broker thread blocks on the hub's channel; nothing polls. The
+//! seal path never blocks on the serving tier: a publish that finds the
+//! channel full is dropped and counted, and subscribers resync later.
+//! Each client speaks `Hello` then `Subscribe`; the broker thread answers
+//! with its own `Hello` and only then reports the client to the core, so
+//! a broken handshake never reaches it. After the handshake any frame
+//! ends the connection: `Bye` as a clean departure, anything else (or
+//! damage) as a protocol violation. Every frame written to a client is
+//! reported back as a drain, except the handshake `Hello`, so the core's
+//! egress accounting stays authoritative. A writer's queue never fills
+//! under the core: it holds [`feed::hub::QUEUE_FRAMES`] frames and the
+//! core keeps at most its egress window (64) plus a terminal frame
+//! outstanding per client.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use feed::hub::{self, Event, Hub, Inbox};
 use feed::FeedItem;
 use sketchwire::WindowState;
 use telemetry::{Counter, Registry, TraceRing};
 
 use crate::broker::{Action, BrokerConfig, BrokerCore, BrokerReport, SealedRecord};
-use crate::codec::{encode_frame_vec, EvictReason, Frame, FrameReader, Topic, PROTOCOL_VERSION};
+use crate::codec::{encode_frame_vec, EvictReason, Frame, SubCodec, PROTOCOL_VERSION};
 
-/// Serving-tier configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeConfig {
-    /// Broker knobs (egress windows, degradation, eviction).
-    pub broker: BrokerConfig,
-    /// Seal-path ingest ring capacity, in sealed batches.
-    pub ingest_depth: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> ServeConfig {
-        ServeConfig {
-            broker: BrokerConfig::default(),
-            ingest_depth: 256,
-        }
-    }
-}
-
-/// One item on the seal-path ingest ring.
-#[derive(Debug)]
-pub enum Ingest {
+/// What the seal path and [`Server::finish`] send the broker thread.
+enum Publish {
     /// A sealed window batch (all datasets, possibly chunked).
-    Windows(Vec<SealedRecord>),
+    Records(Vec<SealedRecord>),
     /// Meta TSV bytes for one window.
-    Meta {
-        /// Window start, microseconds.
-        start_us: u64,
-        /// Raw TSV bytes.
-        bytes: Vec<u8>,
-    },
+    Meta { start_us: u64, bytes: Vec<u8> },
+    /// Drain egress, say `Bye` to every client and stop.
+    Finish,
 }
 
-/// The seal path's non-blocking publish handle (single producer — take it
-/// once with [`Server::take_handle`]).
+/// The seal path's non-blocking publish handle (take it once with
+/// [`Server::take_handle`]).
 pub struct ServerHandle {
-    tx: spsc::Producer<Ingest>,
+    inbox: Inbox<Frame, Publish>,
     dropped: Counter,
 }
 
 impl ServerHandle {
     /// Offer a sealed window batch. Returns `false` (and counts the
-    /// drop) if the ring is full or the server is gone — never blocks.
+    /// drop) if the broker's channel is full or the server is gone —
+    /// never blocks.
     pub fn publish_windows(&mut self, windows: Vec<WindowState>) -> bool {
         self.publish_records(windows.into_iter().map(SealedRecord::from).collect())
     }
@@ -85,100 +69,61 @@ impl ServerHandle {
     /// sinks (see [`BrokerCore::on_sealed_records`]). Same non-blocking
     /// contract.
     pub fn publish_records(&mut self, records: Vec<SealedRecord>) -> bool {
-        self.offer(Ingest::Windows(records))
+        self.offer(Publish::Records(records))
     }
 
     /// Offer one window's meta TSV bytes. Same non-blocking contract.
     pub fn publish_meta(&mut self, start_us: u64, bytes: Vec<u8>) -> bool {
-        self.offer(Ingest::Meta { start_us, bytes })
+        self.offer(Publish::Meta { start_us, bytes })
     }
 
-    fn offer(&mut self, ingest: Ingest) -> bool {
-        match self.tx.try_push(ingest) {
-            Ok(()) => true,
-            Err(_) => {
-                self.dropped.inc(1);
-                false
-            }
+    fn offer(&mut self, publish: Publish) -> bool {
+        let sent = self.inbox.try_send(publish);
+        if !sent {
+            self.dropped.inc(1);
         }
+        sent
     }
-}
-
-enum WriterMsg {
-    Frame(Arc<Vec<u8>>),
-    Close,
-}
-
-enum Ctl {
-    Connect {
-        id: u64,
-        topics: Vec<Topic>,
-        writer: Sender<WriterMsg>,
-        writer_thread: JoinHandle<()>,
-        stream: TcpStream,
-    },
-    Drained {
-        id: u64,
-        n: u64,
-    },
-    Gone {
-        id: u64,
-        reason: EvictReason,
-    },
-}
-
-struct Conn {
-    writer: Sender<WriterMsg>,
-    writer_thread: Option<JoinHandle<()>>,
-    stream: TcpStream,
 }
 
 /// A running subscription server.
 pub struct Server {
     local_addr: SocketAddr,
     producer: Option<ServerHandle>,
-    stop: Arc<AtomicBool>,
+    inbox: Inbox<Frame, Publish>,
     broker_thread: Option<JoinHandle<BrokerReport>>,
-    accept_thread: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Bind `addr` and start the serving tier. Metrics register in
-    /// `registry`; broker decisions trace into `trace`.
-    pub fn bind(
-        addr: &str,
-        cfg: ServeConfig,
-        registry: &Registry,
-        trace: TraceRing,
-    ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let (tx, rx) = spsc::ring::<Ingest>(cfg.ingest_depth.max(1));
-        let (ctl_tx, ctl_rx) = mpsc::channel::<Ctl>();
-        let stop = Arc::new(AtomicBool::new(false));
-
-        let core = BrokerCore::new(cfg.broker)
-            .with_registry(registry)
-            .with_trace(trace);
-        let seal_errors = registry.counter("pubsub_seal_errors_total");
-        let broker_thread = spawn_io("pubsub-broker", move || {
-            run_broker(core, rx, ctl_rx, seal_errors)
-        })?;
-        let accept_stop = stop.clone();
-        let accept_thread = spawn_io("pubsub-accept", move || {
-            run_accept(listener, ctl_tx, accept_stop)
-        })?;
-
+    /// Bind `addr` and start the serving tier with the default broker
+    /// knobs. Metrics register in `registry`; broker decisions trace into
+    /// `trace`.
+    pub fn bind(addr: &str, registry: &Registry, trace: TraceRing) -> std::io::Result<Server> {
+        let hub = Hub::<SubCodec, Publish>::bind(addr, "pubsub")?;
+        let (local_addr, inbox, publish) = (hub.local_addr(), hub.inbox(), hub.inbox());
+        let hello = encode_frame_vec(&Frame::Hello {
+            protocol: PROTOCOL_VERSION,
+            item_version: WindowState::ITEM_VERSION,
+        });
+        let broker = Broker {
+            hub,
+            core: (BrokerCore::new(BrokerConfig::default()).with_registry(registry))
+                .with_trace(trace),
+            peers: HashMap::new(),
+            actions: Vec::new(),
+            seal_errors: registry.counter("pubsub_seal_errors_total"),
+            hello: Arc::new(hello),
+            epoch: Instant::now(),
+        };
+        let broker_thread = hub::spawn("pubsub-broker", move || broker.run())?;
         Ok(Server {
             local_addr,
             producer: Some(ServerHandle {
-                tx,
+                inbox: publish,
                 dropped: registry.counter("pubsub_ingest_dropped_total"),
             }),
-            stop,
+            inbox,
             broker_thread: Some(broker_thread),
-            accept_thread: Some(accept_thread),
         })
     }
 
@@ -187,346 +132,174 @@ impl Server {
         self.local_addr
     }
 
-    /// Take the seal path's publish handle. Single producer: the first
-    /// call wins, later calls return `None`.
+    /// Take the seal path's publish handle. The first call wins, later
+    /// calls return `None`.
     pub fn take_handle(&mut self) -> Option<ServerHandle> {
         self.producer.take()
     }
 
-    /// Shut down: stop accepting, drain the ring, `Bye` every client,
-    /// and return the broker's report. If [`Server::take_handle`] was
-    /// called, the handle must be dropped first — the broker finishes
-    /// only once the ingest ring disconnects.
+    /// Shut down: stop accepting, process everything published so far,
+    /// `Bye` every client, and return the broker's report. Publishes made
+    /// after this call are dropped and counted.
     pub fn finish(mut self) -> BrokerReport {
-        self.stop.store(true, Ordering::SeqCst);
         drop(self.producer.take());
-        let report = self
-            .broker_thread
+        self.inbox.send(Publish::Finish);
+        self.broker_thread
             .take()
             .map(|t| t.join().unwrap_or_default())
-            .unwrap_or_default();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            .unwrap_or_default()
+    }
+}
+
+/// Where a client's handshake stands; a connection with no entry has
+/// not said `Hello` yet.
+enum Peer {
+    /// `Hello` seen, waiting for `Subscribe`.
+    Subscribing,
+    /// Reported to the core; `hello` of the frames written to it next
+    /// are our own handshake `Hello`, not the core's.
+    Live { hello: u64 },
+}
+
+/// The broker thread's state: the hub, the core, and each client's
+/// handshake.
+struct Broker {
+    hub: Hub<SubCodec, Publish>,
+    core: BrokerCore,
+    peers: HashMap<u64, Peer>,
+    actions: Vec<Action>,
+    seal_errors: Counter,
+    hello: Arc<Vec<u8>>,
+    epoch: Instant,
+}
+
+impl Broker {
+    fn run(mut self) -> BrokerReport {
+        loop {
+            let event = self.hub.recv();
+            if self.handle(event) {
+                break;
+            }
         }
+        // Give queued egress a bounded chance to reach the wire before
+        // the goodbye, so the final ledger's delivered/undelivered split
+        // reflects what the sockets actually took, and ledger departures
+        // that already happened with their true reason. Stalled clients
+        // hit the deadline and keep their undelivered count.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            let until = match self.backed_up().next() {
+                Some(_) => deadline,
+                None => Instant::now(),
+            };
+            match self.hub.recv_until(Some(until)) {
+                Some(event) => self.handle(event),
+                None => break,
+            };
+        }
+        // Anyone still backed up is stalled: shut their socket now so the
+        // hub's drop does not wait on their writers.
+        let stalled: Vec<u64> = self.backed_up().collect();
+        for id in stalled {
+            self.hub.close(id);
+        }
+        self.core
+            .set_now_us(self.epoch.elapsed().as_micros() as u64);
+        let report = self.core.finish(&mut self.actions);
+        self.dispatch();
+        // Dropping the hub writes out every queued `Bye`, then joins.
         report
     }
-}
 
-fn spawn_io<T: Send + 'static>(
-    name: &str,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> std::io::Result<JoinHandle<T>> {
-    std::thread::Builder::new()
-        .name(name.to_string())
-        .stack_size(telemetry::IO_THREAD_STACK_BYTES)
-        .spawn(f)
-}
+    /// Clients with frames the core counts as not yet written.
+    fn backed_up(&self) -> impl Iterator<Item = u64> + '_ {
+        let depth = |id: &u64| self.core.client_depth(*id).unwrap_or(0);
+        self.peers.keys().filter(move |id| depth(id) > 0).copied()
+    }
 
-fn run_accept(listener: TcpListener, ctl: Sender<Ctl>, stop: Arc<AtomicBool>) {
-    let mut next_id: u64 = 0;
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                next_id += 1;
-                let id = next_id;
-                let _ = stream.set_nodelay(true);
-                let ctl = ctl.clone();
-                let spawned = spawn_io(&format!("pubsub-reader-{id}"), move || {
-                    run_reader(stream, id, ctl)
-                });
-                if spawned.is_err() {
-                    return;
+    /// Carry out one event; true on [`Publish::Finish`].
+    fn handle(&mut self, event: Event<Frame, Publish>) -> bool {
+        self.core
+            .set_now_us(self.epoch.elapsed().as_micros() as u64);
+        match event {
+            Event::Local(Publish::Records(records)) => {
+                if self
+                    .core
+                    .on_sealed_records(records, &mut self.actions)
+                    .is_err()
+                {
+                    self.seal_errors.inc(1);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
+            Event::Local(Publish::Meta { start_us, bytes }) => {
+                self.core.on_meta(start_us, bytes, &mut self.actions)
             }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Handshake: the client speaks `Hello` then `Subscribe`; we answer with
-/// our own `Hello`. Anything else (or a decode error) aborts the
-/// connection before it ever reaches the broker.
-fn handshake(stream: &mut TcpStream, rd: &mut FrameReader) -> Result<Vec<Topic>, ()> {
-    let mut buf = [0u8; 4096];
-    let mut hello_seen = false;
-    loop {
-        while let Some(frame) = rd.next_frame().map_err(|_| ())? {
-            match (hello_seen, frame) {
-                (false, Frame::Hello { .. }) => hello_seen = true,
-                (true, Frame::Subscribe { topics }) => {
-                    let hello = encode_frame_vec(&Frame::Hello {
-                        protocol: PROTOCOL_VERSION,
-                        item_version: WindowState::ITEM_VERSION,
-                    });
-                    stream.write_all(&hello).map_err(|_| ())?;
-                    return Ok(topics);
-                }
-                _ => return Err(()),
-            }
-        }
-        let n = stream.read(&mut buf).map_err(|_| ())?;
-        if n == 0 {
-            return Err(());
-        }
-        rd.push(&buf[..n]);
-    }
-}
-
-fn run_reader(mut stream: TcpStream, id: u64, ctl: Sender<Ctl>) {
-    let mut rd = FrameReader::new();
-    let topics = match handshake(&mut stream, &mut rd) {
-        Ok(t) => t,
-        Err(()) => {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-    };
-    let (writer_stream, broker_stream) = match (stream.try_clone(), stream.try_clone()) {
-        (Ok(a), Ok(b)) => (a, b),
-        _ => {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-    };
-    let (wtx, wrx) = mpsc::channel::<WriterMsg>();
-    let writer_ctl = ctl.clone();
-    let writer_thread = match spawn_io(&format!("pubsub-writer-{id}"), move || {
-        run_writer(writer_stream, wrx, writer_ctl, id)
-    }) {
-        Ok(t) => t,
-        Err(_) => {
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
-    };
-    if ctl
-        .send(Ctl::Connect {
-            id,
-            topics,
-            writer: wtx,
-            writer_thread,
-            stream: broker_stream,
-        })
-        .is_err()
-    {
-        let _ = stream.shutdown(Shutdown::Both);
-        return;
-    }
-    let mut buf = [0u8; 4096];
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(n) => n,
-            Err(_) => {
-                let _ = ctl.send(Ctl::Gone {
-                    id,
-                    reason: EvictReason::Gone,
-                });
-                return;
-            }
-        };
-        if n == 0 {
-            let _ = ctl.send(Ctl::Gone {
-                id,
-                reason: EvictReason::Gone,
-            });
-            return;
-        }
-        rd.push(&buf[..n]);
-        // Any post-handshake frame ends the connection, so one decode
-        // attempt per read suffices: Bye is a clean goodbye, anything
-        // else (or damage) is a protocol violation.
-        match rd.next_frame() {
-            Ok(Some(Frame::Bye)) => {
-                let _ = ctl.send(Ctl::Gone {
-                    id,
-                    reason: EvictReason::Gone,
-                });
-                return;
-            }
-            Ok(Some(_)) | Err(_) => {
-                let _ = ctl.send(Ctl::Gone {
-                    id,
-                    reason: EvictReason::Protocol,
-                });
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
-            Ok(None) => {}
-        }
-    }
-}
-
-fn run_writer(mut stream: TcpStream, rx: Receiver<WriterMsg>, ctl: Sender<Ctl>, id: u64) {
-    // Bound how long one stalled socket can pin this thread; a timed-out
-    // write is a departure like any other.
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WriterMsg::Frame(frame) => {
-                if stream.write_all(&frame).is_err() {
-                    let _ = ctl.send(Ctl::Gone {
-                        id,
-                        reason: EvictReason::Gone,
-                    });
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-                let _ = ctl.send(Ctl::Drained { id, n: 1 });
-            }
-            WriterMsg::Close => {
-                let _ = stream.flush();
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
-        }
-    }
-}
-
-fn dispatch(conns: &mut HashMap<u64, Conn>, actions: &mut Vec<Action>) {
-    for action in actions.drain(..) {
-        match action {
-            Action::Send { client, frame } => {
-                if let Some(conn) = conns.get(&client) {
-                    let _ = conn.writer.send(WriterMsg::Frame(frame));
+            Event::Local(Publish::Finish) => return true,
+            Event::Frame { conn, frame } => self.on_frame(conn, frame),
+            Event::BadFrame { conn, .. } => self.depart(conn, EvictReason::Protocol),
+            Event::Closed { conn } => {
+                if let Some(Peer::Live { .. }) = self.peers.remove(&conn) {
+                    self.core.on_client_gone(conn, EvictReason::Gone);
                 }
             }
-            Action::Evict { client, frame, .. } => {
-                if let Some(conn) = conns.remove(&client) {
-                    // Best-effort terminal notice, then close; a stalled
-                    // writer is unblocked by the shutdown.
-                    let _ = conn.writer.send(WriterMsg::Frame(frame));
-                    let _ = conn.writer.send(WriterMsg::Close);
-                    let _ = conn.stream.shutdown(Shutdown::Both);
+            Event::Wrote { conn, frames } => {
+                if let Some(Peer::Live { hello }) = self.peers.get_mut(&conn) {
+                    let ours = frames.min(*hello);
+                    *hello -= ours;
+                    self.core.on_drained(conn, frames - ours);
                 }
             }
         }
+        self.dispatch();
+        false
     }
-}
 
-fn run_broker(
-    mut core: BrokerCore,
-    mut ring: spsc::Consumer<Ingest>,
-    ctl: Receiver<Ctl>,
-    seal_errors: Counter,
-) -> BrokerReport {
-    let epoch = Instant::now();
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut actions: Vec<Action> = Vec::new();
-    let handle = |core: &mut BrokerCore,
-                  conns: &mut HashMap<u64, Conn>,
-                  actions: &mut Vec<Action>,
-                  msg: Ctl| match msg {
-        Ctl::Connect {
-            id,
-            topics,
-            writer,
-            writer_thread,
-            stream,
-        } => {
-            conns.insert(
-                id,
-                Conn {
-                    writer,
-                    writer_thread: Some(writer_thread),
-                    stream,
-                },
-            );
-            core.on_client_connect(id, &topics, actions);
-        }
-        Ctl::Drained { id, n } => core.on_drained(id, n),
-        Ctl::Gone { id, reason } => {
-            core.on_client_gone(id, reason);
-            if let Some(conn) = conns.remove(&id) {
-                let _ = conn.writer.send(WriterMsg::Close);
-                let _ = conn.stream.shutdown(Shutdown::Both);
+    fn on_frame(&mut self, conn: u64, frame: Frame) {
+        match (self.peers.get(&conn), frame) {
+            (None, Frame::Hello { .. }) => {
+                self.peers.insert(conn, Peer::Subscribing);
             }
+            (Some(Peer::Subscribing), Frame::Subscribe { topics }) => {
+                if self.hub.write(conn, self.hello.clone()) {
+                    self.peers.insert(conn, Peer::Live { hello: 1 });
+                    self.core
+                        .on_client_connect(conn, &topics, &mut self.actions);
+                } else {
+                    self.depart(conn, EvictReason::Gone);
+                }
+            }
+            (Some(Peer::Live { .. }), Frame::Bye) => self.depart(conn, EvictReason::Gone),
+            _ => self.depart(conn, EvictReason::Protocol),
         }
-    };
-    loop {
-        core.set_now_us(epoch.elapsed().as_micros() as u64);
-        let mut ingest_done = false;
-        loop {
-            match ring.try_pop() {
-                Ok(Ingest::Windows(records)) => {
-                    if core.on_sealed_records(records, &mut actions).is_err() {
-                        seal_errors.inc(1);
+    }
+
+    /// `conn` leaves: ledgered with `reason` if it was the core's client,
+    /// and its socket is shut.
+    fn depart(&mut self, conn: u64, reason: EvictReason) {
+        if let Some(Peer::Live { .. }) = self.peers.remove(&conn) {
+            self.core.on_client_gone(conn, reason);
+        }
+        self.hub.close(conn);
+    }
+
+    fn dispatch(&mut self) {
+        let mut actions = std::mem::take(&mut self.actions);
+        for action in actions.drain(..) {
+            match action {
+                Action::Send { client, frame } => {
+                    if !self.hub.write(client, frame) {
+                        self.depart(client, EvictReason::Gone);
                     }
                 }
-                Ok(Ingest::Meta { start_us, bytes }) => core.on_meta(start_us, bytes, &mut actions),
-                Err(spsc::TryPopError::Empty) => break,
-                Err(spsc::TryPopError::Disconnected) => {
-                    ingest_done = true;
-                    break;
+                Action::Evict { client, frame, .. } => {
+                    // Already ledgered by the core: a best-effort notice,
+                    // then the hang-up.
+                    self.peers.remove(&client);
+                    self.hub.write(client, frame);
+                    self.hub.hang_up(client);
                 }
             }
         }
-        dispatch(&mut conns, &mut actions);
-        if ingest_done {
-            break;
-        }
-        match ctl.recv_timeout(Duration::from_millis(5)) {
-            Ok(msg) => {
-                handle(&mut core, &mut conns, &mut actions, msg);
-                while let Ok(msg) = ctl.try_recv() {
-                    handle(&mut core, &mut conns, &mut actions, msg);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {}
-        }
-        dispatch(&mut conns, &mut actions);
+        self.actions = actions;
     }
-    // Drain any last control messages so departures that already
-    // happened are ledgered with their true reason.
-    while let Ok(msg) = ctl.try_recv() {
-        handle(&mut core, &mut conns, &mut actions, msg);
-    }
-    // Give queued egress a bounded chance to reach the wire before the
-    // goodbye, so the final ledger's delivered/undelivered split
-    // reflects what the sockets actually took. Stalled clients hit the
-    // deadline and keep their undelivered count.
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while conns
-        .keys()
-        .any(|id| core.client_depth(*id).unwrap_or(0) > 0)
-        && Instant::now() < deadline
-    {
-        match ctl.recv_timeout(Duration::from_millis(5)) {
-            Ok(msg) => {
-                handle(&mut core, &mut conns, &mut actions, msg);
-                while let Ok(msg) = ctl.try_recv() {
-                    handle(&mut core, &mut conns, &mut actions, msg);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        dispatch(&mut conns, &mut actions);
-    }
-    // Anyone still backed up is stalled: unblock their writer with a
-    // socket shutdown so the joins below stay prompt.
-    let stalled: Vec<u64> = conns
-        .keys()
-        .filter(|id| core.client_depth(**id).unwrap_or(0) > 0)
-        .copied()
-        .collect();
-    core.set_now_us(epoch.elapsed().as_micros() as u64);
-    let report = core.finish(&mut actions);
-    dispatch(&mut conns, &mut actions);
-    for (id, mut conn) in conns.drain() {
-        if stalled.contains(&id) {
-            let _ = conn.stream.shutdown(Shutdown::Both);
-        }
-        let _ = conn.writer.send(WriterMsg::Close);
-        if let Some(t) = conn.writer_thread.take() {
-            let _ = t.join();
-        }
-    }
-    report
 }

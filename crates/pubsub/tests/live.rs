@@ -3,7 +3,7 @@
 //! subscriber's reassembled windows equal the published states exactly,
 //! including a mid-stream reconnect.
 
-use pubsub::{ServeConfig, Server, SubEvent, SubscribeClient, Topic};
+use pubsub::{Server, SubEvent, SubscribeClient, Topic};
 use sketchwire::{FeatureState, TopKEntry, TopKState, WindowState};
 use telemetry::{Registry, TraceRing};
 
@@ -65,13 +65,8 @@ fn expect_window(client: &mut SubscribeClient, want: &TopKState) {
 #[test]
 fn live_snapshot_delta_and_reconnect() {
     let registry = Registry::new();
-    let mut server = Server::bind(
-        "127.0.0.1:0",
-        ServeConfig::default(),
-        &registry,
-        TraceRing::disabled(),
-    )
-    .expect("bind loopback");
+    let mut server =
+        Server::bind("127.0.0.1:0", &registry, TraceRing::disabled()).expect("bind loopback");
     let addr = server.local_addr();
     let mut handle = server.take_handle().expect("first take");
     assert!(server.take_handle().is_none(), "single producer");
@@ -125,13 +120,8 @@ fn live_snapshot_delta_and_reconnect() {
 #[test]
 fn topk_topic_over_the_wire_strips_features() {
     let registry = Registry::new();
-    let mut server = Server::bind(
-        "127.0.0.1:0",
-        ServeConfig::default(),
-        &registry,
-        TraceRing::disabled(),
-    )
-    .expect("bind loopback");
+    let mut server =
+        Server::bind("127.0.0.1:0", &registry, TraceRing::disabled()).expect("bind loopback");
     let addr = server.local_addr();
     let mut handle = server.take_handle().expect("take");
     let mut client = SubscribeClient::connect(addr, &[Topic::Topk]).expect("connect");

@@ -11,7 +11,7 @@
 
 use chaos::storecrash::workload;
 use dns_observatory::{render_state, tsv, Dataset, ObservatoryConfig, StateExporter};
-use pubsub::{ServeConfig, Server, SubEvent, SubscribeClient};
+use pubsub::{Server, SubEvent, SubscribeClient};
 use simnet::{SimConfig, Simulation};
 use sketchwire::WindowState;
 use std::collections::BTreeMap;
@@ -77,13 +77,7 @@ fn reference(work: &[Vec<WindowState>]) -> BTreeMap<(String, u64), Vec<u8>> {
 }
 
 fn bind_server() -> Server {
-    Server::bind(
-        "127.0.0.1:0",
-        ServeConfig::default(),
-        &Registry::new(),
-        TraceRing::disabled(),
-    )
-    .expect("bind serving tier")
+    Server::bind("127.0.0.1:0", &Registry::new(), TraceRing::disabled()).expect("bind serving tier")
 }
 
 /// A subscriber thread that renders every window event and acks each
